@@ -21,9 +21,13 @@ def he_normal(rng, shape, fan_in, dtype):
     return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype), requires_grad=True)
 
 
-def uniform_fan_in(rng, shape, fan_in, dtype):
+def _uniform(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def uniform_fan_in(rng, shape, fan_in, dtype):
+    return Tensor(_uniform(rng, shape, fan_in).astype(dtype), requires_grad=True)
 
 
 def zeros_param(shape, dtype):
@@ -143,20 +147,37 @@ class ConvBlock:
 
 
 class LstmParams:
-    """Per-gate LSTM parameters: W_i* (d, in), W_h* (d, d) and their biases."""
+    """LSTM parameters, each kind stacked over the gates in order i, f, g, o.
+
+    ``w_in`` (4d, in), ``b_in`` (4d,), ``w_rec`` (4d, d) and ``b_rec`` (4d,)
+    hold the parameters; the per-gate Tensors ``w_ix[g]``, ``b_ix[g]``,
+    ``w_hx[g]`` and ``b_hx[g]`` are row-block views into them.  The views are
+    what the parameter registry, checkpoints and the optimizer see, so every
+    in-place update of a view updates the stacked array the fused sequence
+    op reads.
+    """
 
     def __init__(self, input_dim, hidden_dim, rng, dtype=T.STANDARD):
+        d = hidden_dim
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
+        self.w_in = np.empty((4 * d, input_dim), dtype=dtype)
+        self.b_in = np.zeros(4 * d, dtype=dtype)
+        self.w_rec = np.empty((4 * d, d), dtype=dtype)
+        self.b_rec = np.zeros(4 * d, dtype=dtype)
         self.w_ix = {}
         self.b_ix = {}
         self.w_hx = {}
         self.b_hx = {}
-        for gate in LSTM_GATES:
-            self.w_ix[gate] = uniform_fan_in(rng, (hidden_dim, input_dim), input_dim, dtype)
-            self.b_ix[gate] = zeros_param(hidden_dim, dtype)
-            self.w_hx[gate] = uniform_fan_in(rng, (hidden_dim, hidden_dim), hidden_dim, dtype)
-            self.b_hx[gate] = zeros_param(hidden_dim, dtype)
+        for k, gate in enumerate(LSTM_GATES):
+            rows = slice(k * d, (k + 1) * d)
+            # Assignment casts the float64 draws as astype(dtype) would.
+            self.w_in[rows] = _uniform(rng, (d, input_dim), input_dim)
+            self.w_rec[rows] = _uniform(rng, (d, d), d)
+            self.w_ix[gate] = Tensor(self.w_in[rows], requires_grad=True)
+            self.b_ix[gate] = Tensor(self.b_in[rows], requires_grad=True)
+            self.w_hx[gate] = Tensor(self.w_rec[rows], requires_grad=True)
+            self.b_hx[gate] = Tensor(self.b_rec[rows], requires_grad=True)
 
     def params(self):
         out = []
@@ -171,6 +192,12 @@ class LstmParams:
         shape = (self.hidden_dim,) if batch is None else (batch, self.hidden_dim)
         z = Tensor(np.zeros(shape, dtype=dtype))
         return z, z
+
+    def run(self, xs):
+        """h_L of the fused sequence op over a (L, B, in) tensor."""
+        blocks = tuple(tuple(kind[g] for g in LSTM_GATES)
+                       for kind in (self.w_ix, self.b_ix, self.w_hx, self.b_hx))
+        return T.lstm(xs, (self.w_in, self.b_in, self.w_rec, self.b_rec), blocks)
 
 
 def lstm_step(p, x_t, h_prev, c_prev):
@@ -202,27 +229,21 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
 
 def lstm_sequence(p, xs):
-    """Fold lstm_step over the rows of a (L, input_dim) tensor; return h_L."""
+    """h_L of an LSTM run from zero state over the rows of a (L, input_dim) tensor."""
     if xs.data.ndim != 2:
         raise ShapeError(f"lstm_sequence: expected (L, input) tensor, got {xs.data.shape}")
     length = xs.data.shape[0]
     if length < 1:
         raise UsageError("lstm_sequence: empty sequence")
-    h, c = p.zero_state(xs.data.dtype)
-    for l in range(length):
-        h, c = lstm_step(p, T.take(xs, l), h, c)
-    return h
+    h = p.run(T.reshape(xs, (length, 1, xs.data.shape[1])))
+    return T.reshape(h, (p.hidden_dim,))
 
 
 def lstm_sequence_batch(p, xs):
-    """Fold lstm_step over a list of L tensors of shape (batch, input_dim)."""
+    """h_L of an LSTM run from zero state over a list of L (batch, input_dim) tensors."""
     if not xs:
         raise UsageError("lstm_sequence_batch: empty sequence")
-    batch = xs[0].data.shape[0]
-    h, c = p.zero_state(xs[0].data.dtype, batch=batch)
-    for x_t in xs:
-        h, c = lstm_step(p, x_t, h, c)
-    return h
+    return p.run(T.stack(xs))
 
 
 def linear_forward(layer, x):

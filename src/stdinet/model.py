@@ -419,13 +419,19 @@ CKPT_MAGIC = b"STDC"
 CKPT_VERSION = 1
 
 
+_CKPT_DTYPES = {"float32": "<f4", "float64": "<f8"}
+
+
 def save_checkpoint(path, model, extra=None):
-    """Write a manifest plus raw little-endian float32 parameter data.
+    """Write a manifest plus raw little-endian parameter data.
 
     The manifest records every tensor's name, shape, dtype and byte offset,
-    the model kind and dims, plus batchnorm running statistics so that a
-    reloaded model evaluates identically.
+    the model kind, dims and precision, plus batchnorm running statistics so
+    that a reloaded model evaluates identically.  Data is stored at the
+    model's precision: float32 (``<f4``) or float64 (``<f8``).
     """
+    dtype_name = np.dtype(model.dtype).name
+    stored = _CKPT_DTYPES[dtype_name]
     entries = []
     blobs = []
     offset = 0
@@ -434,11 +440,11 @@ def save_checkpoint(path, model, extra=None):
         items.append((f"{name}.running_mean", state.running_mean, False))
         items.append((f"{name}.running_var", state.running_var, False))
     for name, arr, trainable in items:
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        raw = np.ascontiguousarray(arr, dtype=stored).tobytes()
         entries.append({
             "name": name,
             "shape": list(arr.shape),
-            "dtype": "<f4",
+            "dtype": stored,
             "offset": offset,
             "nbytes": len(raw),
             "trainable": bool(trainable),
@@ -448,6 +454,7 @@ def save_checkpoint(path, model, extra=None):
     manifest = {
         "kind": model.kind,
         "dims": asdict(model.dims),
+        "dtype": dtype_name,
         "standard_skip": model.standard_skip,
         "entries": entries,
         "extra": extra or {},
@@ -462,7 +469,11 @@ def save_checkpoint(path, model, extra=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint; returns (model, extra)."""
+    """Rebuild a model from a checkpoint; returns (model, extra).
+
+    The model gets the precision the manifest records; a manifest written
+    before the precision was recorded loads as float32.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
@@ -474,12 +485,17 @@ def load_checkpoint(path):
         blob = fh.read()
 
     dims = ModelDims(**manifest["dims"])
-    model = build_model(manifest["kind"], dims, seed=0,
+    dtype_name = manifest.get("dtype", "float32")
+    if dtype_name not in _CKPT_DTYPES:
+        raise DataError(f"{path}: unsupported model precision {dtype_name!r}")
+    model = build_model(manifest["kind"], dims, seed=0, dtype=np.dtype(dtype_name).type,
                         standard_skip=manifest.get("standard_skip", False))
     arrays = {}
     for e in manifest["entries"]:
+        if e["dtype"] not in _CKPT_DTYPES.values():
+            raise DataError(f"{path}: unsupported dtype {e['dtype']!r} for {e['name']}")
         raw = blob[e["offset"]:e["offset"] + e["nbytes"]]
-        arrays[e["name"]] = np.frombuffer(raw, dtype="<f4").reshape(e["shape"]).copy()
+        arrays[e["name"]] = np.frombuffer(raw, dtype=e["dtype"]).reshape(e["shape"]).copy()
 
     for name, p in model.named_tensors():
         if name not in arrays:

@@ -140,6 +140,15 @@ class Tape:
             self.recording = prev
 
     def reset(self):
+        """Forget every recorded node and free the graph it held.
+
+        Each output points at its node and the node back at the output, so
+        the link is cut here; reference counting then frees the step's
+        activations, gradients and backward closures at once instead of
+        leaving them to the cycle collector.
+        """
+        for node in self.nodes:
+            node.output._node = None
         self.nodes.clear()
         self._consumed = False
 
@@ -254,14 +263,18 @@ def leaky_relu(x, slope=0.01):
     return _record("leaky_relu", (x,), out, lambda g: (g * np.where(pos, x.data.dtype.type(1), s),))
 
 
-def sigmoid(x):
+def _sigmoid(d):
     # Split by sign so exp never overflows.
-    d = x.data
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
     out[~pos] = e / (1.0 + e)
+    return out
+
+
+def sigmoid(x):
+    out = _sigmoid(x.data)
     return _record("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
 
@@ -450,6 +463,90 @@ def mean_all(x):
     n = x.data.dtype.type(x.data.size)
     return _record("mean", (x,), np.asarray(x.data.mean(), dtype=x.data.dtype),
                    lambda g: (np.broadcast_to(g / n, shape).astype(g.dtype, copy=True),))
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def lstm(xs, stacked, blocks):
+    """Final hidden state of an LSTM run from zero state over a sequence.
+
+    ``xs`` is (L, B, in).  ``stacked`` holds the parameters as numpy arrays
+    with the gates stacked in order i, f, g, o: input weights (4d, in),
+    input biases (4d,), recurrent weights (4d, d), recurrent biases (4d,).
+    ``blocks`` gives, for each of the four arrays, the four per-gate Tensors
+    whose data are its row blocks.  The input projection of all L steps is
+    one GEMM; each step adds one (B, d) @ (d, 4d) GEMM.  One node is
+    recorded, whose backward pass through time returns a gradient for the
+    input and for every per-gate Tensor.  The cell is the one of
+    ``layers.lstm_step``: c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
+    """
+    w_in, b_in, w_rec, b_rec = stacked
+    d = w_rec.shape[1]
+    for array, group in zip(stacked, blocks):
+        for k, t in enumerate(group):
+            if t.data.shape != (d,) + array.shape[1:] or \
+                    not np.may_share_memory(t.data, array[k * d:(k + 1) * d]):
+                raise UsageError("lstm: a per-gate tensor is not a row block of its stacked array")
+    if xs.data.ndim != 3 or xs.data.shape[2] != w_in.shape[1]:
+        raise ShapeError(f"lstm: input {xs.data.shape} is not (L, B, {w_in.shape[1]})")
+    params = tuple(t for group in blocks for t in group)
+    _common_dtype((xs,) + params, "lstm")
+    length, batch, n_in = xs.data.shape
+    x_flat = xs.data.reshape(length * batch, n_in)
+    x_proj = (x_flat @ w_in.T + b_in).reshape(length, batch, 4 * d)
+
+    h = np.zeros((batch, d), dtype=xs.data.dtype)
+    c = np.zeros_like(h)
+    hs, cs, tanh_cs, acts = [h], [c], [], []
+    for t in range(length):
+        # h is zero before the first step, so its recurrent product is too.
+        rec = b_rec if t == 0 else h @ w_rec.T + b_rec
+        z = x_proj[t] + rec
+        a = np.empty_like(z)
+        a[:, :2 * d] = _sigmoid(z[:, :2 * d])
+        a[:, 2 * d:3 * d] = np.tanh(z[:, 2 * d:3 * d])
+        a[:, 3 * d:] = _sigmoid(z[:, 3 * d:])
+        i, f, g, o = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        acts.append(a)
+        cs.append(c)
+        tanh_cs.append(tanh_c)
+        hs.append(h)
+
+    def backward(gh):
+        dz = np.empty_like(x_proj)
+        dh = gh
+        dc = np.zeros_like(gh)
+        for t in reversed(range(length)):
+            a, tanh_c = acts[t], tanh_cs[t]
+            i, f, g, o = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
+            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            dz[t, :, :d] = dc * g * i * (1.0 - i)
+            dz[t, :, d:2 * d] = dc * cs[t] * f * (1.0 - f)
+            dz[t, :, 2 * d:3 * d] = dc * i * (1.0 - g * g)
+            dz[t, :, 3 * d:] = dh * tanh_c * o * (1.0 - o)
+            if t > 0:
+                dh = dz[t] @ w_rec
+                dc = dc * f
+        dz_flat = dz.reshape(length * batch, 4 * d)
+        dw_in = dz_flat.T @ x_flat
+        db = dz_flat.sum(axis=0)
+        if length > 1:
+            h_prev = np.concatenate(hs[1:length])
+            dw_rec = dz_flat[batch:].T @ h_prev
+        else:
+            dw_rec = np.zeros_like(w_rec)
+        dx = (dz_flat @ w_in).reshape(xs.data.shape) if xs.requires_grad else None
+        grads = [dx]
+        for full in (dw_in, db, dw_rec, db):
+            grads.extend(full[k * d:(k + 1) * d] for k in range(4))
+        return tuple(grads)
+
+    return _record("lstm", (xs,) + params, h, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -44,17 +45,28 @@ def mse_loss(pred, target):
     return T.mean_all(T.hadamard(d, d))
 
 
+# Elements per in-place pass of Adam: every operand of one chunk stays in
+# the L2 cache across the update's dozen passes.
+ADAM_CHUNK = 32768
+
+
 class Adam:
     """Adam with bias correction; weight decay defaults to L2-on-gradient.
 
     Only tensors handed in are updated, so frozen tensors are excluded by
     construction.  ``decoupled=True`` applies the decay directly to the
-    parameters instead of the gradient.
+    parameters instead of the gradient.  Moments and parameters are updated
+    in place, chunk by chunk through two scratch buffers per dtype; each
+    operation is the one of the textbook formula, in the same order, so the
+    result is bit for bit the same.
     """
 
     def __init__(self, params, lr=1e-3, weight_decay=0.0, betas=(0.9, 0.999),
                  eps=1e-8, decoupled=False):
         self.params = list(params)
+        for p in self.params:
+            if not p.data.flags.c_contiguous:
+                raise UsageError("adam: parameters must be C-contiguous to be updated in place")
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
@@ -63,26 +75,39 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = {dt: (np.empty(ADAM_CHUNK, dtype=dt), np.empty(ADAM_CHUNK, dtype=dt))
+                         for dt in {p.data.dtype for p in self.params}}
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 raise UsageError("adam step: a trainable parameter has no gradient")
-            g = p.grad
-            if self.weight_decay and not self.decoupled:
-                g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= (self.lr * update).astype(p.data.dtype)
-            if self.weight_decay and self.decoupled:
-                p.data -= (self.lr * self.weight_decay) * p.data
+            flat = [arr.reshape(-1) for arr in (p.data, p.grad, m, v)]
+            s1, s2 = self._scratch[p.data.dtype]
+            for lo in range(0, p.data.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, p.data.size)
+                self._update(*(arr[lo:hi] for arr in flat), s1[:hi - lo], s2[:hi - lo], bc1, bc2)
+
+    def _update(self, p, g, m, v, a, b, bc1, bc2):
+        if self.weight_decay and not self.decoupled:
+            np.multiply(p, self.weight_decay, out=a)
+            g = np.add(g, a, out=a)                     # g + wd * p
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=b)    # m += (1 - b1) * g
+        v *= self.beta2
+        np.multiply(g, g, out=b)
+        v += np.multiply(b, 1.0 - self.beta2, out=b)    # v += (1 - b2) * (g * g)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps                                   # sqrt(v / bc2) + eps
+        np.divide(m, bc1, out=b)
+        np.divide(b, a, out=b)                          # update = (m / bc1) / a
+        p -= np.multiply(b, self.lr, out=b)             # p -= lr * update
+        if self.weight_decay and self.decoupled:
+            p -= np.multiply(p, self.lr * self.weight_decay, out=a)
 
     def zero_grad(self):
         for p in self.params:
@@ -109,7 +134,7 @@ def predict_windows(model, windows, batch_size=256, scale=1.0, dtype=None):
     preds = []
     tapes = {p.tape for _, p in model.named_tensors() if p.tape is not None}
     tape = tapes.pop() if tapes else None
-    ctx = tape.paused() if tape is not None else _null_ctx()
+    ctx = tape.paused() if tape is not None else contextlib.nullcontext()
     with ctx:
         for lo in range(0, len(windows), batch_size):
             x = Tensor(inputs[lo:lo + batch_size])
@@ -117,14 +142,6 @@ def predict_windows(model, windows, batch_size=256, scale=1.0, dtype=None):
             preds.append(out.data.astype(np.float64))
     stacked = np.concatenate(preds, axis=0)
     return stacked * scale
-
-
-class _null_ctx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _rmse_mae(preds, targets):
@@ -139,11 +156,19 @@ def fit(model, train_windows, val_windows, config, log_path=None):
     then validation RMSE/MAE in eval mode on raw counts.  Stops when the
     validation RMSE has not improved for ``patience`` epochs and restores
     the best epoch's parameters.  Batches that would reach batchnorm with a
-    single sample are dropped.
+    single sample are dropped, and a configuration in which every batch
+    would be dropped is refused.  Each epoch's log record also carries
+    ``step_s``, the median training step time, and ``samples_per_s``, the
+    windows in batches that stepped per second of the epoch's training.
     """
     config.validate()
     if not train_windows or not val_windows:
         raise UsageError("fit needs non-empty train and validation window lists")
+    if min(config.batch_size, len(train_windows)) < 2:
+        raise UsageError(
+            f"fit would train nothing: batches of {config.batch_size} over "
+            f"{len(train_windows)} training windows never hold the 2 samples a step needs"
+        )
     dtype = resolve_dtype(config.precision)
     if model.dtype != dtype:
         raise UsageError(f"model dtype {model.dtype} does not match config precision {config.precision}")
@@ -175,10 +200,14 @@ def fit(model, train_windows, val_windows, config, log_path=None):
         for epoch in range(config.epochs):
             perm = rng.permutation(len(train_windows))
             losses = []
+            step_times = []
+            stepped = 0
+            epoch_start = time.perf_counter()
             for bi, lo in enumerate(range(0, len(perm), config.batch_size)):
                 idx = perm[lo:lo + config.batch_size]
-                if len(idx) < 2 and len(perm) > 1:
+                if len(idx) < 2:
                     continue  # batchnorm cannot take a single-sample batch
+                step_start = time.perf_counter()
                 tape.reset()
                 x = Tensor(inputs[idx])
                 y = Tensor(targets[idx])
@@ -192,6 +221,9 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 adam.step()
                 adam.zero_grad()
                 losses.append(value)
+                stepped += len(idx)
+                step_times.append(time.perf_counter() - step_start)
+            train_s = time.perf_counter() - epoch_start
             tape.reset()
 
             preds = predict_windows(model, val_windows, scale=scale)
@@ -206,6 +238,8 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                     "train_loss": history.train_loss[-1],
                     "val_rmse": rmse,
                     "val_mae": mae,
+                    "step_s": float(np.median(step_times)),
+                    "samples_per_s": stepped / train_s,
                     "time": time.time(),
                 }) + "\n")
                 log_fh.flush()

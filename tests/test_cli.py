@@ -122,6 +122,14 @@ class TestTrain:
         assert rc == 2
         assert "UnifiedSpatial" in caplog.text
 
+    def test_batch_size_one_is_a_usage_error(self, toy_series_path, tmp_path, caplog):
+        rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
+                   "--config", FAST + ",batch_size=1,channels=4,lstm_hidden=8,rank=4,embed_dim=6",
+                   "--seed", "0", "--out", str(tmp_path / "b1.ckpt")])
+        assert rc == 2
+        assert "train nothing" in caplog.text
+        assert not (tmp_path / "b1.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_exit_code(self, toy_series_path, tmp_path):
@@ -174,6 +182,26 @@ class TestGradcheck:
         assert "conv2d" in out
         assert (tmp_path / "gradcheck.json").exists()
         assert (tmp_path / "gradcheck.manifest.json").exists()
+
+    def test_suite_results_independent_of_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        import stdinet
+
+        code = ("import json; from stdinet.gradcheck import run_suite; "
+                "from stdinet.model import TOY_DIMS; "
+                "print(json.dumps(run_suite(TOY_DIMS, n_seeds=1)[0]))")
+        src = str(Path(stdinet.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  stdout=subprocess.PIPE, text=True, timeout=120)
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1]
+        assert "lstm" in outputs[0]
 
     def test_corrupted_backward_detected(self, capsys, monkeypatch, tmp_path):
         import stdinet.tensor as T

@@ -329,6 +329,62 @@ class TestLstm:
         assert finite_diff_check(f, p.w_ix["f"]) < 1e-4
 
 
+class TestFusedSequence:
+    """The fused sequence op against a fold of lstm_step, the cell reference."""
+
+    @staticmethod
+    def fold(p, xs):
+        h, c = p.zero_state(xs[0].data.dtype, batch=xs[0].data.shape[0])
+        for x_t in xs:
+            h, c = lstm_step(p, x_t, h, c)
+        return h
+
+    def run(self, sequence_fn, p, x_data, w):
+        tape = Tape()
+        for _, t in p.params():
+            t.tape = tape
+            t.grad = None
+        xs = [t64(x, requires_grad=True, tape=tape) for x in x_data]
+        h = sequence_fn(p, xs)
+        tape.backward(sum_all(hadamard(h, t64(w))))
+        return h.data, [x.grad for x in xs], {n: t.grad.copy() for n, t in p.params()}
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_output_and_every_gradient_match_the_fold(self, batch, length):
+        rng = np.random.default_rng(30 + 10 * batch + length)
+        p = LstmParams(5, 4, rng, dtype=F64)
+        for _, t in p.params():
+            t.data[...] = rng.normal(size=t.data.shape)
+        x_data = rng.normal(size=(length, batch, 5))
+        w = rng.normal(size=(batch, 4))
+        h, dxs, dps = self.run(lstm_sequence_batch, p, x_data, w)
+        h_ref, dxs_ref, dps_ref = self.run(self.fold, p, x_data, w)
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+        for dx, dx_ref in zip(dxs, dxs_ref):
+            np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+        assert list(dps) == list(dps_ref) and len(dps) == 16
+        for name in dps:
+            np.testing.assert_allclose(dps[name], dps_ref[name], rtol=0, atol=1e-12)
+
+    def test_one_node_per_sequence(self):
+        rng = np.random.default_rng(40)
+        p = LstmParams(5, 4, rng, dtype=F64)
+        tape = Tape()
+        for _, t in p.params():
+            t.tape = tape
+        xs = [t64(rng.normal(size=(2, 5)), requires_grad=True, tape=tape) for _ in range(3)]
+        lstm_sequence_batch(p, xs)
+        assert [node.op for node in tape.nodes] == ["stack", "lstm"]
+
+    def test_rebound_gate_tensor_rejected(self):
+        rng = np.random.default_rng(41)
+        p = LstmParams(5, 4, rng, dtype=F64)
+        p.w_hx["g"].data = p.w_hx["g"].data.copy()
+        with pytest.raises(UsageError, match="row block"):
+            lstm_sequence_batch(p, [t64(rng.normal(size=(2, 5)))])
+
+
 class TestLinear:
     def test_identity(self):
         rng = np.random.default_rng(21)

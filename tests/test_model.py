@@ -1,9 +1,14 @@
 """Model assembly tests: spatial stacking, generated weights, variants."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from stdinet import DomainError, ShapeError, UsageError
+from stdinet.layers import LSTM_GATES
 from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, mean_all, sub, sum_all, take
 from stdinet.model import (
     MODEL_KINDS,
@@ -14,6 +19,7 @@ from stdinet.model import (
     TOY_DIMS,
     build_model,
     interval_params,
+    CKPT_MAGIC,
     load_checkpoint,
     save_checkpoint,
     spatial_forward,
@@ -21,6 +27,32 @@ from stdinet.model import (
 )
 
 F64 = np.float64
+
+# sha256 prefixes of every kind's named tensors (name, then raw bytes) from
+# build_model(kind, TOY_DIMS, seed=5) in float32, taken before the LSTM gates
+# were stacked; the stacked layout draws the same numbers in the same order.
+INIT_CHECKSUMS = {
+    "STDI": "1bec59b869ed17e1",
+    "SpatialFC": "8accc426db9f51cd",
+    "TemporalFC": "bacf848fdc3f89b7",
+    "SpatialTemporalFC": "1a59f2f58f9ffe41",
+    "SpatialDI": "796f0d1fa2f0067b",
+    "TemporalDI": "c67299b9e396a58e",
+    "STDIFusion": "39f3c8310eb033fe",
+    "UnifiedSpatial": "94eed7d26f11f60b",
+    "STDIEmbedding": "1bec59b869ed17e1",
+}
+
+
+def assert_lstm_views(model):
+    """Every per-gate LSTM tensor is still a row block of its stacked array."""
+    p = model.lstm
+    d = p.hidden_dim
+    for views, stacked in ((p.w_ix, p.w_in), (p.b_ix, p.b_in),
+                           (p.w_hx, p.w_rec), (p.b_hx, p.b_rec)):
+        for k, gate in enumerate(LSTM_GATES):
+            assert np.shares_memory(views[gate].data, stacked)
+            np.testing.assert_array_equal(views[gate].data, stacked[k * d:(k + 1) * d])
 
 
 def triple_loop_weights(o_prime, w, o):
@@ -268,6 +300,42 @@ class TestBuildModel:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
+class TestStackedLstm:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_initialization_matches_per_gate_draws(self, kind):
+        h = hashlib.sha256()
+        for name, p in build_model(kind, TOY_DIMS, seed=5).named_tensors():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(p.data).tobytes())
+        assert h.hexdigest()[:16] == INIT_CHECKSUMS[kind]
+
+    def test_views_survive_restore(self):
+        model = build_model("STDI", TOY_DIMS, seed=6, dtype=np.float32)
+        snap = model.snapshot()
+        model.lstm.w_in[...] = 0.0
+        model.restore(snap)
+        assert_lstm_views(model)
+        np.testing.assert_array_equal(model.lstm.w_ix["o"].data, snap[0]["lstm.w_io"])
+        assert np.any(model.lstm.w_in != 0.0)
+
+    def test_views_survive_load_checkpoint(self, tmp_path):
+        model = build_model("TemporalDI", TOY_DIMS, seed=7, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert_lstm_views(loaded)
+        np.testing.assert_array_equal(loaded.lstm.w_rec, model.lstm.w_rec)
+
+    def test_views_survive_adam_step(self):
+        from helpers import copy_task_windows, manual_steps
+
+        model = build_model("STDI", TOY_DIMS, seed=8, dtype=np.float32)
+        before = model.lstm.w_in.copy()
+        manual_steps(model, copy_task_windows(), steps=2, lr=1e-2)
+        assert_lstm_views(model)
+        assert np.all(model.lstm.w_in != before)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", ["STDI", "SpatialFC", "STDIFusion", "STDIEmbedding"])
     def test_round_trip_preserves_predictions(self, kind, tmp_path):
@@ -296,3 +364,38 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.interval.embedding.data,
                                       model.interval.embedding.data)
         assert not loaded.interval.embedding.requires_grad
+
+    def test_float64_model_reloads_as_float64(self, tmp_path):
+        rng = np.random.default_rng(16)
+        model = build_model("STDI", TOY_DIMS, seed=13, dtype=F64)
+        for _, s in model.named_states():
+            s.running_var[:] = rng.uniform(0.5, 2.0, size=s.running_var.shape)
+        path = tmp_path / "m64.ckpt"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.dtype == F64
+        for (name, p), (_, q) in zip(model.named_tensors(), loaded.named_tensors()):
+            assert q.data.dtype == F64, name
+            np.testing.assert_array_equal(q.data, p.data)
+        for (_, s), (_, r) in zip(model.named_states(), loaded.named_states()):
+            assert r.running_var.dtype == F64
+            np.testing.assert_array_equal(r.running_var, s.running_var)
+        seq = Tensor(rng.random((3, 2, 2, 2)))
+        np.testing.assert_array_equal(model.forward(seq, hour=5).data,
+                                      loaded.forward(seq, hour=5).data)
+
+    def test_manifest_without_precision_loads_as_float32(self, tmp_path):
+        model = build_model("SpatialFC", TOY_DIMS, seed=14, dtype=np.float32)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        version, mlen = struct.unpack("<II", blob[4:12])
+        manifest = json.loads(blob[12:12 + mlen])
+        del manifest["dtype"]
+        payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        path.write_bytes(CKPT_MAGIC + struct.pack("<II", version, len(payload))
+                         + payload + blob[12 + mlen:])
+        loaded, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float32
+        for (_, p), (_, q) in zip(model.named_tensors(), loaded.named_tensors()):
+            np.testing.assert_array_equal(q.data, p.data)

@@ -1,13 +1,17 @@
 """Training loop tests: loss, optimizer, early stopping, determinism."""
 
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
 from stdinet import DivergenceError, ShapeError, UsageError
 from stdinet.data import SampleWindow, make_windows, random_demand_series, split_dataset
 from stdinet.model import TOY_DIMS, build_model
-from stdinet.tensor import Tape, Tensor, finite_diff_check
-from stdinet.training import Adam, TrainConfig, fit, mse_loss, predict_windows
+from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, sum_all, tanh
+from stdinet.training import ADAM_CHUNK, Adam, TrainConfig, fit, mse_loss, predict_windows
 
 F64 = np.float64
 
@@ -71,6 +75,53 @@ class TestAdam:
         adam = Adam([p], lr=1e-3)
         with pytest.raises(UsageError, match="no gradient"):
             adam.step()
+
+    @staticmethod
+    def reference_step(adam, params, ms, vs, step_count):
+        """The allocating Adam update, one temporary per operation."""
+        b1, b2 = adam.beta1, adam.beta2
+        bc1 = 1.0 - b1 ** step_count
+        bc2 = 1.0 - b2 ** step_count
+        for p, m, v in zip(params, ms, vs):
+            g = p.grad
+            if adam.weight_decay and not adam.decoupled:
+                g = g + adam.weight_decay * p.data
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + adam.eps)
+            p.data -= (adam.lr * update).astype(p.data.dtype)
+            if adam.weight_decay and adam.decoupled:
+                p.data -= (adam.lr * adam.weight_decay) * p.data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_in_place_update_is_bit_identical_to_reference(self, dtype, decoupled):
+        rng = np.random.default_rng(9)
+        # One parameter spans several chunks and ends in a partial one.
+        shapes = [(3, 4), (2 * ADAM_CHUNK + 5,), (7,), ()]
+        ours = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+        refs = [Tensor(t.data.copy(), requires_grad=True) for t in ours]
+        adam = Adam(ours, lr=3e-3, weight_decay=0.01, decoupled=decoupled)
+        ms = [np.zeros_like(t.data) for t in refs]
+        vs = [np.zeros_like(t.data) for t in refs]
+        for step in range(1, 6):
+            for a, b in zip(ours, refs):
+                a.grad = (rng.normal(size=a.data.shape) * 10).astype(dtype)
+                b.grad = a.grad.copy()
+            adam.step()
+            self.reference_step(adam, refs, ms, vs, step)
+            for a, b, m, v, am, av in zip(ours, refs, ms, vs, adam.m, adam.v):
+                assert a.data.dtype == dtype
+                np.testing.assert_array_equal(a.data, b.data)
+                np.testing.assert_array_equal(am, m)
+                np.testing.assert_array_equal(av, v)
+
+    def test_non_contiguous_parameter_refused(self):
+        p = Tensor(np.ones((3, 4)).T, requires_grad=True)
+        with pytest.raises(UsageError, match="contiguous"):
+            Adam([p])
 
     def test_no_nan_after_steps(self):
         rng = np.random.default_rng(1)
@@ -156,6 +207,54 @@ class TestFit:
         preds = predict_windows(model, val, scale=history.scale)
         assert np.all(np.isfinite(preds))
 
+    @pytest.mark.parametrize("n_train,batch_size", [(40, 1), (1, 32)])
+    def test_configuration_that_trains_nothing_is_refused(self, n_train, batch_size):
+        # Batch size 1 drops every batch; one training window makes one
+        # batch of one.  Either way no step could run.
+        train, val, _ = self.small_dataset(seed=9)
+        model = build_model("STDI", TOY_DIMS, seed=9, dtype=np.float32)
+        before = model.snapshot()[0]
+        config = TrainConfig(epochs=2, batch_size=batch_size, patience=2, seed=0)
+        with pytest.raises(UsageError, match="train nothing"):
+            fit(model, train[:n_train], val, config)
+        for name, p in model.named_tensors():
+            np.testing.assert_array_equal(p.data, before[name])
+
+    def test_epoch_log_reports_step_time_and_throughput(self, tmp_path):
+        train, val, _ = self.small_dataset(seed=10)
+        model = build_model("TemporalFC", TOY_DIMS, seed=10, dtype=np.float32)
+        config = TrainConfig(epochs=2, batch_size=32, patience=2, seed=0)
+        log = tmp_path / "train.jsonl"
+        fit(model, train, val, config, log_path=log)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(records) == 2
+        sizes = [min(32, len(train) - lo) for lo in range(0, len(train), 32)]
+        steps = [n for n in sizes if n >= 2]
+        for rec in records:
+            assert rec["step_s"] > 0
+            # At least half the steps took the median time or longer, and the
+            # epoch's training time covers them all.
+            slowest_half = -(-len(steps) // 2) * rec["step_s"]
+            assert 0 < rec["samples_per_s"] <= sum(steps) / slowest_half
+
     def test_config_validation(self):
         with pytest.raises(UsageError):
             TrainConfig(patience=100, epochs=10).validate()
+
+
+class TestGraphRelease:
+    def test_reset_frees_intermediates_without_the_cycle_collector(self):
+        tape = Tape()
+        x = Tensor(np.ones((4, 4)), dtype=F64, requires_grad=True, tape=tape)
+        mid = tanh(hadamard(x, x))
+        probe = weakref.ref(mid)
+        loss = sum_all(mid)
+        tape.backward(loss)
+        del mid, loss
+        gc.disable()
+        try:
+            tape.reset()
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None
