@@ -87,10 +87,13 @@ def parse_overrides(text):
     return out
 
 
-def _typed(value, like):
+def _typed(key, value, like):
     if isinstance(like, bool):
         return value.lower() in ("1", "true", "yes", "on")
-    return type(like)(value)
+    try:
+        return type(like)(value)
+    except ValueError:
+        raise UsageError(f"config {key}={value!r}: expected {type(like).__name__}") from None
 
 
 def apply_overrides(overrides, train, dims, split):
@@ -98,14 +101,25 @@ def apply_overrides(overrides, train, dims, split):
     dims_kv = dataclasses.asdict(dims)
     for key, value in overrides.items():
         if hasattr(train, key):
-            setattr(train, key, _typed(value, getattr(train, key)))
+            setattr(train, key, _typed(key, value, getattr(train, key)))
         elif key in DIM_FIELDS:
-            dims_kv[key] = _typed(value, dims_kv[key])
+            dims_kv[key] = _typed(key, value, dims_kv[key])
         elif key in SPLIT_FIELDS:
-            split[key] = _typed(value, split[key])
+            split[key] = _typed(key, value, split[key])
         else:
             raise UsageError(f"unknown config key {key!r}")
     return train, ModelDims(**dims_kv), split
+
+
+def parse_grid(text):
+    """Parse "ROWSxCOLS" (e.g. 8x16) into two positive ints."""
+    try:
+        rows, cols = (int(p) for p in text.lower().split("x"))
+    except ValueError:
+        rows = cols = 0
+    if rows < 1 or cols < 1:
+        raise UsageError(f"bad --grid {text!r}; expected ROWSxCOLS with positive integers, e.g. 8x16")
+    return rows, cols
 
 
 def _load_embeddings(spec, dims, seed):
@@ -120,7 +134,7 @@ def _load_embeddings(spec, dims, seed):
 
 def cmd_ingest(args):
     started = time.time()
-    rows, cols = (int(x) for x in args.grid.lower().split("x"))
+    rows, cols = parse_grid(args.grid)
     trip_paths = [resolve_path(p) for p in args.trips]
     records, audit = D.parse_trip_files(trip_paths)
     log.info("parsed %d rows, accepted %d, skipped %d",

@@ -58,13 +58,22 @@ def _check_op(name, rng, tape):
         tape.reset()
         return max(err, finite_diff_check(lambda v: _weighted_sum(T.affine(x, wt, b), w), wt))
     if name == "conv2d":
-        x = _t(rng, (2, 4, 4), tape)
+        # A batch of 2 on a non-square map, so that a swapped H/W or channel
+        # axis in the channel-last backward fails it; the single-map path is
+        # covered by the res_unit and conv_block cases.
+        x = _t(rng, (2, 2, 3, 5), tape)
         k = _t(rng, (3, 2, 3, 3), tape)
         b = _t(rng, (3,), tape)
-        w = _t(rng, (3, 4, 4), tape, requires_grad=False)
-        err = finite_diff_check(lambda v: _weighted_sum(T.conv2d(x, k, b), w), x)
-        tape.reset()
-        return max(err, finite_diff_check(lambda v: _weighted_sum(T.conv2d(x, k, b), w), k))
+        w = _t(rng, (2, 3, 3, 5), tape, requires_grad=False)
+
+        def f(v):
+            return _weighted_sum(T.conv2d(x, k, b), w)
+
+        err = 0.0
+        for target in (x, k, b):
+            tape.reset()
+            err = max(err, finite_diff_check(f, target))
+        return err
     if name == "batchnorm":
         x = _t(rng, (4, 2, 3, 3), tape)
         gamma = _t(rng, (2,), tape, offset=1.0)

@@ -478,10 +478,16 @@ def load_checkpoint(path):
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
             raise DataError(f"{path}: not a checkpoint (magic {magic!r})")
-        version, mlen = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise DataError(f"{path}: truncated checkpoint header")
+        version, mlen = struct.unpack("<II", header)
         if version != CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        try:
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        except ValueError as exc:
+            raise DataError(f"{path}: unreadable checkpoint manifest ({exc})") from None
         blob = fh.read()
 
     dims = ModelDims(**manifest["dims"])
@@ -494,18 +500,27 @@ def load_checkpoint(path):
     for e in manifest["entries"]:
         if e["dtype"] not in _CKPT_DTYPES.values():
             raise DataError(f"{path}: unsupported dtype {e['dtype']!r} for {e['name']}")
-        raw = blob[e["offset"]:e["offset"] + e["nbytes"]]
-        arrays[e["name"]] = np.frombuffer(raw, dtype=e["dtype"]).reshape(e["shape"]).copy()
+        start, stop = e["offset"], e["offset"] + e["nbytes"]
+        if start < 0 or stop > len(blob):
+            raise DataError(f"{path}: entry {e['name']} needs bytes {start}..{stop} "
+                            f"but the data is {len(blob)} bytes; the file is truncated")
+        if e["nbytes"] != int(np.prod(e["shape"])) * np.dtype(e["dtype"]).itemsize:
+            raise DataError(f"{path}: entry {e['name']} has {e['nbytes']} bytes "
+                            f"for shape {e['shape']} of {e['dtype']}")
+        arrays[e["name"]] = np.frombuffer(blob[start:stop], dtype=e["dtype"]).reshape(e["shape"]).copy()
+
+    def stored(name, shape):
+        if name not in arrays:
+            raise DataError(f"{path}: checkpoint is missing {name}")
+        if arrays[name].shape != shape:
+            raise DataError(
+                f"{path}: shape mismatch for {name}: file {arrays[name].shape}, model {shape}"
+            )
+        return arrays[name]
 
     for name, p in model.named_tensors():
-        if name not in arrays:
-            raise DataError(f"{path}: checkpoint is missing tensor {name}")
-        if tuple(arrays[name].shape) != p.data.shape:
-            raise DataError(
-                f"{path}: shape mismatch for {name}: file {arrays[name].shape}, model {p.data.shape}"
-            )
-        p.data[...] = arrays[name].astype(model.dtype)
+        p.data[...] = stored(name, p.data.shape).astype(model.dtype)
     for name, s in model.named_states():
-        s.running_mean[:] = arrays[f"{name}.running_mean"]
-        s.running_var[:] = arrays[f"{name}.running_var"]
+        s.running_mean[:] = stored(f"{name}.running_mean", s.running_mean.shape)
+        s.running_var[:] = stored(f"{name}.running_var", s.running_var.shape)
     return model, manifest.get("extra", {})

@@ -44,9 +44,12 @@ class Tensor:
     """An n-dimensional float array, optionally tracked for gradients.
 
     ``grad`` is populated (same shape as ``data``) once a backward pass has
-    run through this tensor.  ``tape`` links the tensor to the recording
-    context; constants carry ``tape=None`` and ops inherit the tape from
-    whichever operand has one.
+    run through this tensor.  It is the array the backward rule returned,
+    not a copy, so grads may share memory with one another (the per-gate
+    LSTM bias grads ``b_ix[g]`` and ``b_hx[g]`` are row views of one array);
+    no code writes into a ``grad`` in place.  ``tape`` links the tensor to
+    the recording context; constants carry ``tape=None`` and ops inherit the
+    tape from whichever operand has one.
     """
 
     def __init__(self, data, requires_grad=False, tape=None, dtype=None):
@@ -155,7 +158,8 @@ class Tape:
     def backward(self, loss):
         """Populate ``grad`` on every tensor that influenced a scalar loss.
 
-        Gradients accumulate by summation when a tensor feeds several nodes.
+        A tensor's first gradient is stored as given, without a copy; further
+        gradients accumulate out of place, so no stored grad is ever written.
         Calling backward twice without reset() is rejected.
         """
         if self._consumed:
@@ -180,7 +184,7 @@ class Tape:
                         f"{g.shape} for input shape {tensor.data.shape}"
                     )
                 if tensor.grad is None:
-                    tensor.grad = g.copy()
+                    tensor.grad = g
                 else:
                     tensor.grad = tensor.grad + g
 
@@ -573,8 +577,9 @@ def _conv_check(x, kernels, bias):
 def _conv_forward_canonical(xp, k, b):
     """Accumulate products in (c, dy, dx) order, one add per term.
 
-    This reproduces the naive quintuple loop bit for bit, which is the
-    contract in verification (float64) mode.
+    ``xp`` is the zero-padded input in (B, C_in, H+2, W+2) order.  This
+    reproduces the naive quintuple loop bit for bit, which is the contract
+    in verification (float64) mode.
     """
     bsz, cin, hp, wp = xp.shape
     h, w = hp - 2, wp - 2
@@ -589,24 +594,23 @@ def _conv_forward_canonical(xp, k, b):
     return out
 
 
-def _conv_forward_fast(xp, k, b):
-    bsz, cin, hp, wp = xp.shape
-    h, w = hp - 2, wp - 2
-    cout = k.shape[0]
-    out = np.broadcast_to(b[None, :, None, None], (bsz, cout, h, w)).astype(xp.dtype, copy=True)
-    for dy in range(CONV_KSIZE):
-        for dx in range(CONV_KSIZE):
-            patch = xp[:, :, dy:dy + h, dx:dx + w]
-            # (B, H, W, C) @ (C, O) contracted via BLAS
-            out += np.tensordot(patch, k[:, :, dy, dx], axes=([1], [1])).transpose(0, 3, 1, 2)
-    return out
-
-
 def conv2d(x, kernels, bias):
     """3x3 / stride-1 / pad-1 convolution; spatial dims are preserved.
 
     Input may be a single (C_in, H, W) map or a batch (B, C_in, H, W);
     kernels are (C_out, C_in, 3, 3) and bias (C_out,).
+
+    The input is held once, zero-padded and channel-last, as ``xp`` of shape
+    (B, H+2, W+2, C_in).  The window of tap (dy, dx) is then a plain
+    (B*H*W, C_in) matrix, so each tap is one GEMM against the (C_out, C_in)
+    kernel slice and no 9x column buffer is ever built.  The float32
+    forward accumulates the nine tap products onto the bias in (dy, dx)
+    order, into a (C_out, B*H*W) array returned through a transposed view,
+    so each output channel is one contiguous run for batchnorm's
+    per-channel reductions.  The float64 forward is the canonical
+    loop, which reads the same buffer through a transposed view.  The
+    backward pass of both precisions is nine tap GEMMs against the output
+    gradient.
     """
     _conv_check(x, kernels, bias)
     _common_dtype((x, kernels, bias), "conv2d")
@@ -614,26 +618,36 @@ def conv2d(x, kernels, bias):
     xd = x.data[None] if single else x.data
     kd, bd = kernels.data, bias.data
     bsz, cin, h, w = xd.shape
-    xp = np.zeros((bsz, cin, h + 2 * CONV_PAD, w + 2 * CONV_PAD), dtype=xd.dtype)
-    xp[:, :, CONV_PAD:CONV_PAD + h, CONV_PAD:CONV_PAD + w] = xd
+    cout = kd.shape[0]
+    rows = bsz * h * w
+    xp = np.zeros((bsz, h + 2 * CONV_PAD, w + 2 * CONV_PAD, cin), dtype=xd.dtype)
+    xp[:, CONV_PAD:CONV_PAD + h, CONV_PAD:CONV_PAD + w, :] = xd.transpose(0, 2, 3, 1)
+
+    def tap(dy, dx):
+        return xp[:, dy:dy + h, dx:dx + w, :].reshape(rows, cin)
 
     if xd.dtype == VERIFICATION:
-        out = _conv_forward_canonical(xp, kd, bd)
+        out = _conv_forward_canonical(xp.transpose(0, 3, 1, 2), kd, bd)
     else:
-        out = _conv_forward_fast(xp, kd, bd)
+        acc = np.empty((cout, rows), dtype=xd.dtype)
+        acc[...] = bd[:, None]
+        for dy in range(CONV_KSIZE):
+            for dx in range(CONV_KSIZE):
+                acc += kd[:, :, dy, dx] @ tap(dy, dx).T
+        out = acc.reshape(cout, bsz, h, w).transpose(1, 0, 2, 3)
 
     def backward(g):
         gb = g[None] if single else g
-        dk = np.zeros_like(kd)
+        gm = gb.transpose(0, 2, 3, 1).reshape(rows, cout)
+        gt = gb.transpose(1, 0, 2, 3).reshape(cout, rows)
+        dk = np.empty_like(kd)
         dxp = np.zeros_like(xp)
         for dy in range(CONV_KSIZE):
             for dx in range(CONV_KSIZE):
-                patch = xp[:, :, dy:dy + h, dx:dx + w]
-                dk[:, :, dy, dx] = np.tensordot(gb, patch, axes=([0, 2, 3], [0, 2, 3]))
-                dxp[:, :, dy:dy + h, dx:dx + w] += np.tensordot(
-                    gb, kd[:, :, dy, dx], axes=([1], [0])
-                ).transpose(0, 3, 1, 2)
-        dx_ = dxp[:, :, CONV_PAD:CONV_PAD + h, CONV_PAD:CONV_PAD + w]
+                dk[:, :, dy, dx] = gt @ tap(dy, dx)
+                dxp[:, dy:dy + h, dx:dx + w, :] += (gm @ kd[:, :, dy, dx]).reshape(bsz, h, w, cin)
+        dx_ = np.ascontiguousarray(
+            dxp[:, CONV_PAD:CONV_PAD + h, CONV_PAD:CONV_PAD + w, :].transpose(0, 3, 1, 2))
         db = gb.sum(axis=(0, 2, 3))
         return (dx_[0] if single else dx_, dk, db)
 

@@ -92,6 +92,15 @@ class TestIngest:
         out = tmp_path / "series.stdm"
         assert main(["ingest", "--trips", str(trips), "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize("grid", ["8by16", "8x", "0x16", "8x16x2"])
+    def test_bad_grid_is_a_usage_error(self, tmp_path, grid, caplog):
+        trips = tmp_path / "trips.csv"
+        synth_trips_csv(trips, days=1)
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(trips), "--out", str(out), "--grid", grid]) == 2
+        assert "--grid" in caplog.text
+        assert not out.exists()
+
 
 class TestTrain:
     def test_checkpoint_round_trip_eval(self, toy_series_path, tmp_path, capsys):
@@ -129,6 +138,14 @@ class TestTrain:
         assert rc == 2
         assert "train nothing" in caplog.text
         assert not (tmp_path / "b1.ckpt").exists()
+
+    @pytest.mark.parametrize("override", ["lr=abc", "epochs=2.5", "channels=four", "val_frac=x"])
+    def test_untyped_config_value_is_a_usage_error(self, toy_series_path, tmp_path, override,
+                                                   caplog):
+        rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
+                   "--config", FAST + "," + override, "--out", str(tmp_path / "c.ckpt")])
+        assert rc == 2
+        assert override.split("=")[0] in caplog.text
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -168,6 +185,74 @@ class TestEval:
         write_demand_series(data, series)
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 3
         assert "4x4" in caplog.text and "2x2" in caplog.text
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to a checkpoint's manifest dict and write it back."""
+    raw = path.read_bytes()
+    mlen = int.from_bytes(raw[8:12], "little")
+    manifest = json.loads(raw[12:12 + mlen])
+    edit(manifest)
+    payload = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + mlen:])
+
+
+class TestCheckpointFaults:
+    """A damaged checkpoint is a data error (exit 3), never a traceback."""
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        from stdinet.model import TOY_DIMS, build_model, save_checkpoint
+
+        path = tmp_path / "stdi.ckpt"
+        save_checkpoint(path, build_model("STDI", TOY_DIMS, seed=0), extra={"test_days": 2})
+        return path
+
+    def eval_rc(self, ckpt, toy_series_path):
+        return main(["eval", "--ckpt", str(ckpt), "--data", str(toy_series_path)])
+
+    def test_intact_checkpoint_evaluates(self, ckpt, toy_series_path):
+        assert self.eval_rc(ckpt, toy_series_path) == 0
+
+    def test_truncated_data_is_a_data_error(self, ckpt, toy_series_path, caplog):
+        ckpt.write_bytes(ckpt.read_bytes()[:-40])
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "truncated" in caplog.text
+
+    def test_truncated_header_is_a_data_error(self, ckpt, toy_series_path, caplog):
+        ckpt.write_bytes(ckpt.read_bytes()[:7])
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "truncated" in caplog.text
+
+    def test_garbled_manifest_is_a_data_error(self, ckpt, toy_series_path, caplog):
+        raw = bytearray(ckpt.read_bytes())
+        raw[12] = ord("#")
+        ckpt.write_bytes(bytes(raw))
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "manifest" in caplog.text
+
+    def test_missing_batchnorm_statistic_is_a_data_error(self, ckpt, toy_series_path, caplog):
+        name = "spatial.block1.res0.bn2.running_var"
+
+        def drop(manifest):
+            manifest["entries"] = [e for e in manifest["entries"] if e["name"] != name]
+
+        rewrite_manifest(ckpt, drop)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert name in caplog.text
+
+    def test_entry_size_disagreeing_with_shape_is_a_data_error(self, ckpt, toy_series_path,
+                                                              caplog):
+        grown = []
+
+        def grow(manifest):
+            entry = manifest["entries"][0]
+            entry["shape"][0] += 1
+            grown.append(entry["name"])
+
+        rewrite_manifest(ckpt, grow)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert grown[0] in caplog.text
 
 
 class TestGradcheck:

@@ -59,6 +59,25 @@ def naive_conv2d(x, k, b):
     return out
 
 
+def tensordot_conv2d_backward(x, k, g):
+    """The conv2d backward rule as it was written over ``np.tensordot`` on
+    the (B, C, H+2, W+2) padded input; the reference the channel-last
+    tap-GEMM backward is compared against.  Returns (dx, dk, db)."""
+    bsz, cin, h, w = x.shape
+    xp = np.zeros((bsz, cin, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:1 + h, 1:1 + w] = x
+    dk = np.zeros_like(k)
+    dxp = np.zeros_like(xp)
+    for dy in range(3):
+        for dx in range(3):
+            patch = xp[:, :, dy:dy + h, dx:dx + w]
+            dk[:, :, dy, dx] = np.tensordot(g, patch, axes=([0, 2, 3], [0, 2, 3]))
+            dxp[:, :, dy:dy + h, dx:dx + w] += np.tensordot(
+                g, k[:, :, dy, dx], axes=([1], [0])
+            ).transpose(0, 3, 1, 2)
+    return dxp[:, :, 1:1 + h, 1:1 + w], dk, g.sum(axis=(0, 2, 3))
+
+
 def t64(data, requires_grad=False, tape=None):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad, tape=tape)
 
@@ -181,6 +200,53 @@ class TestConv2d:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channels"):
             conv2d(t64(np.ones((3, 4, 4))), t64(np.ones((2, 2, 3, 3))), t64(np.zeros(2)))
+
+    # Shapes (B, C_in, C_out, H, W) for the channel-last tap-GEMM kernel,
+    # including one-row, one-column and one-channel maps.
+    TAP_SHAPES = [(1, 1, 1, 1, 1), (3, 1, 2, 1, 5), (2, 3, 4, 6, 1), (4, 2, 3, 3, 5),
+                  (2, 5, 3, 7, 4), (3, 4, 1, 2, 2)]
+
+    @pytest.mark.parametrize("bsz,cin,cout,h,w", TAP_SHAPES)
+    def test_batched_float32_matches_float64_naive_loop(self, bsz, cin, cout, h, w):
+        rng = np.random.default_rng(bsz * 1000 + cin * 100 + h * 10 + w)
+        x = rng.normal(size=(bsz, cin, h, w))
+        k = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        out = conv2d(Tensor(x.astype(np.float32)), Tensor(k.astype(np.float32)),
+                     Tensor(b.astype(np.float32)))
+        assert out.data.dtype == np.float32 and out.data.shape == (bsz, cout, h, w)
+        for i in range(bsz):
+            np.testing.assert_allclose(out.data[i], naive_conv2d(x[i], k, b), rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("bsz,cin,cout,h,w", TAP_SHAPES)
+    def test_batched_float64_bit_exact_against_naive_loop(self, bsz, cin, cout, h, w):
+        rng = np.random.default_rng(7 + bsz + cin + h * w)
+        x = rng.normal(size=(bsz, cin, h, w))
+        k = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        out = conv2d(t64(x), t64(k), t64(b)).data
+        for i in range(bsz):
+            np.testing.assert_array_equal(out[i], naive_conv2d(x[i], k, b))
+
+    @pytest.mark.parametrize("bsz,cin,cout,h,w", TAP_SHAPES)
+    def test_float64_backward_matches_tensordot_reference(self, bsz, cin, cout, h, w):
+        rng = np.random.default_rng(31 + bsz * cin * cout + h + w)
+        xd = rng.normal(size=(bsz, cin, h, w))
+        kd = rng.normal(size=(cout, cin, 3, 3))
+        gd = rng.normal(size=(bsz, cout, h, w))
+        bd = rng.normal(size=cout)
+        for single in (False, True):
+            tape = Tape()
+            x = t64(xd[0] if single else xd, requires_grad=True, tape=tape)
+            k = t64(kd, requires_grad=True, tape=tape)
+            b = t64(bd, requires_grad=True, tape=tape)
+            w = t64(gd[0] if single else gd)
+            tape.backward(sum_all(hadamard(conv2d(x, k, b), w)))
+            dx, dk, db = tensordot_conv2d_backward(xd[:1] if single else xd, kd,
+                                                   gd[:1] if single else gd)
+            for got, want in ((x.grad, dx[0] if single else dx), (k.grad, dk), (b.grad, db)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestBatchnorm:

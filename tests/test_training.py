@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from stdinet import DivergenceError, ShapeError, UsageError
-from stdinet.data import SampleWindow, make_windows, random_demand_series, split_dataset
+from stdinet.data import (SampleWindow, make_windows, random_demand_series, split_dataset,
+                          windows_to_arrays)
 from stdinet.model import TOY_DIMS, build_model
 from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, sum_all, tanh
 from stdinet.training import ADAM_CHUNK, Adam, TrainConfig, fit, mse_loss, predict_windows
@@ -258,3 +259,45 @@ class TestGraphRelease:
         finally:
             gc.enable()
         assert x.grad is not None
+
+
+class TestGradientHandOff:
+    """``Tape.backward`` stores each first gradient without copying it."""
+
+    @staticmethod
+    def stdi_step(seed=0):
+        """Forward and backward of one STDI training step at toy dims."""
+        model = build_model("STDI", TOY_DIMS, seed=seed)
+        tape = Tape()
+        model.attach_tape(tape)
+        inputs, hours, targets = windows_to_arrays(copy_task_windows(n=6, seed=seed))
+        loss = mse_loss(model.forward_batch(Tensor(inputs, tape=tape), hours, mode="train"),
+                        Tensor(targets))
+        tape.backward(loss)
+        return model, tape
+
+    def test_no_grad_shares_memory_with_any_data(self):
+        model, tape = self.stdi_step()
+        tensors = {id(p): p for p in model.parameters()}
+        for node in tape.nodes:
+            for t in node.inputs + (node.output,):
+                tensors[id(t)] = t
+        grads = [t.grad for t in tensors.values() if t.grad is not None]
+        assert len(grads) > len(model.parameters())
+        for g in grads:
+            for t in tensors.values():
+                assert not np.shares_memory(g, t.data)
+        # Grads may share memory with one another: both LSTM bias grads of a
+        # gate are row views of the one bias gradient of the fused op.
+        lstm = model.lstm
+        assert np.shares_memory(lstm.b_ix["f"].grad, lstm.b_hx["f"].grad)
+
+    def test_adam_step_bit_identical_to_copied_gradients(self):
+        ours, _ = self.stdi_step(seed=4)
+        copied, _ = self.stdi_step(seed=4)
+        for p in copied.parameters():
+            p.grad = p.grad.copy()
+        for model in (ours, copied):
+            Adam(model.parameters(), lr=1e-2, weight_decay=1e-3).step()
+        for (name, a), (_, b) in zip(ours.named_tensors(), copied.named_tensors()):
+            assert a.data.tobytes() == b.data.tobytes(), name
