@@ -9,7 +9,7 @@ rank.
 
 import numpy as np
 
-from stdinet import ModelDims, build_model
+from stdinet import ModelDims, Tensor, build_model
 
 dims = ModelDims(rows=2, cols=2, seq_len=3, channels=4, lstm_hidden=16,
                  rank=4, embed_dim=8)
@@ -44,7 +44,7 @@ print(f"the generator holds {generator} parameters total for all hours")
 
 # Predictions react to the hour; the spatial-temporal encoding is shared.
 rng = np.random.default_rng(0)
-window = __import__("stdinet").Tensor(rng.integers(0, 4, size=(3, 2, 2, 2)).astype(np.float32))
+window = rng.integers(0, 4, size=(3, 2, 2, 2)).astype(np.float32)
 for hour in (3, 8, 17):
-    pred = model.forward(window, hour=hour, mode="eval")
+    pred = model.forward_batch(Tensor(window[None]), [hour], mode="eval")  # a batch of one
     print(f"hour {hour:2d}: prediction sum {pred.data.sum():.3f}")

@@ -14,11 +14,8 @@ from .model import (
     ModelDims,
     TOY_DIMS,
     build_model,
-    interval_params,
     load_checkpoint,
     save_checkpoint,
-    spatial_forward,
-    stdi_forward,
 )
 from .data import (
     DemandSeries,
@@ -54,8 +51,8 @@ __all__ = [
     "DataError", "DivergenceError", "DomainError", "SchemaError", "ShapeError",
     "UsageError",
     "STANDARD", "VERIFICATION", "Tape", "Tensor", "finite_diff_check",
-    "MODEL_KINDS", "ModelDims", "TOY_DIMS", "build_model", "interval_params",
-    "load_checkpoint", "save_checkpoint", "spatial_forward", "stdi_forward",
+    "MODEL_KINDS", "ModelDims", "TOY_DIMS", "build_model",
+    "load_checkpoint", "save_checkpoint",
     "DemandSeries", "SampleWindow", "StationGrid", "TripRecord", "assign_grid",
     "build_demand_series", "generate_hour_embeddings", "load_hour_embeddings",
     "make_windows", "parse_trips", "read_demand_series", "regime_demand_series",

@@ -22,7 +22,7 @@ from . import tensor as T
 from .data import make_windows, split_dataset, generate_hour_embeddings, load_hour_embeddings, windows_to_arrays
 from .errors import DataError, UsageError
 from .layers import LinearLayer
-from .model import MODEL_KINDS, ModelDims, build_model
+from .model import MODEL_KINDS, ModelBase, ModelDims, build_model
 from .tensor import Tensor, resolve_dtype
 from .training import TrainConfig, fit, predict_windows
 
@@ -55,10 +55,7 @@ SUITES = {
                "SpatialDI", "TemporalDI", "STDI"],
     "table3": ["UnifiedSpatial", "SpatialFC", "STDIFusion", "STDIEmbedding", "STDI"],
 }
-SUITES["all"] = SUITES["table1"] + [m for m in SUITES["table2"] + SUITES["table3"]
-                                    if m not in SUITES["table1"]]
-_seen = set()
-SUITES["all"] = [m for m in SUITES["all"] if not (m in _seen or _seen.add(m))]
+SUITES["all"] = list(dict.fromkeys(SUITES["table1"] + SUITES["table2"] + SUITES["table3"]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +241,10 @@ def baseline_linear(train_windows, val_windows, kind, lambda_grid=(0.01, 0.1, 1.
 MLP_HIDDEN = (256, 256, 128, 128)
 
 
-class MlpModel:
+class MlpModel(ModelBase):
     """Four ReLU hidden layers over the flattened window; ReLU output.
 
-    Implements the same protocol fit() drives (forward_batch, parameters,
-    snapshot/restore), ignoring the hour label.
+    Implements the same protocol fit() drives, ignoring the hour label.
     """
 
     kind = "MLP"
@@ -269,36 +265,11 @@ class MlpModel:
             h = T.relu(layer.forward(h))
         return T.reshape(h, (batch, 2, self.dims.rows, self.dims.cols))
 
-    def forward(self, seq, hour=None, mode="eval"):
-        batched = self.forward_batch(T.reshape(seq, (1,) + seq.data.shape), None, mode)
-        return T.reshape(batched, seq.data.shape[1:])
-
     def named_tensors(self):
         out = []
         for i, layer in enumerate(self.layers):
             out.extend((f"mlp{i}.{n}", p) for n, p in layer.params())
         return out
-
-    def named_states(self):
-        return []
-
-    def parameters(self):
-        return [p for _, p in self.named_tensors()]
-
-    def parameter_count(self, trainable_only=True):
-        return sum(p.data.size for p in self.parameters())
-
-    def attach_tape(self, tape):
-        for p in self.parameters():
-            p.tape = tape
-
-    def snapshot(self):
-        return {n: p.data.copy() for n, p in self.named_tensors()}, {}
-
-    def restore(self, snap):
-        params, _ = snap
-        for n, p in self.named_tensors():
-            p.data[...] = params[n]
 
 
 def baseline_mlp(dims, seed, dtype=T.STANDARD):

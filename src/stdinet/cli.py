@@ -87,9 +87,16 @@ def parse_overrides(text):
     return out
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _typed(key, value, like):
     if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        try:
+            return _BOOLS[value.lower()]
+        except KeyError:
+            raise UsageError(f"config {key}={value!r}: expected one of {', '.join(_BOOLS)}") from None
     try:
         return type(like)(value)
     except ValueError:

@@ -59,8 +59,7 @@ def _check_op(name, rng, tape):
         return max(err, finite_diff_check(lambda v: _weighted_sum(T.affine(x, wt, b), w), wt))
     if name == "conv2d":
         # A batch of 2 on a non-square map, so that a swapped H/W or channel
-        # axis in the channel-last backward fails it; the single-map path is
-        # covered by the res_unit and conv_block cases.
+        # axis in the channel-last backward fails it.
         x = _t(rng, (2, 2, 3, 5), tape)
         k = _t(rng, (3, 2, 3, 3), tape)
         b = _t(rng, (3,), tape)
@@ -110,8 +109,8 @@ def _check_composed(name, rng, tape, dims):
         unit = ResUnit(2, rng, dtype=F64)
         for _, p in unit.params():
             p.tape = tape
-        x = _t(rng, (2, 3, 3), tape)
-        w = _t(rng, (2, 3, 3), tape, requires_grad=False)
+        x = _t(rng, (1, 2, 3, 3), tape)
+        w = _t(rng, (1, 2, 3, 3), tape, requires_grad=False)
         err = finite_diff_check(lambda v: _weighted_sum(unit.forward(x, "eval"), w), x)
         tape.reset()
         return max(err, finite_diff_check(
@@ -120,8 +119,8 @@ def _check_composed(name, rng, tape, dims):
         block = ConvBlock(3, rng, dtype=F64)
         for _, p in block.params():
             p.tape = tape
-        x = _t(rng, (2, 3, 3), tape)
-        w = _t(rng, (3, 3, 3), tape, requires_grad=False)
+        x = _t(rng, (1, 2, 3, 3), tape)
+        w = _t(rng, (1, 3, 3, 3), tape, requires_grad=False)
         return finite_diff_check(lambda v: _weighted_sum(block.forward(x, "eval"), w), x)
     if name == "lstm":
         # A batch of 2 through the fused sequence op, differenced against the
@@ -161,12 +160,12 @@ def _check_composed(name, rng, tape, dims):
     if name == "model_eval":
         model = build_model("STDI", dims, seed=int(rng.integers(1 << 30)), dtype=F64)
         model.attach_tape(tape)
-        seq = Tensor(rng.integers(0, 4, size=(dims.seq_len, 2, dims.rows, dims.cols)).astype(F64),
+        seq = Tensor(rng.integers(0, 4, size=(1, dims.seq_len, 2, dims.rows, dims.cols)).astype(F64),
                      requires_grad=True, tape=tape)
-        target = Tensor(rng.random((2, dims.rows, dims.cols)), dtype=F64)
+        target = Tensor(rng.random((1, 2, dims.rows, dims.cols)), dtype=F64)
 
         def f(v):
-            d = T.sub(model.forward(seq, hour=11, mode="eval"), target)
+            d = T.sub(model.forward_batch(seq, [11], mode="eval"), target)
             return T.mean_all(T.hadamard(d, d))
 
         err = finite_diff_check(f, seq)

@@ -188,11 +188,6 @@ class LstmParams:
             out.append((f"b_h{gate}", self.b_hx[gate]))
         return out
 
-    def zero_state(self, dtype, batch=None):
-        shape = (self.hidden_dim,) if batch is None else (batch, self.hidden_dim)
-        z = Tensor(np.zeros(shape, dtype=dtype))
-        return z, z
-
     def run(self, xs):
         """h_L of the fused sequence op over a (L, B, in) tensor."""
         blocks = tuple(tuple(kind[g] for g in LSTM_GATES)
@@ -228,23 +223,8 @@ def lstm_step(p, x_t, h_prev, c_prev):
     return h_t, c_t
 
 
-def lstm_sequence(p, xs):
-    """h_L of an LSTM run from zero state over the rows of a (L, input_dim) tensor."""
-    if xs.data.ndim != 2:
-        raise ShapeError(f"lstm_sequence: expected (L, input) tensor, got {xs.data.shape}")
-    length = xs.data.shape[0]
-    if length < 1:
-        raise UsageError("lstm_sequence: empty sequence")
-    h = p.run(T.reshape(xs, (length, 1, xs.data.shape[1])))
-    return T.reshape(h, (p.hidden_dim,))
-
-
 def lstm_sequence_batch(p, xs):
     """h_L of an LSTM run from zero state over a list of L (batch, input_dim) tensors."""
     if not xs:
         raise UsageError("lstm_sequence_batch: empty sequence")
     return p.run(T.stack(xs))
-
-
-def linear_forward(layer, x):
-    return layer.forward(x)

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .data import generate_hour_embeddings
 from .errors import DataError, DomainError, ShapeError, UsageError
-from .layers import ConvBlock, LinearLayer, LstmParams, lstm_sequence, lstm_sequence_batch
+from .layers import ConvBlock, LinearLayer, LstmParams, lstm_sequence_batch
 from .tensor import Tensor
 
 HOURS = 24
@@ -90,6 +90,12 @@ class ModelDims:
     embed_dim: int = 50       # hour embedding width
     fusion_dim: int = 128     # hour feature width for the fusion variant
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise UsageError(f"model dims: {f.name} must be at least 1, got {value}")
+
     @property
     def cells(self):
         return self.rows * self.cols
@@ -123,20 +129,12 @@ class SpatialModule:
     def block_for(self, index):
         return self.blocks[0] if self.shared else self.blocks[index]
 
-    def forward(self, seq, mode):
-        """(L, 2, i, j) -> (L, channels*i*j), block l applied to frame l."""
-        if seq.data.ndim != 4 or seq.data.shape[0] != self.dims.seq_len:
+    def forward(self, seqs, mode):
+        """(B, L, 2, i, j) -> list of L tensors (B, channels*i*j), block l on frame l."""
+        if seqs.data.ndim != 5 or seqs.data.shape[1] != self.dims.seq_len:
             raise ShapeError(
-                f"spatial module expects ({self.dims.seq_len}, 2, i, j), got {seq.data.shape}"
+                f"spatial module expects (B, {self.dims.seq_len}, 2, i, j), got {seqs.data.shape}"
             )
-        feats = []
-        for l in range(self.dims.seq_len):
-            conv = self.block_for(l).forward(T.take(seq, l), mode)
-            feats.append(T.flatten(conv))
-        return T.stack(feats)
-
-    def forward_batch(self, seqs, mode):
-        """(B, L, 2, i, j) -> list of L tensors (B, channels*i*j)."""
         batch = seqs.data.shape[0]
         feats = []
         for l in range(self.dims.seq_len):
@@ -157,10 +155,6 @@ class SpatialModule:
             tag = "shared" if self.shared else f"block{i}"
             out.extend((f"{tag}.{n}", s) for n, s in block.states())
         return out
-
-
-def spatial_forward(module, seq, mode="eval"):
-    return module.forward(seq, mode)
 
 
 class IntervalNet:
@@ -227,11 +221,45 @@ class IntervalNet:
         return out
 
 
-def interval_params(net, hour):
-    return net.generate(hour)
+class ModelBase:
+    """The model protocol that fit(), predict_windows and checkpoints drive.
+
+    A subclass defines ``forward_batch`` and ``named_tensors()``, every
+    parameter as (name, tensor) with frozen ones included, plus
+    ``named_states()`` if it holds batchnorm statistics; the rest of the
+    protocol is derived from those.
+    """
+
+    def named_states(self):
+        return []
+
+    def parameters(self):
+        """Trainable tensors only (frozen hour tables are excluded)."""
+        return [p for _, p in self.named_tensors() if p.requires_grad]
+
+    def attach_tape(self, tape):
+        for _, p in self.named_tensors():
+            p.tape = tape
+
+    def parameter_count(self, trainable_only=True):
+        return sum(p.data.size for _, p in self.named_tensors()
+                   if p.requires_grad or not trainable_only)
+
+    def snapshot(self):
+        params = {n: p.data.copy() for n, p in self.named_tensors()}
+        states = {n: s.copy() for n, s in self.named_states()}
+        return params, states
+
+    def restore(self, snap):
+        params, states = snap
+        for n, p in self.named_tensors():
+            p.data[...] = params[n]
+        for n, s in self.named_states():
+            s.running_mean[:] = states[n].running_mean
+            s.running_var[:] = states[n].running_var
 
 
-class DemandModel:
+class DemandModel(ModelBase):
     """One built model: feature path plus head, with checkpoint support."""
 
     def __init__(self, kind, dims, seed, embedding=None, dtype=T.STANDARD,
@@ -290,19 +318,10 @@ class DemandModel:
 
     # -- forward ---------------------------------------------------------
 
-    def _features(self, seq, mode):
-        if self.feature_path in ("spatial_lstm", "spatial_concat", "shared_concat"):
-            s_t = self.spatial.forward(seq, mode)
-            if self.feature_path == "spatial_lstm":
-                return lstm_sequence(self.lstm, s_t)
-            return T.flatten(s_t)
-        rows = [T.flatten(T.take(seq, l)) for l in range(self.dims.seq_len)]
-        return lstm_sequence(self.lstm, T.stack(rows))
-
-    def _features_batch(self, seqs, mode):
+    def _features(self, seqs, mode):
         batch = seqs.data.shape[0]
         if self.feature_path in ("spatial_lstm", "spatial_concat", "shared_concat"):
-            feats = self.spatial.forward_batch(seqs, mode)
+            feats = self.spatial.forward(seqs, mode)
             if self.feature_path == "spatial_lstm":
                 return lstm_sequence_batch(self.lstm, feats)
             return T.hconcat(feats)
@@ -312,26 +331,14 @@ class DemandModel:
         ]
         return lstm_sequence_batch(self.lstm, frames)
 
-    def forward(self, seq, hour=None, mode="eval"):
-        """Predict one (2, i, j) frame from a (L, 2, i, j) window."""
-        d = self.dims
-        feat = self._features(seq, mode)
-        if self.head == "hyper":
-            w_fc, b_fc = self.interval.generate(self._need_hour(hour))
-            out = T.relu(T.affine(feat, w_fc, b_fc))
-        elif self.head == "fusion":
-            v = T.take(self.fusion_embedding, self._need_hour(hour))
-            e = T.leaky_relu(self.fusion_linear.forward(v), LEAKY_SLOPE)
-            out = T.relu(self.head_linear.forward(T.concat([feat, e])))
-        else:
-            out = T.relu(self.head_linear.forward(feat))
-        return T.reshape(out, (2, d.rows, d.cols))
-
     def forward_batch(self, seqs, hours=None, mode="train"):
-        """Predict (B, 2, i, j) from windows (B, L, 2, i, j) and hour labels."""
+        """Predict (B, 2, i, j) from windows (B, L, 2, i, j) and hour labels.
+
+        A single (L, 2, i, j) window runs as a batch of one.
+        """
         d = self.dims
         batch = seqs.data.shape[0]
-        feat = self._features_batch(seqs, mode)
+        feat = self._features(seqs, mode)
         if self.head == "hyper":
             out = T.relu(self.interval.apply_batch(feat, self._need_hour(hours)))
         elif self.head == "fusion":
@@ -374,42 +381,12 @@ class DemandModel:
             return []
         return [(f"spatial.{n}", s) for n, s in self.spatial.states()]
 
-    def parameters(self):
-        """Trainable tensors only (frozen hour tables are excluded)."""
-        return [p for _, p in self.named_tensors() if p.requires_grad]
-
-    def attach_tape(self, tape):
-        for _, p in self.named_tensors():
-            p.tape = tape
-
-    def parameter_count(self, trainable_only=True):
-        return sum(p.data.size for _, p in self.named_tensors()
-                   if p.requires_grad or not trainable_only)
-
-    def snapshot(self):
-        params = {n: p.data.copy() for n, p in self.named_tensors()}
-        states = {n: s.copy() for n, s in self.named_states()}
-        return params, states
-
-    def restore(self, snap):
-        params, states = snap
-        for n, p in self.named_tensors():
-            p.data[...] = params[n]
-        for n, s in self.named_states():
-            s.running_mean[:] = states[n].running_mean
-            s.running_var[:] = states[n].running_var
-
 
 def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD,
                 standard_skip=False):
     """Construct any model kind; see the module table for the mapping."""
     return DemandModel(kind, dims or ModelDims(), seed, embedding=embedding,
                        dtype=dtype, standard_skip=standard_skip)
-
-
-def stdi_forward(model, seq, hour, mode="eval"):
-    """Single-window prediction: spatial features, LSTM state, generated head."""
-    return model.forward(seq, hour, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +467,10 @@ def load_checkpoint(path):
             raise DataError(f"{path}: unreadable checkpoint manifest ({exc})") from None
         blob = fh.read()
 
-    dims = ModelDims(**manifest["dims"])
+    try:
+        dims = ModelDims(**manifest["dims"])
+    except (KeyError, TypeError, UsageError) as exc:
+        raise DataError(f"{path}: bad model dims in the checkpoint manifest ({exc})") from None
     dtype_name = manifest.get("dtype", "float32")
     if dtype_name not in _CKPT_DTYPES:
         raise DataError(f"{path}: unsupported model precision {dtype_name!r}")

@@ -84,10 +84,6 @@ class Tensor:
             raise UsageError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self):
-        """A constant copy sharing no graph history."""
-        return Tensor(self.data.copy(), requires_grad=False, tape=None)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -287,10 +283,6 @@ def tanh(x):
     return _record("tanh", (x,), out, lambda g: (g * (1.0 - out * out),))
 
 
-ELEMENTWISE_UNARY = {"relu": relu, "leaky_relu": leaky_relu, "sigmoid": sigmoid, "tanh": tanh}
-ELEMENTWISE_BINARY = {"add": add, "sub": sub, "hadamard": hadamard}
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -365,22 +357,6 @@ def reshape(x, shape):
 
 def flatten(x):
     return reshape(x, (x.data.size,))
-
-
-def concat(parts):
-    """Concatenate 1-d tensors into one vector."""
-    parts = tuple(parts)
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat: expected 1-d parts, got {p.data.shape}")
-    _common_dtype(parts, "concat")
-    sizes = [p.data.size for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _record("concat", parts, np.concatenate([p.data for p in parts]), backward)
 
 
 def hconcat(parts):
@@ -680,22 +656,19 @@ def batchnorm(x, gamma, beta, state, mode):
 
     Train mode normalizes by batch statistics (needs B >= 2) and updates the
     running stats with momentum; eval mode normalizes by the running stats.
-    A 3-d (C, H, W) input is treated as a batch of one, which only eval mode
-    accepts.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"batchnorm: mode must be 'train' or 'eval', got {mode!r}")
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"batchnorm: expected (B, C, H, W) or (C, H, W), got {x.data.shape}")
-    single = x.data.ndim == 3
-    bsz, ch = (1, x.data.shape[0]) if single else (x.data.shape[0], x.data.shape[1])
+    if x.data.ndim != 4:
+        raise ShapeError(f"batchnorm: expected (B, C, H, W), got {x.data.shape}")
+    bsz, ch = x.data.shape[:2]
     if gamma.data.shape != (ch,) or beta.data.shape != (ch,):
         raise ShapeError(f"batchnorm: gamma/beta must be ({ch},), got {gamma.data.shape}/{beta.data.shape}")
     if mode == "train" and bsz < 2:
         raise UsageError(f"batchnorm: train mode needs a batch of at least 2, got {bsz}")
     _common_dtype((x, gamma, beta), "batchnorm")
 
-    xd = x.data[None] if single else x.data
+    xd = x.data
     gd, bd = gamma.data, beta.data
     eps = xd.dtype.type(state.eps)
     n = xd.shape[0] * xd.shape[2] * xd.shape[3]
@@ -714,29 +687,25 @@ def batchnorm(x, gamma, beta, state, mode):
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
     out = gd[None, :, None, None] * xhat + bd[None, :, None, None]
-    if single:
-        out = out[0]
 
     if mode == "train":
         def backward(g):
-            gb = g[None] if single else g
-            dgamma = (gb * xhat).sum(axis=(0, 2, 3))
-            dbeta = gb.sum(axis=(0, 2, 3))
-            dxhat = gb * gd[None, :, None, None]
+            dgamma = (g * xhat).sum(axis=(0, 2, 3))
+            dbeta = g.sum(axis=(0, 2, 3))
+            dxhat = g * gd[None, :, None, None]
             # Differentiate through the batch mean and variance.
             s1 = dxhat.sum(axis=(0, 2, 3))
             s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
             dx = (inv_std[None, :, None, None] / n) * (
                 n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
             )
-            return dx[0] if single else dx, dgamma, dbeta
+            return dx, dgamma, dbeta
     else:
         def backward(g):
-            gb = g[None] if single else g
-            dgamma = (gb * xhat).sum(axis=(0, 2, 3))
-            dbeta = gb.sum(axis=(0, 2, 3))
-            dx = gb * (gd * inv_std)[None, :, None, None]
-            return dx[0] if single else dx, dgamma, dbeta
+            dgamma = (g * xhat).sum(axis=(0, 2, 3))
+            dbeta = g.sum(axis=(0, 2, 3))
+            dx = g * (gd * inv_std)[None, :, None, None]
+            return dx, dgamma, dbeta
 
     return _record("batchnorm", (x, gamma, beta), out, backward)
 

@@ -34,10 +34,6 @@ class TrainConfig:
         if self.patience > self.epochs:
             raise UsageError(f"patience {self.patience} exceeds epochs {self.epochs}")
 
-    def replace(self, **kv):
-        out = TrainConfig(**{**self.__dict__, **kv})
-        return out
-
 
 def mse_loss(pred, target):
     """Mean over all elements of the squared difference."""

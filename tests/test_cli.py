@@ -139,13 +139,22 @@ class TestTrain:
         assert "train nothing" in caplog.text
         assert not (tmp_path / "b1.ckpt").exists()
 
-    @pytest.mark.parametrize("override", ["lr=abc", "epochs=2.5", "channels=four", "val_frac=x"])
+    @pytest.mark.parametrize("override", ["lr=abc", "epochs=2.5", "channels=four", "val_frac=x",
+                                          "scale=maybe"])
     def test_untyped_config_value_is_a_usage_error(self, toy_series_path, tmp_path, override,
                                                    caplog):
         rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
                    "--config", FAST + "," + override, "--out", str(tmp_path / "c.ckpt")])
         assert rc == 2
         assert override.split("=")[0] in caplog.text
+
+    @pytest.mark.parametrize("override", ["channels=0", "rank=-1", "lstm_hidden=0", "seq_len=0"])
+    def test_dims_below_one_are_a_usage_error(self, toy_series_path, tmp_path, override, caplog):
+        rc = main(["train", "--data", str(toy_series_path), "--model", "STDIFusion",
+                   "--config", FAST + "," + override, "--out", str(tmp_path / "c.ckpt")])
+        assert rc == 2
+        assert override.split("=")[0] in caplog.text
+        assert not (tmp_path / "c.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -255,6 +264,18 @@ class TestCheckpointFaults:
         assert grown[0] in caplog.text
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest["dims"].update(channels=0),
+        lambda manifest: manifest["dims"].update(depth=3),
+        lambda manifest: manifest["dims"].update(rank="four"),
+        lambda manifest: manifest.pop("dims"),
+    ], ids=["zero", "unknown", "string", "missing"])
+    def test_bad_dims_are_a_data_error(self, ckpt, toy_series_path, caplog, edit):
+        rewrite_manifest(ckpt, edit)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "dims" in caplog.text
+
+
 class TestGradcheck:
     def test_fast_pass_under_budget(self, capsys, tmp_path):
         import time
@@ -356,6 +377,17 @@ class TestPlumbing:
         from stdinet.errors import UsageError
         with pytest.raises(UsageError):
             parse_overrides("nonsense")
+
+    def test_boolean_override_spellings(self):
+        from stdinet.cli import apply_overrides
+        from stdinet.model import TOY_DIMS
+        from stdinet.training import TrainConfig
+
+        for text, expected in (("1", True), ("TRUE", True), ("yes", True), ("On", True),
+                               ("0", False), ("false", False), ("NO", False), ("off", False)):
+            train, _, _ = apply_overrides({"scale": text}, TrainConfig(scale=not expected),
+                                          TOY_DIMS, {})
+            assert train.scale is expected, text
 
     def test_env_data_dir_resolution(self, tmp_path, monkeypatch):
         (tmp_path / "inner").mkdir()

@@ -26,7 +26,6 @@ from stdinet.layers import (
     LinearLayer,
     LstmParams,
     ResUnit,
-    lstm_sequence,
     lstm_sequence_batch,
     lstm_step,
 )
@@ -68,9 +67,9 @@ class TestResUnit:
         rng = np.random.default_rng(0)
         unit = ResUnit(3, rng, dtype=F64)
         zero_out(unit)
-        x = t64(rng.normal(size=(3, 4, 4)))
+        x = t64(rng.normal(size=(1, 3, 4, 4)))
         out = unit.forward(x, "eval")
-        np.testing.assert_array_equal(out.data, np.zeros((3, 4, 4)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3, 4, 4)))
 
     def test_degenerate_second_branch_is_relu_of_first(self):
         rng = np.random.default_rng(1)
@@ -79,7 +78,7 @@ class TestResUnit:
         unit.conv2.bias.data[...] = 0.0
         unit.bn2.gamma.data[...] = 0.0
         unit.bn2.beta.data[...] = 0.0
-        x = t64(rng.normal(size=(3, 5, 5)))
+        x = t64(rng.normal(size=(1, 3, 5, 5)))
         out = unit.forward(x, "eval")
         x1 = batchnorm(conv2d(x, unit.conv1.kernels, unit.conv1.bias),
                        unit.bn1.gamma, unit.bn1.beta, unit.bn1.state, "eval")
@@ -106,20 +105,20 @@ class TestResUnit:
     def test_channel_mismatch(self):
         unit = ResUnit(3, np.random.default_rng(3), dtype=F64)
         with pytest.raises(ShapeError):
-            unit.forward(t64(np.ones((2, 4, 4))), "eval")
+            unit.forward(t64(np.ones((1, 2, 4, 4))), "eval")
 
     def test_preserves_spatial_dims(self):
         rng = np.random.default_rng(4)
         unit = ResUnit(2, rng, dtype=F64)
         for i, j in [(1, 1), (2, 5), (7, 3)]:
-            assert unit.forward(t64(rng.normal(size=(2, i, j))), "eval").data.shape == (2, i, j)
+            assert unit.forward(t64(rng.normal(size=(1, 2, i, j))), "eval").data.shape == (1, 2, i, j)
 
     def test_standard_skip_variant_taps_the_input(self):
         rng = np.random.default_rng(40)
         unit = ResUnit(2, rng, dtype=F64, standard_skip=True)
         for _, p in unit.params():
             p.data[...] = rng.normal(size=p.data.shape) * 0.3
-        x = t64(rng.normal(size=(2, 3, 3)))
+        x = t64(rng.normal(size=(1, 2, 3, 3)))
         out = unit.forward(x, "eval")
         x1 = relu(batchnorm(conv2d(x, unit.conv1.kernels, unit.conv1.bias),
                             unit.bn1.gamma, unit.bn1.beta, unit.bn1.state, "eval"))
@@ -136,12 +135,8 @@ class TestResUnit:
         tape = Tape()
         unit = ResUnit(2, rng, dtype=F64)
         attach(unit, tape)
-        x = t64(rng.normal(size=(2, 3, 3)), requires_grad=True, tape=tape)
-
-        def f(v):
-            return sum_all(hadamard(unit.forward(v, "eval"), t64(rng.normal(size=(2, 3, 3)))))
-
-        w = t64(np.random.default_rng(55).normal(size=(2, 3, 3)))
+        x = t64(rng.normal(size=(1, 2, 3, 3)), requires_grad=True, tape=tape)
+        w = t64(np.random.default_rng(55).normal(size=(1, 2, 3, 3)))
 
         def f(v):
             return sum_all(hadamard(unit.forward(v, "eval"), w))
@@ -154,8 +149,8 @@ class TestConvBlock:
         rng = np.random.default_rng(6)
         block = ConvBlock(4, rng, dtype=F64)
         zero_out(block)
-        out = block.forward(t64(np.zeros((2, 3, 3))), "eval")
-        np.testing.assert_array_equal(out.data, np.zeros((4, 3, 3)))
+        out = block.forward(t64(np.zeros((1, 2, 3, 3))), "eval")
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4, 3, 3)))
 
     def test_single_cell_grid_uses_center_taps_only(self):
         # On a 1x1 grid the 3x3 kernel sees padding everywhere except the
@@ -173,8 +168,8 @@ class TestConvBlock:
         rng = np.random.default_rng(8)
         block = ConvBlock(5, rng, dtype=F64)
         for i, j in [(1, 1), (2, 3), (4, 4)]:
-            out = block.forward(t64(rng.normal(size=(2, i, j))), "eval")
-            assert out.data.shape == (5, i, j)
+            out = block.forward(t64(rng.normal(size=(1, 2, i, j))), "eval")
+            assert out.data.shape == (1, 5, i, j)
 
     def test_single_cell_block_equals_dense_composition(self):
         # On a 1x1 grid the whole block degenerates to a per-station MLP:
@@ -187,7 +182,7 @@ class TestConvBlock:
             s.running_mean[:] = rng.normal(size=s.running_mean.shape)
             s.running_var[:] = rng.uniform(0.5, 2.0, size=s.running_var.shape)
         x = rng.normal(size=2)
-        out = block.forward(t64(x.reshape(2, 1, 1)), "eval")
+        out = block.forward(t64(x.reshape(1, 2, 1, 1)), "eval")
 
         def dense(conv):
             return conv.kernels.data[:, :, 1, 1], conv.bias.data
@@ -205,12 +200,12 @@ class TestConvBlock:
             x1 = bn(w1 @ h + b1, unit.bn1)
             x2 = bn(w2 @ x1 + b2, unit.bn2)
             h = np.maximum(x1 + x2, 0.0)
-        np.testing.assert_allclose(out.data[:, 0, 0], h, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, :, 0, 0], h, atol=1e-12)
 
     def test_wrong_channel_count(self):
         block = ConvBlock(4, np.random.default_rng(9), dtype=F64)
         with pytest.raises(ShapeError):
-            block.forward(t64(np.ones((3, 2, 2))), "eval")
+            block.forward(t64(np.ones((1, 3, 2, 2))), "eval")
 
 
 class TestLstm:
@@ -271,27 +266,27 @@ class TestLstm:
         rng = np.random.default_rng(14)
         p = self.make_params(rng)
         x = rng.normal(size=(1, 3))
-        h_seq = lstm_sequence(p, t64(x))
+        h_seq = lstm_sequence_batch(p, [t64(x)])
         h_step, _ = lstm_step(p, t64(x[0]), t64(np.zeros(4)), t64(np.zeros(4)))
-        np.testing.assert_array_equal(h_seq.data, h_step.data)
+        np.testing.assert_array_equal(h_seq.data[0], h_step.data)
 
     def test_zero_params_sequence_stays_zero(self):
         p = self.make_params(np.random.default_rng(15), randomize=False)
         for _, t in p.params():
             t.data[...] = 0.0
-        h = lstm_sequence(p, t64(np.ones((5, 3))))
-        np.testing.assert_array_equal(h.data, np.zeros(4))
+        h = lstm_sequence_batch(p, [t64(np.ones((1, 3)))] * 5)
+        np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_three_step_unrolled_oracle(self):
         rng = np.random.default_rng(16)
         p = self.make_params(rng)
         xs = rng.normal(size=(3, 3))
-        h = lstm_sequence(p, t64(xs))
+        h = lstm_sequence_batch(p, [t64(x[None]) for x in xs])
         hh = np.zeros(4)
         cc = np.zeros(4)
         for l in range(3):
             hh, cc = reference_lstm_step(self.weights_of(p), xs[l], hh, cc)
-        np.testing.assert_allclose(h.data, hh, atol=1e-12)
+        np.testing.assert_allclose(h.data[0], hh, atol=1e-12)
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(17)
@@ -299,8 +294,8 @@ class TestLstm:
         xs = rng.normal(size=(3, 2, 3))  # L=3, batch 2
         hb = lstm_sequence_batch(p, [t64(xs[l]) for l in range(3)])
         for b in range(2):
-            hs = lstm_sequence(p, t64(xs[:, b]))
-            np.testing.assert_allclose(hb.data[b], hs.data, atol=1e-12)
+            hs = lstm_sequence_batch(p, [t64(xs[l, b:b + 1]) for l in range(3)])
+            np.testing.assert_allclose(hb.data[b], hs.data[0], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         p = self.make_params(np.random.default_rng(18))
@@ -318,11 +313,11 @@ class TestLstm:
         p = self.make_params(rng)
         for _, t in p.params():
             t.tape = tape
-        xs = t64(rng.normal(size=(3, 3)), requires_grad=True, tape=tape)
-        w = t64(rng.normal(size=4))
+        xs = t64(rng.normal(size=(3, 1, 3)), requires_grad=True, tape=tape)
+        w = t64(rng.normal(size=(1, 4)))
 
-        def f(v):
-            return sum_all(hadamard(lstm_sequence(p, v), w))
+        def f(_):
+            return sum_all(hadamard(lstm_sequence_batch(p, [take(xs, l) for l in range(3)]), w))
 
         assert finite_diff_check(f, xs) < 1e-4
         tape.reset()
@@ -334,7 +329,7 @@ class TestFusedSequence:
 
     @staticmethod
     def fold(p, xs):
-        h, c = p.zero_state(xs[0].data.dtype, batch=xs[0].data.shape[0])
+        h = c = Tensor(np.zeros((xs[0].data.shape[0], p.hidden_dim), dtype=xs[0].data.dtype))
         for x_t in xs:
             h, c = lstm_step(p, x_t, h, c)
         return h

@@ -6,10 +6,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stdinet import DomainError, ShapeError, UsageError
 from stdinet.layers import LSTM_GATES
-from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, mean_all, sub, sum_all, take
+from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, mean_all, sub, sum_all
 from stdinet.model import (
     MODEL_KINDS,
     DemandModel,
@@ -18,12 +20,9 @@ from stdinet.model import (
     SpatialModule,
     TOY_DIMS,
     build_model,
-    interval_params,
     CKPT_MAGIC,
     load_checkpoint,
     save_checkpoint,
-    spatial_forward,
-    stdi_forward,
 )
 
 F64 = np.float64
@@ -81,9 +80,9 @@ class TestSpatialModule:
         dims = ModelDims(rows=8, cols=16, seq_len=3, channels=32, lstm_hidden=8,
                          rank=4, embed_dim=6)
         sm = SpatialModule(dims, np.random.default_rng(0), dtype=np.float32)
-        seq = Tensor(np.random.default_rng(1).random((3, 2, 8, 16), dtype=np.float32))
-        out = spatial_forward(sm, seq, "eval")
-        assert out.data.shape == (3, 4096)
+        seq = Tensor(np.random.default_rng(1).random((1, 3, 2, 8, 16), dtype=np.float32))
+        out = sm.forward(seq, "eval")
+        assert [f.data.shape for f in out] == [(1, 4096)] * 3
 
     def test_zero_input_zero_features(self):
         sm = SpatialModule(TOY_DIMS, np.random.default_rng(2), dtype=F64)
@@ -94,18 +93,18 @@ class TestSpatialModule:
                 unit.conv2.bias.data[...] = 0.0
                 unit.bn1.beta.data[...] = 0.0
                 unit.bn2.beta.data[...] = 0.0
-        seq = Tensor(np.zeros((3, 2, 2, 2)), dtype=F64)
-        out = sm.forward(seq, "eval")
-        np.testing.assert_array_equal(out.data, np.zeros((3, TOY_DIMS.spatial_dim)))
+        seq = Tensor(np.zeros((1, 3, 2, 2, 2)), dtype=F64)
+        for f in sm.forward(seq, "eval"):
+            np.testing.assert_array_equal(f.data, np.zeros((1, TOY_DIMS.spatial_dim)))
 
     def test_blocks_are_independent(self):
         rng = np.random.default_rng(3)
         sm = SpatialModule(TOY_DIMS, rng, dtype=F64)
-        seq = toy_window(rng)
-        base = sm.forward(Tensor(seq, dtype=F64), "eval").data
+        seq = toy_window(rng, batch=1)
+        base = [f.data for f in sm.forward(Tensor(seq, dtype=F64), "eval")]
         perturbed = seq.copy()
-        perturbed[0] += 1.0
-        out = sm.forward(Tensor(perturbed, dtype=F64), "eval").data
+        perturbed[:, 0] += 1.0
+        out = [f.data for f in sm.forward(Tensor(perturbed, dtype=F64), "eval")]
         assert not np.allclose(out[0], base[0])
         np.testing.assert_array_equal(out[1], base[1])
         np.testing.assert_array_equal(out[2], base[2])
@@ -116,9 +115,9 @@ class TestSpatialModule:
         sm = SpatialModule(TOY_DIMS, rng, dtype=F64)
         for _, p in sm.params():
             p.tape = tape
-        seq = Tensor(toy_window(rng), dtype=F64, tape=tape)
+        seq = Tensor(toy_window(rng, batch=1), dtype=F64, tape=tape)
         s_t = sm.forward(seq, "eval")
-        tape.backward(sum_all(take(s_t, 1)))
+        tape.backward(sum_all(s_t[1]))
         grads_by_block = []
         for i, block in enumerate(sm.blocks):
             norms = [0.0 if p.grad is None else float(np.abs(p.grad).sum())
@@ -131,7 +130,9 @@ class TestSpatialModule:
     def test_length_mismatch(self):
         sm = SpatialModule(TOY_DIMS, np.random.default_rng(5), dtype=F64)
         with pytest.raises(ShapeError):
-            sm.forward(Tensor(np.zeros((4, 2, 2, 2)), dtype=F64), "eval")
+            sm.forward(Tensor(np.zeros((1, 4, 2, 2, 2)), dtype=F64), "eval")
+        with pytest.raises(ShapeError):
+            sm.forward(Tensor(np.zeros((3, 2, 2, 2)), dtype=F64), "eval")
 
 
 class TestIntervalNet:
@@ -184,7 +185,7 @@ class TestIntervalNet:
         with pytest.raises(DomainError):
             net.generate(24)
         with pytest.raises(DomainError):
-            interval_params(net, -1)
+            net.generate(-1)
 
     def test_gradients_reach_generator_params(self):
         rng = np.random.default_rng(10)
@@ -208,32 +209,37 @@ class TestForward:
     def test_shape_and_nonnegativity(self, kind):
         rng = np.random.default_rng(11)
         model = toy_model(kind)
-        seq = Tensor(toy_window(rng), dtype=F64)
-        out = model.forward(seq, hour=13, mode="eval")
-        assert out.data.shape == (2, 2, 2)
+        seq = Tensor(toy_window(rng, batch=1), dtype=F64)
+        out = model.forward_batch(seq, [13], mode="eval")
+        assert out.data.shape == (1, 2, 2, 2)
         assert out.data.min() >= 0.0
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_batch_matches_single(self, kind):
-        rng = np.random.default_rng(12)
-        model = toy_model(kind, seed=5)
-        seqs = toy_window(rng, batch=3)
-        hours = np.array([0, 7, 23])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batch_matches_single(self, kind, data):
+        """B windows in one call equal B batch-of-one calls."""
+        batch = data.draw(st.integers(1, 4), label="batch")
+        hours = data.draw(st.lists(st.integers(0, 23), min_size=batch, max_size=batch), label="hours")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        model = toy_model(kind, seed=int(rng.integers(1 << 30)))
+        seqs = toy_window(rng, batch=batch)
         batched = model.forward_batch(Tensor(seqs, dtype=F64), hours, mode="eval").data
-        for b in range(3):
-            single = model.forward(Tensor(seqs[b], dtype=F64), hour=int(hours[b]), mode="eval").data
-            np.testing.assert_allclose(batched[b], single, atol=1e-10)
+        for b in range(batch):
+            single = model.forward_batch(Tensor(seqs[b:b + 1], dtype=F64), hours[b:b + 1], mode="eval").data
+            np.testing.assert_allclose(batched[b], single[0], rtol=0, atol=1e-10)
 
     def test_hour_changes_prediction_unless_rows_equal(self):
         rng = np.random.default_rng(13)
         model = toy_model(seed=6)
-        seq = Tensor(toy_window(rng), dtype=F64)
-        out_a = stdi_forward(model, seq, 3).data
-        out_b = stdi_forward(model, seq, 17).data
+        seq = Tensor(toy_window(rng, batch=1), dtype=F64)
+        out_a = model.forward_batch(seq, [3], mode="eval").data
+        out_b = model.forward_batch(seq, [17], mode="eval").data
         assert not np.allclose(out_a, out_b)
         model.interval.embedding.data[...] = model.interval.embedding.data[0]
-        out_a2 = stdi_forward(model, seq, 3).data
-        out_b2 = stdi_forward(model, seq, 17).data
+        out_a2 = model.forward_batch(seq, [3], mode="eval").data
+        out_b2 = model.forward_batch(seq, [17], mode="eval").data
         np.testing.assert_array_equal(out_a2, out_b2)
 
     def test_end_to_end_gradcheck(self):
@@ -241,11 +247,11 @@ class TestForward:
         tape = Tape()
         model = toy_model(seed=7)
         model.attach_tape(tape)
-        seq = Tensor(toy_window(rng), dtype=F64, requires_grad=True, tape=tape)
-        target = Tensor(rng.random((2, 2, 2)), dtype=F64)
+        seq = Tensor(toy_window(rng, batch=1), dtype=F64, requires_grad=True, tape=tape)
+        target = Tensor(rng.random((1, 2, 2, 2)), dtype=F64)
 
         def f(_):
-            d = sub(model.forward(seq, hour=9, mode="eval"), target)
+            d = sub(model.forward_batch(seq, [9], mode="eval"), target)
             return mean_all(hadamard(d, d))
 
         assert finite_diff_check(f, seq) < 1e-4
@@ -255,7 +261,7 @@ class TestForward:
     def test_missing_hour_rejected(self):
         model = toy_model()
         with pytest.raises(UsageError, match="hour"):
-            model.forward(Tensor(np.zeros((3, 2, 2, 2)), dtype=F64))
+            model.forward_batch(Tensor(np.zeros((1, 3, 2, 2, 2)), dtype=F64), mode="eval")
 
 
 class TestBuildModel:
@@ -350,10 +356,10 @@ class TestCheckpoint:
         loaded, extra = load_checkpoint(path)
         assert extra == {"note": "test"}
         assert loaded.kind == kind
-        seq = Tensor(rng.random((3, 2, 2, 2)).astype(np.float32))
+        seq = Tensor(rng.random((1, 3, 2, 2, 2)).astype(np.float32))
         np.testing.assert_array_equal(
-            model.forward(seq, hour=4, mode="eval").data,
-            loaded.forward(seq, hour=4, mode="eval").data,
+            model.forward_batch(seq, [4], mode="eval").data,
+            loaded.forward_batch(seq, [4], mode="eval").data,
         )
 
     def test_frozen_embedding_travels_in_checkpoint(self, tmp_path):
@@ -380,9 +386,9 @@ class TestCheckpoint:
         for (_, s), (_, r) in zip(model.named_states(), loaded.named_states()):
             assert r.running_var.dtype == F64
             np.testing.assert_array_equal(r.running_var, s.running_var)
-        seq = Tensor(rng.random((3, 2, 2, 2)))
-        np.testing.assert_array_equal(model.forward(seq, hour=5).data,
-                                      loaded.forward(seq, hour=5).data)
+        seq = Tensor(rng.random((1, 3, 2, 2, 2)))
+        np.testing.assert_array_equal(model.forward_batch(seq, [5], mode="eval").data,
+                                      loaded.forward_batch(seq, [5], mode="eval").data)
 
     def test_manifest_without_precision_loads_as_float32(self, tmp_path):
         model = build_model("SpatialFC", TOY_DIMS, seed=14, dtype=np.float32)

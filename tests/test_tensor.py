@@ -17,11 +17,11 @@ from stdinet.tensor import (
     add,
     affine,
     batchnorm,
-    concat,
     conv2d,
     finite_diff_check,
     flatten,
     hadamard,
+    hconcat,
     leaky_relu,
     matmul,
     mean_all,
@@ -404,12 +404,13 @@ class TestShapeOps:
 
     def test_concat_splits_gradient(self):
         tape = Tape()
-        a = t64([1.0, 2.0], requires_grad=True, tape=tape)
-        b = t64([3.0], requires_grad=True, tape=tape)
-        out = concat([a, b])
+        a = t64([[1.0, 2.0], [-1.0, 0.5]], requires_grad=True, tape=tape)
+        b = t64([[3.0], [-4.0]], requires_grad=True, tape=tape)
+        out = hconcat([a, b])
+        assert out.data.tolist() == [[1.0, 2.0, 3.0], [-1.0, 0.5, -4.0]]
         tape.backward(sum_all(hadamard(out, out)))
-        np.testing.assert_array_equal(a.grad, [2.0, 4.0])
-        np.testing.assert_array_equal(b.grad, [6.0])
+        np.testing.assert_array_equal(a.grad, [[2.0, 4.0], [-2.0, 1.0]])
+        np.testing.assert_array_equal(b.grad, [[6.0], [-8.0]])
 
     def test_scale_rows_equals_diag_product(self):
         rng = np.random.default_rng(8)
