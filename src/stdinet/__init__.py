@@ -38,11 +38,11 @@ from .training import Adam, TrainConfig, TrainHistory, fit, mse_loss, predict_wi
 from .bench import (
     BenchConfig,
     MetricPair,
+    MlpModel,
     REFERENCE_RESULTS,
     SUITES,
     baseline_ha,
     baseline_linear,
-    baseline_mlp,
     compute_metrics,
     run_benchmark,
 )
@@ -58,6 +58,6 @@ __all__ = [
     "make_windows", "parse_trips", "read_demand_series", "regime_demand_series",
     "select_stations", "split_dataset", "write_demand_series",
     "Adam", "TrainConfig", "TrainHistory", "fit", "mse_loss", "predict_windows",
-    "BenchConfig", "MetricPair", "REFERENCE_RESULTS", "SUITES", "baseline_ha",
-    "baseline_linear", "baseline_mlp", "compute_metrics", "run_benchmark",
+    "BenchConfig", "MetricPair", "MlpModel", "REFERENCE_RESULTS", "SUITES", "baseline_ha",
+    "baseline_linear", "compute_metrics", "run_benchmark",
 ]

@@ -23,7 +23,7 @@ from .data import make_windows, split_dataset, generate_hour_embeddings, load_ho
 from .errors import DataError, UsageError
 from .layers import LinearLayer
 from .model import MODEL_KINDS, ModelBase, ModelDims, build_model
-from .tensor import Tensor, resolve_dtype
+from .tensor import resolve_dtype
 from .training import TrainConfig, fit, predict_windows
 
 # RMSE/MAE reported for each method on the 2014 NYC Citi Bike benchmark,
@@ -97,7 +97,7 @@ def per_channel_metrics(preds, targets):
 # historical average
 
 
-def baseline_ha(series, test_windows, boundary_epoch, by_weekday=False):
+def baseline_ha(series, test_windows, boundary_epoch):
     """Predict each (station, channel) by its training mean at that hour.
 
     Training intervals are those starting before ``boundary_epoch``; at
@@ -109,27 +109,21 @@ def baseline_ha(series, test_windows, boundary_epoch, by_weekday=False):
     if len(train_idx) < 168:
         raise DataError(f"historical average needs a training week, got {len(train_idx)} intervals")
 
-    def key_of(epoch):
-        hour = (epoch // 3600) % 24
-        if by_weekday:
-            return (epoch // 86400) % 7, hour
-        return hour
-
     sums = {}
     counts = {}
     for t in train_idx:
-        key = key_of(series.start_epoch + t * series.interval_seconds)
-        if key not in sums:
-            sums[key] = np.zeros_like(series.values[0], dtype=np.float64)
-            counts[key] = 0
-        sums[key] += series.values[t]
-        counts[key] += 1
+        hour = (series.start_epoch + t * series.interval_seconds) // 3600 % 24
+        if hour not in sums:
+            sums[hour] = np.zeros_like(series.values[0], dtype=np.float64)
+            counts[hour] = 0
+        sums[hour] += series.values[t]
+        counts[hour] += 1
 
     zero = np.zeros_like(series.values[0], dtype=np.float64)
     preds = []
     for w in test_windows:
-        key = key_of(w.target_epoch)
-        preds.append(sums[key] / counts[key] if key in counts else zero)
+        hour = w.target_epoch // 3600 % 24
+        preds.append(sums[hour] / counts[hour] if hour in counts else zero)
     return np.stack(preds)
 
 
@@ -248,7 +242,6 @@ class MlpModel(ModelBase):
     """
 
     kind = "MLP"
-    uses_hour = False
 
     def __init__(self, dims, seed, dtype=T.STANDARD):
         self.dims = dims
@@ -270,10 +263,6 @@ class MlpModel(ModelBase):
         for i, layer in enumerate(self.layers):
             out.extend((f"mlp{i}.{n}", p) for n, p in layer.params())
         return out
-
-
-def baseline_mlp(dims, seed, dtype=T.STANDARD):
-    return MlpModel(dims, seed, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +323,7 @@ def _method_predictions(method, series, splits, config):
         preds = model.predict(test)
         detail["lambda"] = model.lam
     elif method == "MLP":
-        model = baseline_mlp(config.dims, seed, dtype=resolve_dtype(config.train.precision))
+        model = MlpModel(config.dims, seed, dtype=resolve_dtype(config.train.precision))
         model, history = fit(model, train, val, config.train)
         preds = predict_windows(model, test, scale=history.scale)
         detail["epochs_run"] = history.epochs_run

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
-from .bench import ALL_METHODS, BenchConfig, SUITES, render_table, report_json, run_benchmark, write_csv, write_json
+from .bench import (BenchConfig, SUITES, compute_metrics, per_channel_metrics, render_table,
+                    run_benchmark, write_csv, write_json)
 from .errors import DataError, DivergenceError, DomainError, UsageError
 from .gradcheck import COMPOSED_THRESHOLD, OP_THRESHOLD, run_suite
 from .model import MODEL_KINDS, ModelDims, TOY_DIMS, build_model, load_checkpoint, save_checkpoint
@@ -142,6 +143,8 @@ def _load_embeddings(spec, dims, seed):
 def cmd_ingest(args):
     started = time.time()
     rows, cols = parse_grid(args.grid)
+    if args.interval < 1:
+        raise UsageError(f"bad --interval {args.interval}; expected a positive number of seconds")
     trip_paths = [resolve_path(p) for p in args.trips]
     records, audit = D.parse_trip_files(trip_paths)
     log.info("parsed %d rows, accepted %d, skipped %d",
@@ -224,7 +227,6 @@ def cmd_eval(args):
     _, _, test = D.split_dataset(windows, test_days=extra.get("test_days", 10),
                                  val_frac=extra.get("val_frac", 0.1))
     preds = predict_windows(model, test, scale=extra.get("scale", 1.0))
-    from .bench import compute_metrics, per_channel_metrics
     _, _, targets = D.windows_to_arrays(test)
     metrics = compute_metrics(preds, targets.astype(np.float64))
     per_channel = {k: dataclasses.asdict(v)
@@ -253,6 +255,8 @@ def cmd_gradcheck(args):
     started = time.time()
     if args.dims != "toy":
         raise UsageError("only the 'toy' dims preset is supported")
+    if args.seeds < 1:
+        raise UsageError(f"bad --seeds {args.seeds}; gradcheck needs at least one seed")
     results, ok = run_suite(TOY_DIMS, n_seeds=args.seeds)
     for name, (err, threshold) in results.items():
         status = "pass" if err < threshold else "FAIL"
@@ -286,10 +290,7 @@ def cmd_bench(args):
                          val_frac=split["val_frac"], embeddings_path=args.embeddings
                          if args.embeddings != "generate" else "")
     methods = SUITES[args.suite]
-    if args.parallel:
-        report = _parallel_benchmark(series, methods, config)
-    else:
-        report = run_benchmark(series, methods, config)
+    report = run_benchmark(series, methods, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,20 +307,6 @@ def cmd_bench(args):
                    args.seed, [data_path], [csv_path, json_path], started)
     print(render_table(report))
     return 0
-
-
-def _parallel_benchmark(series, methods, config):
-    """Run each method in its own process; rows keep the input order."""
-    import concurrent.futures
-
-    from .bench import BenchReport
-
-    with concurrent.futures.ProcessPoolExecutor() as pool:
-        futures = [pool.submit(run_benchmark, series, [m], config) for m in methods]
-        reports = [f.result() for f in futures]
-    rows = [r.rows[0] for r in reports]
-    return BenchReport(rows=rows, seed=config.train.seed,
-                       config_digest=config.digest(), n_test=reports[0].n_test)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +357,6 @@ def build_parser():
     p.add_argument("--config", default="", help="comma-separated key=value overrides")
     p.add_argument("--embeddings", default="generate")
     p.add_argument("--out", default=".", help="directory for CSV/JSON/manifest outputs")
-    p.add_argument("--parallel", action="store_true", help="one process per method")
     p.set_defaults(func=cmd_bench)
     return parser
 

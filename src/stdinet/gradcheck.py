@@ -86,10 +86,27 @@ def _check_op(name, rng, tape):
         err = finite_diff_check(f, x)
         tape.reset()
         return max(err, finite_diff_check(f, gamma))
-    if name == "reshape":
-        x = _t(rng, (2, 6), tape)
+    if name in _SHAPE_OPS:
+        in_shape, out_shape, op = _SHAPE_OPS[name]
+        x = _t(rng, in_shape, tape)
+        w = _t(rng, out_shape, tape, requires_grad=False)
+        return finite_diff_check(lambda v: _weighted_sum(op(x), w), x)
+    if name in _JOIN_OPS:
+        # Parts of distinct values, each differenced in turn, so that a
+        # gradient routed to the wrong part fails it.
+        part_shapes, out_shape = _JOIN_OPS[name]
+        op = getattr(T, name)
+        parts = [_t(rng, shape, tape) for shape in part_shapes]
+        w = _t(rng, out_shape, tape, requires_grad=False)
+        err = 0.0
+        for target in parts:
+            tape.reset()
+            err = max(err, finite_diff_check(lambda v: _weighted_sum(op(parts), w), target))
+        return err
+    if name == "mean":
+        x = _t(rng, (3, 4), tape)
         w = _t(rng, (3, 4), tape, requires_grad=False)
-        return finite_diff_check(lambda v: _weighted_sum(T.reshape(x, (3, 4)), w), x)
+        return finite_diff_check(lambda v: T.mean_all(T.hadamard(x, w)), x)
     if name == "scale_rows":
         m = _t(rng, (4, 5), tape)
         s = _t(rng, (4,), tape)
@@ -100,8 +117,24 @@ def _check_op(name, rng, tape):
     raise ValueError(f"unknown op case {name}")
 
 
+# One-input cases: input shape, output shape and the op; a repeated row index
+# makes take_rows accumulate.
+_SHAPE_OPS = {
+    "reshape": ((2, 6), (3, 4), lambda x: T.reshape(x, (3, 4))),
+    "transpose": ((3, 4), (4, 3), T.transpose),
+    "take": ((2, 3, 4), (2, 4), lambda x: T.take(x, 1, axis=1)),
+    "take_rows": ((5, 3), (4, 3), lambda x: T.take_rows(x, [4, 0, 4, 2])),
+}
+
+# Cases joining several inputs: the part shapes and the output shape.
+_JOIN_OPS = {
+    "hconcat": (((3, 1), (3, 2), (3, 3)), (3, 6)),
+    "stack": (((3, 2),) * 3, (3, 3, 2)),
+}
+
 OPS = ("add", "sub", "hadamard", "relu", "leaky_relu", "sigmoid", "tanh",
-       "matmul", "affine", "conv2d", "batchnorm", "reshape", "scale_rows")
+       "matmul", "affine", "conv2d", "batchnorm", "reshape", "scale_rows",
+       "transpose", "hconcat", "stack", "take", "take_rows", "mean")
 
 
 def _check_composed(name, rng, tape, dims):

@@ -83,23 +83,16 @@ class ResUnit:
 
     The residual sum is X1 + X2 where X1 is the first conv's (normalized)
     output and X2 the second's, i.e. the skip taps the first conv output,
-    not the unit input.  ``standard_skip=True`` switches to the conventional
-    identity-skip form relu(X0 + BN(conv2(relu(BN(conv1(X0)))))) for
-    comparison runs; it is off by default.
+    not the unit input.
     """
 
-    def __init__(self, channels, rng, dtype=T.STANDARD, standard_skip=False):
+    def __init__(self, channels, rng, dtype=T.STANDARD):
         self.conv1 = Conv3x3(channels, channels, rng, dtype)
         self.bn1 = BatchNorm(channels, dtype)
         self.conv2 = Conv3x3(channels, channels, rng, dtype)
         self.bn2 = BatchNorm(channels, dtype)
-        self.standard_skip = standard_skip
 
     def forward(self, x, mode):
-        if self.standard_skip:
-            x1 = T.relu(self.bn1.forward(self.conv1.forward(x), mode))
-            x2 = self.bn2.forward(self.conv2.forward(x1), mode)
-            return T.relu(T.add(x, x2))
         x1 = self.bn1.forward(self.conv1.forward(x), mode)
         x2 = self.bn2.forward(self.conv2.forward(x1), mode)
         return T.relu(T.add(x1, x2))
@@ -118,16 +111,13 @@ class ResUnit:
 class ConvBlock:
     """Entry conv (2 -> c channels, ReLU, no BN) followed by two ResUnits."""
 
-    def __init__(self, channels, rng, dtype=T.STANDARD, in_channels=2, n_resunits=2):
-        self.entry = Conv3x3(in_channels, channels, rng, dtype)
-        self.resunits = [ResUnit(channels, rng, dtype) for _ in range(n_resunits)]
-        self.in_channels = in_channels
+    def __init__(self, channels, rng, dtype=T.STANDARD):
+        self.entry = Conv3x3(2, channels, rng, dtype)
+        self.resunits = [ResUnit(channels, rng, dtype) for _ in range(2)]
 
     def forward(self, m, mode):
-        if m.data.shape[-3] != self.in_channels:
-            raise ShapeError(
-                f"conv block expects {self.in_channels} input channels, got shape {m.data.shape}"
-            )
+        if m.data.shape[-3] != 2:
+            raise ShapeError(f"conv block expects 2 input channels, got shape {m.data.shape}")
         h = T.relu(self.entry.forward(m))
         for unit in self.resunits:
             h = unit.forward(h, mode)

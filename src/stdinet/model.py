@@ -40,41 +40,19 @@ from .tensor import Tensor
 HOURS = 24
 LEAKY_SLOPE = 0.01
 
-MODEL_KINDS = (
-    "STDI",
-    "SpatialFC",
-    "TemporalFC",
-    "SpatialTemporalFC",
-    "SpatialDI",
-    "TemporalDI",
-    "STDIFusion",
-    "UnifiedSpatial",
-    "STDIEmbedding",
-)
-
-_FEATURE_PATH = {
-    "STDI": "spatial_lstm",
-    "SpatialFC": "spatial_concat",
-    "TemporalFC": "raw_lstm",
-    "SpatialTemporalFC": "spatial_lstm",
-    "SpatialDI": "spatial_concat",
-    "TemporalDI": "raw_lstm",
-    "STDIFusion": "spatial_lstm",
-    "UnifiedSpatial": "shared_concat",
-    "STDIEmbedding": "spatial_lstm",
+# kind -> (feature path, prediction head); the order is MODEL_KINDS's.
+_KINDS = {
+    "STDI": ("spatial_lstm", "hyper"),
+    "SpatialFC": ("spatial_concat", "static"),
+    "TemporalFC": ("raw_lstm", "static"),
+    "SpatialTemporalFC": ("spatial_lstm", "static"),
+    "SpatialDI": ("spatial_concat", "hyper"),
+    "TemporalDI": ("raw_lstm", "hyper"),
+    "STDIFusion": ("spatial_lstm", "fusion"),
+    "UnifiedSpatial": ("shared_concat", "static"),
+    "STDIEmbedding": ("spatial_lstm", "hyper"),
 }
-
-_HEAD = {
-    "STDI": "hyper",
-    "SpatialFC": "static",
-    "TemporalFC": "static",
-    "SpatialTemporalFC": "static",
-    "SpatialDI": "hyper",
-    "TemporalDI": "hyper",
-    "STDIFusion": "fusion",
-    "UnifiedSpatial": "static",
-    "STDIEmbedding": "hyper",
-}
+MODEL_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -93,12 +71,9 @@ class ModelDims:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value < 1:
-                raise UsageError(f"model dims: {f.name} must be at least 1, got {value}")
-
-    @property
-    def cells(self):
-        return self.rows * self.cols
+            if type(value) is not int or value < 1:
+                raise UsageError(f"model dims: {f.name} must be an integer of at least 1, "
+                                 f"got {value!r}")
 
     @property
     def output_dim(self):
@@ -241,9 +216,8 @@ class ModelBase:
         for _, p in self.named_tensors():
             p.tape = tape
 
-    def parameter_count(self, trainable_only=True):
-        return sum(p.data.size for _, p in self.named_tensors()
-                   if p.requires_grad or not trainable_only)
+    def parameter_count(self):
+        return sum(p.data.size for p in self.parameters())
 
     def snapshot(self):
         params = {n: p.data.copy() for n, p in self.named_tensors()}
@@ -262,17 +236,14 @@ class ModelBase:
 class DemandModel(ModelBase):
     """One built model: feature path plus head, with checkpoint support."""
 
-    def __init__(self, kind, dims, seed, embedding=None, dtype=T.STANDARD,
-                 standard_skip=False):
-        if kind not in MODEL_KINDS:
+    def __init__(self, kind, dims, seed, embedding=None, dtype=T.STANDARD):
+        if kind not in _KINDS:
             raise UsageError(f"unknown model kind {kind!r}; valid kinds: {', '.join(MODEL_KINDS)}")
         self.kind = kind
         self.dims = dims
         self.seed = seed
         self.dtype = dtype
-        self.standard_skip = standard_skip
-        self.feature_path = _FEATURE_PATH[kind]
-        self.head = _HEAD[kind]
+        self.feature_path, self.head = _KINDS[kind]
         rng = np.random.default_rng(seed)
 
         self.spatial = None
@@ -286,10 +257,6 @@ class DemandModel(ModelBase):
             self.spatial = SpatialModule(dims, rng, dtype)
         elif self.feature_path == "shared_concat":
             self.spatial = SpatialModule(dims, rng, dtype, shared=True)
-        if standard_skip and self.spatial is not None:
-            for block in self.spatial.blocks:
-                for unit in block.resunits:
-                    unit.standard_skip = True
 
         if self.feature_path in ("spatial_lstm", "raw_lstm"):
             lstm_in = dims.spatial_dim if self.feature_path == "spatial_lstm" else dims.frame_dim
@@ -354,10 +321,6 @@ class DemandModel(ModelBase):
             raise UsageError(f"model kind {self.kind} needs the target hour")
         return hour
 
-    @property
-    def uses_hour(self):
-        return self.head in ("hyper", "fusion")
-
     # -- parameter registry ----------------------------------------------
 
     def named_tensors(self):
@@ -382,11 +345,9 @@ class DemandModel(ModelBase):
         return [(f"spatial.{n}", s) for n, s in self.spatial.states()]
 
 
-def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD,
-                standard_skip=False):
+def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD):
     """Construct any model kind; see the module table for the mapping."""
-    return DemandModel(kind, dims or ModelDims(), seed, embedding=embedding,
-                       dtype=dtype, standard_skip=standard_skip)
+    return DemandModel(kind, dims or ModelDims(), seed, embedding=embedding, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +393,6 @@ def save_checkpoint(path, model, extra=None):
         "kind": model.kind,
         "dims": asdict(model.dims),
         "dtype": dtype_name,
-        "standard_skip": model.standard_skip,
         "entries": entries,
         "extra": extra or {},
     }
@@ -467,27 +427,35 @@ def load_checkpoint(path):
             raise DataError(f"{path}: unreadable checkpoint manifest ({exc})") from None
         blob = fh.read()
 
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: the checkpoint manifest is not a JSON object")
+    if manifest.get("standard_skip", False) is not False:
+        raise DataError(f"{path}: the checkpoint is of an identity-skip residual model, "
+                        "which this version does not build")
+    kind = manifest.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise DataError(f"{path}: unknown model kind {kind!r} in the checkpoint manifest")
     try:
         dims = ModelDims(**manifest["dims"])
     except (KeyError, TypeError, UsageError) as exc:
         raise DataError(f"{path}: bad model dims in the checkpoint manifest ({exc})") from None
     dtype_name = manifest.get("dtype", "float32")
-    if dtype_name not in _CKPT_DTYPES:
+    if not isinstance(dtype_name, str) or dtype_name not in _CKPT_DTYPES:
         raise DataError(f"{path}: unsupported model precision {dtype_name!r}")
-    model = build_model(manifest["kind"], dims, seed=0, dtype=np.dtype(dtype_name).type,
-                        standard_skip=manifest.get("standard_skip", False))
+    entries, extra = manifest.get("entries"), manifest.get("extra", {})
+    if not isinstance(entries, list) or not isinstance(extra, dict):
+        raise DataError(f"{path}: the checkpoint manifest needs an entries list and an extra object")
+    model = build_model(kind, dims, seed=0, dtype=np.dtype(dtype_name).type)
     arrays = {}
-    for e in manifest["entries"]:
-        if e["dtype"] not in _CKPT_DTYPES.values():
-            raise DataError(f"{path}: unsupported dtype {e['dtype']!r} for {e['name']}")
-        start, stop = e["offset"], e["offset"] + e["nbytes"]
-        if start < 0 or stop > len(blob):
-            raise DataError(f"{path}: entry {e['name']} needs bytes {start}..{stop} "
+    for i, e in enumerate(entries):
+        name, shape, dtype, start, nbytes = _manifest_entry(path, i, e)
+        if start + nbytes > len(blob):
+            raise DataError(f"{path}: entry {name} needs bytes {start}..{start + nbytes} "
                             f"but the data is {len(blob)} bytes; the file is truncated")
-        if e["nbytes"] != int(np.prod(e["shape"])) * np.dtype(e["dtype"]).itemsize:
-            raise DataError(f"{path}: entry {e['name']} has {e['nbytes']} bytes "
-                            f"for shape {e['shape']} of {e['dtype']}")
-        arrays[e["name"]] = np.frombuffer(blob[start:stop], dtype=e["dtype"]).reshape(e["shape"]).copy()
+        if nbytes != int(np.prod(shape)) * np.dtype(dtype).itemsize:
+            raise DataError(f"{path}: entry {name} has {nbytes} bytes "
+                            f"for shape {shape} of {dtype}")
+        arrays[name] = np.frombuffer(blob[start:start + nbytes], dtype=dtype).reshape(shape).copy()
 
     def stored(name, shape):
         if name not in arrays:
@@ -503,4 +471,21 @@ def load_checkpoint(path):
     for name, s in model.named_states():
         s.running_mean[:] = stored(f"{name}.running_mean", s.running_mean.shape)
         s.running_var[:] = stored(f"{name}.running_var", s.running_var.shape)
-    return model, manifest.get("extra", {})
+    return model, extra
+
+
+def _manifest_entry(path, index, entry):
+    """(name, shape, dtype, offset, nbytes) of one manifest entry, checked."""
+    try:
+        name, shape, dtype, offset, nbytes = (
+            entry[k] for k in ("name", "shape", "dtype", "offset", "nbytes"))
+    except (KeyError, TypeError):
+        raise DataError(f"{path}: manifest entry {index} lacks a name, shape, dtype, "
+                        "offset or nbytes field") from None
+    counts = [offset, nbytes, *shape] if isinstance(shape, list) else [None]
+    if not isinstance(name, str) or any(type(v) is not int or v < 0 for v in counts):
+        raise DataError(f"{path}: manifest entry {index} needs a string name and "
+                        "nonnegative integer shape, offset and nbytes")
+    if not isinstance(dtype, str) or dtype not in _CKPT_DTYPES.values():
+        raise DataError(f"{path}: unsupported dtype {dtype!r} for {name}")
+    return name, shape, dtype, offset, nbytes

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -43,13 +43,15 @@ def resolve_dtype(precision):
 class Tensor:
     """An n-dimensional float array, optionally tracked for gradients.
 
-    ``grad`` is populated (same shape as ``data``) once a backward pass has
-    run through this tensor.  It is the array the backward rule returned,
-    not a copy, so grads may share memory with one another (the per-gate
-    LSTM bias grads ``b_ix[g]`` and ``b_hx[g]`` are row views of one array);
-    no code writes into a ``grad`` in place.  ``tape`` links the tensor to
-    the recording context; constants carry ``tape=None`` and ops inherit the
-    tape from whichever operand has one.
+    A Tensor has no arithmetic operators: every op is a function of this
+    module (``add``, ``matmul``, ``conv2d``, ...) that records itself on the
+    tape.  ``grad`` is populated (same shape as ``data``) once a backward
+    pass has run through this tensor.  It is the array the backward rule
+    returned, not a copy, so grads may share memory with one another (the
+    per-gate LSTM bias grads ``b_ix[g]`` and ``b_hx[g]`` are row views of
+    one array); no code writes into a ``grad`` in place.  ``tape`` links the
+    tensor to the recording context (``None`` outside any); an op's output
+    inherits the tape of whichever operand has one.
     """
 
     def __init__(self, data, requires_grad=False, tape=None, dtype=None):
@@ -72,13 +74,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def numpy(self):
-        return self.data
-
     def item(self):
         if self.data.size != 1:
             raise UsageError(f"item() needs a scalar, got shape {self.data.shape}")
@@ -86,16 +81,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Convenience operators used by tests and demo scripts.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return hadamard(self, other)
 
 
 @dataclass
@@ -124,9 +109,6 @@ class Tape:
         self.nodes = []
         self.recording = True
         self._consumed = False
-
-    def __len__(self):
-        return len(self.nodes)
 
     @contextlib.contextmanager
     def paused(self):
@@ -245,12 +227,6 @@ def hadamard(a, b):
     return _record("hadamard", (a, b), ad * bd, lambda g: (g * bd, g * ad))
 
 
-def smul(a, scalar):
-    """Multiply by a python scalar (constant, not differentiated)."""
-    c = a.data.dtype.type(scalar)
-    return _record("smul", (a,), a.data * c, lambda g: (g * c,))
-
-
 def relu(x):
     mask = x.data > 0  # subgradient 0 at the kink
     return _record("relu", (x,), np.where(mask, x.data, x.data.dtype.type(0)), lambda g: (g * mask,))
@@ -353,10 +329,6 @@ def reshape(x, shape):
         raise ShapeError(f"reshape: cannot view {x.data.shape} as {shape}")
     old = x.data.shape
     return _record("reshape", (x,), x.data.reshape(shape), lambda g: (g.reshape(old),))
-
-
-def flatten(x):
-    return reshape(x, (x.data.size,))
 
 
 def hconcat(parts):
@@ -637,15 +609,15 @@ def conv2d(x, kernels, bias):
 class BnState:
     """Running statistics for one batchnorm layer (per-channel)."""
 
-    def __init__(self, channels, dtype=STANDARD, eps=1e-5, momentum=0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels, dtype=STANDARD):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
 
     def copy(self):
-        dup = BnState(len(self.running_mean), dtype=self.running_mean.dtype,
-                      eps=self.eps, momentum=self.momentum)
+        dup = BnState(len(self.running_mean), dtype=self.running_mean.dtype)
         dup.running_mean[:] = self.running_mean
         dup.running_var[:] = self.running_var
         return dup
@@ -713,12 +685,15 @@ def batchnorm(x, gamma, beta, state, mode):
 # ---------------------------------------------------------------------------
 # gradient verification
 
+FD_STEP = 1e-5
 
-def finite_diff_check(f, x, eps=1e-5):
+
+def finite_diff_check(f, x):
     """Max relative error between tape gradients and central differences.
 
     ``f`` maps ``x`` to a scalar tensor and must be re-evaluable.  Runs only
-    in verification (float64) precision.  The error per coordinate is
+    in verification (float64) precision, with central differences of step
+    ``FD_STEP``.  The error per coordinate is
     |analytic - numeric| / max(1, |numeric|); the max over coordinates is
     returned (NaN anywhere makes the result NaN, i.e. a failure).
     """
@@ -740,12 +715,12 @@ def finite_diff_check(f, x, eps=1e-5):
     with tape.paused():
         for idx in np.ndindex(x.data.shape):
             orig = x.data[idx]
-            x.data[idx] = orig + eps
+            x.data[idx] = orig + FD_STEP
             fp = f(x).item()
-            x.data[idx] = orig - eps
+            x.data[idx] = orig - FD_STEP
             fm = f(x).item()
             x.data[idx] = orig
-            numeric[idx] = (fp - fm) / (2.0 * eps)
+            numeric[idx] = (fp - fm) / (2.0 * FD_STEP)
 
     err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     return float(np.max(err))

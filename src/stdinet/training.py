@@ -49,24 +49,24 @@ ADAM_CHUNK = 32768
 class Adam:
     """Adam with bias correction; weight decay defaults to L2-on-gradient.
 
-    Only tensors handed in are updated, so frozen tensors are excluded by
-    construction.  ``decoupled=True`` applies the decay directly to the
-    parameters instead of the gradient.  Moments and parameters are updated
-    in place, chunk by chunk through two scratch buffers per dtype; each
-    operation is the one of the textbook formula, in the same order, so the
-    result is bit for bit the same.
+    The moment decays are 0.9 and 0.999 and eps is 1e-8.  Only tensors handed
+    in are updated, so frozen tensors are excluded by construction.
+    ``decoupled=True`` applies the decay directly to the parameters instead
+    of the gradient.  Moments and parameters are updated in place, chunk by
+    chunk through two scratch buffers per dtype; each operation is the one
+    of the textbook formula, in the same order, so the result is bit for
+    bit the same.
     """
 
-    def __init__(self, params, lr=1e-3, weight_decay=0.0, betas=(0.9, 0.999),
-                 eps=1e-8, decoupled=False):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3, weight_decay=0.0, decoupled=False):
         self.params = list(params)
         for p in self.params:
             if not p.data.flags.c_contiguous:
                 raise UsageError("adam: parameters must be C-contiguous to be updated in place")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.decoupled = decoupled
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -120,11 +120,10 @@ class TrainHistory:
     scale: float = 1.0
 
 
-def predict_windows(model, windows, batch_size=256, scale=1.0, dtype=None):
+def predict_windows(model, windows, batch_size=256, scale=1.0):
     """Eval-mode predictions for a list of windows, on the raw count scale."""
-    dtype = dtype or model.dtype
     inputs, hours, _ = windows_to_arrays(windows)
-    inputs = inputs.astype(dtype)
+    inputs = inputs.astype(model.dtype)
     if scale != 1.0:
         inputs = inputs / scale
     preds = []

@@ -11,11 +11,11 @@ from stdinet.model import ModelDims, TOY_DIMS
 from stdinet.training import TrainConfig
 from stdinet.bench import (
     BenchConfig,
+    MlpModel,
     REFERENCE_RESULTS,
     SUITES,
     baseline_ha,
     baseline_linear,
-    baseline_mlp,
     compute_metrics,
     lasso_coordinate_descent,
     per_channel_metrics,
@@ -146,22 +146,6 @@ class TestHistoricalAverage:
         with pytest.raises(DataError, match="week"):
             baseline_ha(series, test, series.start_epoch + 100 * 3600)
 
-    def test_weekday_flag_separates_day_profiles(self):
-        from stdinet.data import DemandSeries
-        days = 28
-        values = np.zeros((days * 24, 2, 2, 2), dtype=np.float32)
-        for t in range(days * 24):
-            values[t, 0, 0, 0] = float((t // 24) % 7)  # demand equals weekday index
-        series = DemandSeries(start_epoch=0, interval_seconds=3600, values=values)
-        windows = make_windows(series, seq_len=3)
-        boundary = series.end_epoch - 7 * 86400
-        test = [w for w in windows if w.target_epoch >= boundary]
-        hourly = baseline_ha(series, test, boundary)
-        weekly = baseline_ha(series, test, boundary, by_weekday=True)
-        _, _, targets = windows_to_arrays(test)
-        np.testing.assert_allclose(weekly, targets, atol=1e-6)
-        assert np.abs(hourly - targets).max() > 1.0  # averaged across weekdays
-
 
 class TestLinearBaselines:
     def test_ridge_closed_form_matches_cd_oracle(self):
@@ -215,21 +199,21 @@ class TestLinearBaselines:
 class TestMlpBaseline:
     def test_parameter_census(self):
         dims = ModelDims()  # input 3*2*8*16 = 768, output 256
-        model = baseline_mlp(dims, seed=0)
+        model = MlpModel(dims, seed=0)
         expected = ((768 * 256 + 256) + (256 * 256 + 256) + (256 * 128 + 128)
                     + (128 * 128 + 128) + (128 * 256 + 256))
         assert model.parameter_count() == expected
 
     def test_overfits_ten_windows(self):
         # 1e-2 punches through the small-signal init regime of the deep stack.
-        model = baseline_mlp(TOY_DIMS, seed=1)
+        model = MlpModel(TOY_DIMS, seed=1)
         losses = manual_steps(model, memorize_windows(10, seed=21), steps=2000,
                               lr=1e-2, stop_below=0.01)
         assert losses[-1] < 0.01
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(11)
-        model = baseline_mlp(TOY_DIMS, seed=2)
+        model = MlpModel(TOY_DIMS, seed=2)
         from stdinet.tensor import Tensor
         x = Tensor(rng.normal(size=(4, 3, 2, 2, 2)).astype(np.float32))
         out = model.forward_batch(x)

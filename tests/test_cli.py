@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stdinet.cli import main, parse_overrides, resolve_path
 from stdinet.data import random_demand_series, read_demand_series, write_demand_series
@@ -99,6 +101,16 @@ class TestIngest:
         out = tmp_path / "series.stdm"
         assert main(["ingest", "--trips", str(trips), "--out", str(out), "--grid", grid]) == 2
         assert "--grid" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("interval", ["0", "-3600"])
+    def test_nonpositive_interval_is_a_usage_error(self, tmp_path, interval, caplog):
+        trips = tmp_path / "trips.csv"
+        synth_trips_csv(trips, days=1)
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(trips), "--out", str(out),
+                     "--interval", interval]) == 2
+        assert "--interval" in caplog.text
         assert not out.exists()
 
 
@@ -206,6 +218,17 @@ def rewrite_manifest(path, edit):
     path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + mlen:])
 
 
+# Manifest fields the checkpoint loader reads, as (where, key); those it
+# cannot do without; and values of a type no such field may take.
+READ_FIELDS = ([("top", k) for k in ("kind", "dims", "dtype", "entries", "extra")]
+               + [("entry", k) for k in ("name", "shape", "dtype", "offset", "nbytes")]
+               + [("dims", k) for k in ("rows", "cols", "seq_len", "channels",
+                                        "lstm_hidden", "rank", "embed_dim", "fusion_dim")])
+NEEDED_FIELDS = {("top", "kind"), ("top", "dims"), ("top", "entries")} | {
+    f for f in READ_FIELDS if f[0] == "entry"}
+WRONG_TYPES = (None, "x", 1.5, -1, [1], {"k": 1})
+
+
 class TestCheckpointFaults:
     """A damaged checkpoint is a data error (exit 3), never a traceback."""
 
@@ -275,6 +298,49 @@ class TestCheckpointFaults:
         assert self.eval_rc(ckpt, toy_series_path) == 3
         assert "dims" in caplog.text
 
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest.update(kind="Bogus"),
+        lambda manifest: manifest.pop("kind"),
+        lambda manifest: manifest.pop("entries"),
+        lambda manifest: manifest["entries"][0].pop("offset"),
+        lambda manifest: manifest.update(dtype=[1]),
+        lambda manifest: manifest.update(standard_skip=True),
+    ], ids=["unknown-kind", "no-kind", "no-entries", "no-offset", "list-dtype",
+            "identity-skip"])
+    def test_damaged_manifest_is_a_data_error(self, ckpt, toy_series_path, edit):
+        rewrite_manifest(ckpt, edit)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+
+    def test_manifest_without_identity_skip_loads(self, ckpt, toy_series_path):
+        rewrite_manifest(ckpt, lambda manifest: manifest.update(standard_skip=False))
+        assert self.eval_rc(ckpt, toy_series_path) == 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_deleted_or_retyped_field_is_a_data_error(self, ckpt, toy_series_path, data):
+        """Delete a field the loader needs, or give any field it reads a wrong type."""
+        intact = ckpt.read_bytes()
+        where, key = data.draw(st.sampled_from(READ_FIELDS))
+        delete = (where, key) in NEEDED_FIELDS and data.draw(st.booleans())
+        value = data.draw(st.sampled_from(
+            [v for v in WRONG_TYPES if key != "extra" or not isinstance(v, dict)]))
+        index = data.draw(st.integers(0, 60))
+
+        def edit(manifest):
+            owner = {"top": manifest, "dims": manifest["dims"],
+                     "entry": manifest["entries"][index % len(manifest["entries"])]}[where]
+            if delete:
+                del owner[key]
+            else:
+                owner[key] = value
+
+        rewrite_manifest(ckpt, edit)
+        try:
+            assert self.eval_rc(ckpt, toy_series_path) == 3
+        finally:
+            ckpt.write_bytes(intact)
+
 
 class TestGradcheck:
     def test_fast_pass_under_budget(self, capsys, tmp_path):
@@ -288,6 +354,12 @@ class TestGradcheck:
         assert "conv2d" in out
         assert (tmp_path / "gradcheck.json").exists()
         assert (tmp_path / "gradcheck.manifest.json").exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_a_usage_error(self, tmp_path, seeds, caplog):
+        assert main(["gradcheck", "--seeds", seeds, "--out", str(tmp_path)]) == 2
+        assert "--seeds" in caplog.text
+        assert not (tmp_path / "gradcheck.json").exists()
 
     def test_suite_results_independent_of_hash_seed(self):
         import os
@@ -355,17 +427,6 @@ class TestBench:
             rc = main(["bench", "--data", str(toy_series_path), "--suite", "table1",
                        "--seed", "7", "--out", str(out),
                        "--config", FAST + ",epochs=1,patience=1"])
-            assert rc == 0
-            blobs.append((out / "bench_table1.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-
-    def test_parallel_matches_sequential(self, toy_series_path, tmp_path):
-        blobs = []
-        for sub, extra in (("seq", []), ("par", ["--parallel"])):
-            out = tmp_path / sub
-            rc = main(["bench", "--data", str(toy_series_path), "--suite", "table1",
-                       "--seed", "2", "--out", str(out),
-                       "--config", FAST + ",epochs=1,patience=1"] + extra)
             assert rc == 0
             blobs.append((out / "bench_table1.csv").read_bytes())
         assert blobs[0] == blobs[1]

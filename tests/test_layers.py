@@ -113,23 +113,6 @@ class TestResUnit:
         for i, j in [(1, 1), (2, 5), (7, 3)]:
             assert unit.forward(t64(rng.normal(size=(1, 2, i, j))), "eval").data.shape == (1, 2, i, j)
 
-    def test_standard_skip_variant_taps_the_input(self):
-        rng = np.random.default_rng(40)
-        unit = ResUnit(2, rng, dtype=F64, standard_skip=True)
-        for _, p in unit.params():
-            p.data[...] = rng.normal(size=p.data.shape) * 0.3
-        x = t64(rng.normal(size=(1, 2, 3, 3)))
-        out = unit.forward(x, "eval")
-        x1 = relu(batchnorm(conv2d(x, unit.conv1.kernels, unit.conv1.bias),
-                            unit.bn1.gamma, unit.bn1.beta, unit.bn1.state, "eval"))
-        x2 = batchnorm(conv2d(x1, unit.conv2.kernels, unit.conv2.bias),
-                       unit.bn2.gamma, unit.bn2.beta, unit.bn2.state, "eval")
-        np.testing.assert_array_equal(out.data, np.maximum(x.data + x2.data, 0.0))
-        default = ResUnit(2, np.random.default_rng(40), dtype=F64)
-        for (_, a), (_, b) in zip(default.params(), unit.params()):
-            a.data[...] = b.data
-        assert not np.array_equal(default.forward(x, "eval").data, out.data)
-
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
         tape = Tape()

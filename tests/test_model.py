@@ -76,7 +76,7 @@ def toy_window(rng, dims=TOY_DIMS, batch=None):
 
 class TestSpatialModule:
     def test_paper_scale_output_shape(self):
-        # 32 channels on an 8x16 grid flatten to 4096 features per index.
+        # 32 channels on an 8x16 grid give 4096 features per index.
         dims = ModelDims(rows=8, cols=16, seq_len=3, channels=32, lstm_hidden=8,
                          rank=4, embed_dim=6)
         sm = SpatialModule(dims, np.random.default_rng(0), dtype=np.float32)
@@ -405,3 +405,27 @@ class TestCheckpoint:
         assert loaded.dtype == np.float32
         for (_, p), (_, q) in zip(model.named_tensors(), loaded.named_tensors()):
             np.testing.assert_array_equal(q.data, p.data)
+
+
+class TestGradcheckCoverage:
+    def test_every_recorded_op_has_a_gradcheck_case(self):
+        """A train-mode step of every model records only ops gradcheck differences."""
+        from stdinet.bench import MlpModel
+        from stdinet.gradcheck import COMPOSED, OPS
+        from stdinet.training import mse_loss
+
+        rng = np.random.default_rng(17)
+        d = TOY_DIMS
+        models = [build_model(kind, d, seed=3) for kind in MODEL_KINDS] + [MlpModel(d, seed=3)]
+        recorded = set()
+        for model in models:
+            tape = Tape()
+            model.attach_tape(tape)
+            # An input that needs a gradient also records the frame selection.
+            x = Tensor(rng.random((2, d.seq_len, 2, d.rows, d.cols)).astype(np.float32),
+                       requires_grad=True, tape=tape)
+            y = Tensor(rng.random((2, 2, d.rows, d.cols)).astype(np.float32))
+            mse_loss(model.forward_batch(x, [3, 20], mode="train"), y)
+            recorded |= {node.op for node in tape.nodes}
+        assert {"conv2d", "batchnorm", "lstm", "take", "take_rows", "hconcat"} <= recorded
+        assert recorded - set(OPS) - set(COMPOSED) == set()
