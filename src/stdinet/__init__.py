@@ -21,7 +21,6 @@ from .data import (
     DemandSeries,
     SampleWindow,
     StationGrid,
-    TripRecord,
     assign_grid,
     build_demand_series,
     generate_hour_embeddings,
@@ -53,7 +52,7 @@ __all__ = [
     "STANDARD", "VERIFICATION", "Tape", "Tensor", "finite_diff_check",
     "MODEL_KINDS", "ModelDims", "TOY_DIMS", "build_model",
     "load_checkpoint", "save_checkpoint",
-    "DemandSeries", "SampleWindow", "StationGrid", "TripRecord", "assign_grid",
+    "DemandSeries", "SampleWindow", "StationGrid", "assign_grid",
     "build_demand_series", "generate_hour_embeddings", "load_hour_embeddings",
     "make_windows", "parse_trips", "read_demand_series", "regime_demand_series",
     "select_stations", "split_dataset", "write_demand_series",

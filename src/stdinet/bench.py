@@ -104,27 +104,17 @@ def baseline_ha(series, test_windows, boundary_epoch):
     least one full week of them is required.  Hours never seen in training
     predict zero.
     """
-    train_idx = [t for t in range(series.length)
-                 if series.start_epoch + t * series.interval_seconds < boundary_epoch]
-    if len(train_idx) < 168:
-        raise DataError(f"historical average needs a training week, got {len(train_idx)} intervals")
-
-    sums = {}
-    counts = {}
-    for t in train_idx:
-        hour = (series.start_epoch + t * series.interval_seconds) // 3600 % 24
-        if hour not in sums:
-            sums[hour] = np.zeros_like(series.values[0], dtype=np.float64)
-            counts[hour] = 0
-        sums[hour] += series.values[t]
-        counts[hour] += 1
-
-    zero = np.zeros_like(series.values[0], dtype=np.float64)
-    preds = []
-    for w in test_windows:
-        hour = w.target_epoch // 3600 % 24
-        preds.append(sums[hour] / counts[hour] if hour in counts else zero)
-    return np.stack(preds)
+    epochs = series.start_epoch + np.arange(series.length) * series.interval_seconds
+    train = epochs < boundary_epoch
+    hours = epochs[train] // 3600 % 24
+    if len(hours) < 168:
+        raise DataError(f"historical average needs a training week, got {len(hours)} intervals")
+    # np.add.at sums in index order, the order a running per-hour sum takes.
+    sums = np.zeros((24, *series.values.shape[1:]))
+    np.add.at(sums, hours, series.values[train])
+    counts = np.bincount(hours, minlength=24).reshape(24, 1, 1, 1)
+    means = sums / np.maximum(counts, 1)
+    return means[[w.target_epoch // 3600 % 24 for w in test_windows]]
 
 
 # ---------------------------------------------------------------------------

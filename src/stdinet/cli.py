@@ -146,14 +146,14 @@ def cmd_ingest(args):
     if args.interval < 1:
         raise UsageError(f"bad --interval {args.interval}; expected a positive number of seconds")
     trip_paths = [resolve_path(p) for p in args.trips]
-    records, audit = D.parse_trip_files(trip_paths)
+    trips, audit = D.parse_trip_files(trip_paths)
     log.info("parsed %d rows, accepted %d, skipped %d",
              audit.rows, audit.accepted, audit.total_skipped())
-    stations = D.select_stations(records, n=args.stations)
-    coords = D.station_coordinates(records)
+    stations = D.select_stations(trips, n=args.stations)
+    coords = D.station_coordinates(trips)
     grid = D.assign_grid([(sid, *coords[sid]) for sid in stations], rows, cols)
-    t0, t1 = D.derive_time_range(records, args.interval)
-    series, counts = D.build_demand_series(records, grid, t0, t1, args.interval)
+    t0, t1 = D.derive_time_range(trips, args.interval)
+    series, counts = D.build_demand_series(trips, grid, t0, t1, args.interval)
 
     out = Path(args.out)
     D.write_demand_series(out, series)
@@ -212,6 +212,15 @@ def cmd_train(args):
     return 0
 
 
+def _extra(extra, key, default, kind):
+    """A checkpoint's ``extra`` value: an int, or for ``float`` any real number."""
+    value = extra.get(key, default)
+    allowed = (int, float) if kind is float else (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise DataError(f"checkpoint extra {key}={value!r}: expected {kind.__name__}")
+    return value
+
+
 def cmd_eval(args):
     started = time.time()
     ckpt_path = resolve_path(args.ckpt)
@@ -224,9 +233,9 @@ def cmd_eval(args):
             f"checkpoint grid {model.dims.rows}x{model.dims.cols}"
         )
     windows = D.make_windows(series, model.dims.seq_len)
-    _, _, test = D.split_dataset(windows, test_days=extra.get("test_days", 10),
-                                 val_frac=extra.get("val_frac", 0.1))
-    preds = predict_windows(model, test, scale=extra.get("scale", 1.0))
+    _, _, test = D.split_dataset(windows, test_days=_extra(extra, "test_days", 10, int),
+                                 val_frac=_extra(extra, "val_frac", 0.1, float))
+    preds = predict_windows(model, test, scale=_extra(extra, "scale", 1.0, float))
     _, _, targets = D.windows_to_arrays(test)
     metrics = compute_metrics(preds, targets.astype(np.float64))
     per_channel = {k: dataclasses.asdict(v)

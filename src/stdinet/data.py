@@ -42,16 +42,15 @@ LON_RANGE = (-75.0, -73.0)
 TIME_FORMATS = ("%Y-%m-%d %H:%M:%S", "%m/%d/%Y %H:%M:%S", "%m/%d/%Y %H:%M")
 
 
-@dataclass(slots=True)
-class TripRecord:
-    start_epoch: int
-    stop_epoch: int
-    start_station: int
-    end_station: int
-    start_lat: float
-    start_lon: float
-    end_lat: float
-    end_lon: float
+# One accepted trip per element; times are UTC epoch seconds.
+TRIP_DTYPE = np.dtype(
+    [(name, np.int64) for name in ("start", "stop", "start_station", "end_station")]
+    + [(name, np.float64) for name in ("start_lat", "start_lon", "end_lat", "end_lon")])
+
+# Parsed rows wait as tuples until this many are converted to TRIP_DTYPE at
+# once, which bounds the memory the tuples take.
+_CHUNK_ROWS = 65536
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 @dataclass
@@ -83,95 +82,107 @@ def _parse_time(text):
     raise ValueError(f"unparsable timestamp {text!r}")
 
 
-def parse_trips(stream, audit=None):
-    """Parse one CSV stream into TripRecords; bad rows are counted, not fatal.
+def _screen(parsed, skipped):
+    """The ``parsed`` trips that stop no earlier than they start, inside the NYC box;
+    stop-before-start takes precedence, and a NaN coordinate is out of bounds."""
+    chunk = np.array(parsed, dtype=TRIP_DTYPE)
+    backwards = chunk["stop"] < chunk["start"]
+    keep = ~backwards
+    for name, (lo, hi) in (("start_lat", LAT_RANGE), ("end_lat", LAT_RANGE),
+                           ("start_lon", LON_RANGE), ("end_lon", LON_RANGE)):
+        keep &= (chunk[name] >= lo) & (chunk[name] <= hi)
+    # Counter's += drops zero counts, which the ingest manifest must not list.
+    skipped += Counter(stop_before_start=int(np.count_nonzero(backwards)),
+                       out_of_bounds=len(chunk) - int(np.count_nonzero(backwards | keep)))
+    return chunk[keep]
 
-    A missing required column is fatal and names the column.  Rows are
-    skipped (with a reason counter) when a field fails to parse, the stop
-    precedes the start, or coordinates fall outside the NYC bounding box.
+
+def parse_trips(stream, audit=None):
+    """Parse one CSV stream into a TRIP_DTYPE array; bad rows are counted, not fatal.
+
+    A missing required column is fatal and names the column.  Rows are skipped (with a
+    reason counter) when a field is missing or fails to parse, the stop precedes the
+    start, or coordinates fall outside the NYC bounding box; blank lines are not rows.
     """
     audit = audit if audit is not None else ParseAudit()
-    reader = csv.DictReader(stream)
-    header = [h.strip() for h in (reader.fieldnames or [])]
+    reader = csv.reader(stream)
+    # Tolerate stray whitespace in header cells; of repeated names the last wins.
+    index = {name.strip(): i for i, name in enumerate(next(reader, []))}
     for col in REQUIRED_COLUMNS:
-        if col not in header:
+        if col not in index:
             raise SchemaError(f"trip CSV is missing required column {col!r}")
-    # Tolerate stray whitespace in header cells.
-    rename = {raw: raw.strip() for raw in (reader.fieldnames or [])}
+    i_start, i_stop, i_sid, i_eid, i_slat, i_slon, i_elat, i_elon = (
+        index[col] for col in REQUIRED_COLUMNS)
 
-    records = []
+    chunks, parsed = [], []
     for row in reader:
+        if not row:
+            continue
         audit.rows += 1
-        row = {rename[k]: v for k, v in row.items() if k in rename}
         try:
-            start = _parse_time(row["starttime"])
-            stop = _parse_time(row["stoptime"])
-            rec = TripRecord(
-                start_epoch=start,
-                stop_epoch=stop,
-                start_station=int(row["start station id"]),
-                end_station=int(row["end station id"]),
-                start_lat=float(row["start station latitude"]),
-                start_lon=float(row["start station longitude"]),
-                end_lat=float(row["end station latitude"]),
-                end_lon=float(row["end station longitude"]),
-            )
-        except (ValueError, TypeError, KeyError):
+            sid, eid = int(row[i_sid]), int(row[i_eid])
+            if sid not in _INT64 or eid not in _INT64:
+                raise ValueError(f"station id {sid} or {eid} does not fit int64")
+            parsed.append((
+                _parse_time(row[i_start]), _parse_time(row[i_stop]), sid, eid,
+                float(row[i_slat]), float(row[i_slon]), float(row[i_elat]), float(row[i_elon]),
+            ))
+        except (ValueError, IndexError):
             audit.skipped["unparsable"] += 1
             continue
-        if rec.stop_epoch < rec.start_epoch:
-            audit.skipped["stop_before_start"] += 1
-            continue
-        if not (
-            LAT_RANGE[0] <= rec.start_lat <= LAT_RANGE[1]
-            and LAT_RANGE[0] <= rec.end_lat <= LAT_RANGE[1]
-            and LON_RANGE[0] <= rec.start_lon <= LON_RANGE[1]
-            and LON_RANGE[0] <= rec.end_lon <= LON_RANGE[1]
-        ):
-            audit.skipped["out_of_bounds"] += 1
-            continue
-        audit.accepted += 1
-        records.append(rec)
-    return records, audit
+        if len(parsed) == _CHUNK_ROWS:
+            chunks.append(_screen(parsed, audit.skipped))
+            parsed = []
+    chunks.append(_screen(parsed, audit.skipped))
+    trips = np.concatenate(chunks)
+    audit.accepted += len(trips)
+    return trips, audit
 
 
 def parse_trip_files(paths):
-    """Parse several CSV files into one record list with a merged audit."""
+    """Parse several CSV files into one TRIP_DTYPE array with a merged audit."""
     audit = ParseAudit()
-    records = []
+    parts = [np.empty(0, dtype=TRIP_DTYPE)]
     for path in paths:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            recs, _ = parse_trips(fh, audit=audit)
-        records.extend(recs)
-    return records, audit
+            parts.append(parse_trips(fh, audit=audit)[0])
+    return np.concatenate(parts), audit
 
 
 # ---------------------------------------------------------------------------
 # station selection and grid layout
 
 
-def select_stations(records, n=128):
+def select_stations(trips, n=128):
     """The n busiest stations by start+stop events; ties go to the lower id."""
-    counts = Counter()
-    for rec in records:
-        counts[rec.start_station] += 1
-        counts[rec.end_station] += 1
-    if len(counts) < n:
-        raise DataError(f"need at least {n} distinct stations, found {len(counts)}")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [sid for sid, _ in ranked[:n]]
+    events = np.concatenate([trips["start_station"], trips["end_station"]])
+    ids, counts = np.unique(events, return_counts=True)
+    if len(ids) < n:
+        raise DataError(f"need at least {n} distinct stations, found {len(ids)}")
+    return ids[np.lexsort((ids, -counts))[:n]].tolist()
 
 
-def station_coordinates(records):
-    """Modal (lat, lon) per station across all sightings."""
-    seen = {}
-    for rec in records:
-        seen.setdefault(rec.start_station, Counter())[(rec.start_lat, rec.start_lon)] += 1
-        seen.setdefault(rec.end_station, Counter())[(rec.end_lat, rec.end_lon)] += 1
-    coords = {}
-    for sid, counter in seen.items():
-        coords[sid] = min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    return coords
+def station_coordinates(trips):
+    """Modal (lat, lon) per station across all sightings; ties go to the lower (lat, lon)."""
+    sid, lat, lon = (np.concatenate([trips["start_" + f], trips["end_" + f]])
+                     for f in ("station", "lat", "lon"))
+    # One column at a time, then the permutation freed: fewer temporaries at once.
+    order = np.lexsort((lon, lat, sid))
+    sid = sid[order]
+    lat = lat[order]
+    lon = lon[order]
+    del order
+    # One run per distinct (station, lat, lon), in that sort order.
+    first = np.ones(len(sid), dtype=bool)
+    first[1:] = (sid[1:] != sid[:-1]) | (lat[1:] != lat[:-1]) | (lon[1:] != lon[:-1])
+    runs = np.flatnonzero(first)
+    sightings = np.diff(np.append(runs, len(sid)))
+    sid, lat, lon = sid[runs], lat[runs], lon[runs]
+    # Per station the longest run comes first; lexsort is stable, so of tied
+    # runs the lower (lat, lon) does.
+    best = np.lexsort((-sightings, sid))
+    best = best[np.unique(sid[best], return_index=True)[1]]
+    return dict(zip(sid[best].tolist(), zip(lat[best].tolist(), lon[best].tolist())))
 
 
 @dataclass
@@ -240,17 +251,16 @@ class DemandSeries:
         return ((self.start_epoch + index * self.interval_seconds) // 3600) % 24
 
 
-def derive_time_range(records, interval=3600):
+def derive_time_range(trips, interval=3600):
     """[t0, t1) covering every trip start, aligned to interval boundaries."""
-    if not records:
+    if len(trips) == 0:
         raise DataError("no records to derive a time range from")
-    starts = [r.start_epoch for r in records]
-    t0 = (min(starts) // interval) * interval
-    t1 = (max(starts) // interval) * interval + interval
+    t0 = int(trips["start"].min()) // interval * interval
+    t1 = int(trips["start"].max()) // interval * interval + interval
     return t0, t1
 
 
-def build_demand_series(records, grid, t0, t1, interval=3600):
+def build_demand_series(trips, grid, t0, t1, interval=3600):
     """Count starts and stops per (interval, station) into a DemandSeries.
 
     A trip's start and stop are binned independently by their own timestamps;
@@ -260,24 +270,24 @@ def build_demand_series(records, grid, t0, t1, interval=3600):
     if t0 % interval or t1 % interval or t0 >= t1:
         raise UsageError(f"[{t0}, {t1}) must be aligned to the {interval}s interval")
     length = (t1 - t0) // interval
-    values = np.zeros((length, 2, grid.rows, grid.cols), dtype=np.float32)
+    cells = grid.rows * grid.cols
     audit = Counter()
-    position = grid.position
-    for rec in records:
-        for channel, epoch, sid in (
-            (0, rec.start_epoch, rec.start_station),
-            (1, rec.stop_epoch, rec.end_station),
-        ):
-            kind = "starts" if channel == 0 else "stops"
-            if not t0 <= epoch < t1:
-                audit[f"out_of_range_{kind}"] += 1
-                continue
-            pos = position.get(sid)
-            if pos is None:
-                audit[f"unselected_station_{kind}"] += 1
-                continue
-            values[(epoch - t0) // interval, channel, pos[0], pos[1]] += 1.0
-            audit[f"accepted_{kind}"] += 1
+    order = np.asarray(grid.order, dtype=np.int64)
+    by_id = np.argsort(order)
+    counts = []
+    for kind, epoch, sid in (("starts", trips["start"], trips["start_station"]),
+                             ("stops", trips["stop"], trips["end_station"])):
+        in_range = (epoch >= t0) & (epoch < t1)
+        cell = by_id[np.minimum(np.searchsorted(order, sid, sorter=by_id), cells - 1)]
+        counted = in_range & (order[cell] == sid)
+        n_range, n_counted = int(np.count_nonzero(in_range)), int(np.count_nonzero(counted))
+        # Counter's += drops zero counts, which the ingest manifest must not list.
+        audit += Counter({f"out_of_range_{kind}": len(epoch) - n_range,
+                          f"unselected_station_{kind}": n_range - n_counted,
+                          f"accepted_{kind}": n_counted})
+        slot = (epoch[counted] - t0) // interval * cells + cell[counted]
+        counts.append(np.bincount(slot, minlength=length * cells).reshape(length, cells))
+    values = np.stack(counts, axis=1).reshape(length, 2, grid.rows, grid.cols).astype(np.float32)
     return DemandSeries(start_epoch=t0, interval_seconds=interval, values=values), audit
 
 

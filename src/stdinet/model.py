@@ -447,8 +447,10 @@ def load_checkpoint(path):
         raise DataError(f"{path}: the checkpoint manifest needs an entries list and an extra object")
     model = build_model(kind, dims, seed=0, dtype=np.dtype(dtype_name).type)
     arrays = {}
+    spans = []
     for i, e in enumerate(entries):
         name, shape, dtype, start, nbytes = _manifest_entry(path, i, e)
+        spans.append((start, nbytes, name))
         if start + nbytes > len(blob):
             raise DataError(f"{path}: entry {name} needs bytes {start}..{start + nbytes} "
                             f"but the data is {len(blob)} bytes; the file is truncated")
@@ -471,6 +473,17 @@ def load_checkpoint(path):
     for name, s in model.named_states():
         s.running_mean[:] = stored(f"{name}.running_mean", s.running_mean.shape)
         s.running_var[:] = stored(f"{name}.running_var", s.running_var.shape)
+    # The entries, in offset order, must tile the data with no overlap, gap or
+    # tail.  This comes after the lookups by name, so that a dropped entry is
+    # reported by its name.
+    end = 0
+    for start, nbytes, name in sorted(spans):
+        if start != end:
+            raise DataError(f"{path}: checkpoint entries overlap or leave a gap: "
+                            f"{name} starts at byte {start}, not {end}")
+        end = start + nbytes
+    if end != len(blob):
+        raise DataError(f"{path}: the entries end at byte {end} of {len(blob)} data bytes")
     return model, extra
 
 

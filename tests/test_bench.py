@@ -1,5 +1,7 @@
 """Benchmark tests: metrics, baselines, and the report runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,39 @@ class TestMetrics:
         assert out["rental"].z == 24
 
 
+def reference_ha(series, test_windows, boundary_epoch):
+    """The per-interval loop that ``baseline_ha`` replaced, kept as its reference."""
+    sums, counts = {}, {}
+    for t in range(series.length):
+        epoch = series.start_epoch + t * series.interval_seconds
+        if epoch < boundary_epoch:
+            hour = epoch // 3600 % 24
+            sums.setdefault(hour, np.zeros_like(series.values[0], dtype=np.float64))
+            sums[hour] += series.values[t]
+            counts[hour] = counts.get(hour, 0) + 1
+    zero = np.zeros_like(series.values[0], dtype=np.float64)
+    return np.stack([sums[h] / counts[h] if h in counts else zero
+                     for h in (w.target_epoch // 3600 % 24 for w in test_windows)])
+
+
 class TestHistoricalAverage:
+    @pytest.mark.parametrize("interval", [3600, 7200])
+    def test_matches_per_interval_loop_bitwise(self, interval):
+        from stdinet.data import DemandSeries
+        rng = np.random.default_rng(9)
+        values = rng.gamma(2.0, 1.7, size=(400, 2, 2, 3)).astype(np.float32)
+        series = DemandSeries(start_epoch=1396310400 + 1800, interval_seconds=interval,
+                              values=values)
+        windows = make_windows(series, seq_len=3)
+        test = windows[-60:]
+        boundary = test[0].target_epoch
+        # At the two-hour interval no training interval starts in this hour,
+        # which therefore predicts zero.
+        test.append(dataclasses.replace(test[-1], target_epoch=test[-1].target_epoch + 3600))
+        preds = baseline_ha(series, test, boundary)
+        assert preds.dtype == np.float64
+        assert preds.tobytes() == reference_ha(series, test, boundary).tobytes()
+
     def series_with_profile(self, profile, days=30):
         values = np.zeros((days * 24, 2, 2, 2), dtype=np.float32)
         for t in range(days * 24):

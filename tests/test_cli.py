@@ -88,6 +88,17 @@ class TestIngest:
         assert int(series.values[:, 0].sum()) == n_rows
         assert int(series.values[:, 1].sum()) == n_rows
 
+    def test_short_rows_are_counted_not_fatal(self, tmp_path):
+        trips = tmp_path / "trips.csv"
+        n_rows = synth_trips_csv(trips, per_hour=10)
+        with open(trips, "a", encoding="utf-8") as fh:
+            fh.write('"100"\n"100","2014-04-01 00:00:00"\n')
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(trips), "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "series.stdm.manifest.json").read_text())["config"]
+        assert config["skipped"] == {"unparsable": 2}
+        assert config["counters"]["accepted_starts"] == n_rows
+
     def test_schema_error_exit_code(self, tmp_path):
         trips = tmp_path / "bad.csv"
         trips.write_text("starttime,stoptime\n")
@@ -286,6 +297,28 @@ class TestCheckpointFaults:
         assert self.eval_rc(ckpt, toy_series_path) == 3
         assert grown[0] in caplog.text
 
+
+    @pytest.mark.parametrize("shift,tail", [(4, b""), (-4, b""), (0, b"\0" * 4)],
+                             ids=["moved-later", "moved-earlier", "tail"])
+    def test_entries_not_tiling_the_data_are_a_data_error(self, ckpt, toy_series_path, caplog,
+                                                          shift, tail):
+        def move(manifest):
+            manifest["entries"][1]["offset"] += shift
+
+        rewrite_manifest(ckpt, move)
+        ckpt.write_bytes(ckpt.read_bytes() + tail)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "byte" in caplog.text
+
+    @pytest.mark.parametrize("extra,key", [
+        ({"test_days": 2, "scale": "x"}, "scale"),
+        ({"test_days": "2"}, "test_days"),
+        ({"val_frac": None}, "val_frac"),
+    ], ids=["string-scale", "string-test-days", "null-val-frac"])
+    def test_bad_extra_value_is_a_data_error(self, ckpt, toy_series_path, caplog, extra, key):
+        rewrite_manifest(ckpt, lambda manifest: manifest.update(extra=extra))
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert f"extra {key}=" in caplog.text
 
     @pytest.mark.parametrize("edit", [
         lambda manifest: manifest["dims"].update(channels=0),

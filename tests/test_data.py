@@ -1,15 +1,20 @@
 """Data pipeline tests: parsing, grids, series, windows, splits, embeddings."""
 
+import csv
 import io
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stdinet import DataError, SchemaError, UsageError
 from stdinet.data import (
+    REQUIRED_COLUMNS,
+    TRIP_DTYPE,
     DemandSeries,
-    TripRecord,
     assign_grid,
     build_demand_series,
     derive_time_range,
@@ -33,20 +38,26 @@ APRIL_1_2014 = 1396310400  # 2014-04-01 00:00:00 UTC
 
 
 def trip(start_epoch, stop_epoch, s=1, e=2, lat=40.7, lon=-74.0):
-    return TripRecord(start_epoch, stop_epoch, s, e, lat, lon, lat, lon)
+    return (start_epoch, stop_epoch, s, e, lat, lon, lat, lon)
+
+
+def table(trips):
+    """A TRIP_DTYPE array of ``trip`` tuples."""
+    return np.array(trips, dtype=TRIP_DTYPE)
 
 
 class TestParseTrips:
     def test_fixture_yields_two_valid_records_in_order(self):
         with open(FIXTURE) as fh:
             records, audit = parse_trips(fh)
+        assert records.dtype == TRIP_DTYPE
         assert len(records) == 2
         assert audit.rows == 3
         assert audit.skipped["stop_before_start"] == 1
         # First record starts 2014-04-01 00:12:00, hour of day 0.
-        assert (records[0].start_epoch // 3600) % 24 == 0
-        assert records[0].start_station == 72
-        assert records[1].start_station == 72
+        assert (records["start"][0] // 3600) % 24 == 0
+        assert records["start_station"][0] == 72
+        assert records["start_station"][1] == 72
 
     def test_missing_column_is_fatal_and_named(self):
         stream = io.StringIO("starttime,stoptime,start station id\n")
@@ -77,16 +88,98 @@ class TestParseTrips:
         records, audit = parse_trips(io.StringIO(header + "\n" + row))
         assert len(records) == 1 and audit.accepted == 1
 
+    @pytest.mark.parametrize("bad", ["100", "100,2014-04-01 00:00:00",
+                                     "100,2014-04-01 10:00:00,2014-04-01 10:10:00,72"])
+    def test_short_row_is_unparsable(self, bad):
+        with open(FIXTURE) as fh:
+            header, first = fh.readline(), fh.readline()
+        records, audit = parse_trips(io.StringIO(header + bad + "\n" + first))
+        assert len(records) == 1
+        assert (audit.rows, audit.accepted) == (2, 1)
+        assert dict(audit.skipped) == {"unparsable": 1}
+
+    @pytest.mark.parametrize("station", ["99999999999999999999", "-9223372036854775809"])
+    def test_station_id_beyond_int64_is_unparsable(self, station):
+        header = ",".join(REQUIRED_COLUMNS)
+        good = "2014-04-01 10:00:00,2014-04-01 10:10:00,1,9223372036854775807,40.7,-74.0,40.7,-74.0"
+        bad = f"2014-04-01 10:00:00,2014-04-01 10:10:00,{station},2,40.7,-74.0,40.7,-74.0"
+        records, audit = parse_trips(io.StringIO("\n".join([header, good, bad])))
+        assert records["end_station"].tolist() == [2 ** 63 - 1]
+        assert dict(audit.skipped) == {"unparsable": 1}
+
+    def test_blank_lines_are_not_rows(self):
+        with open(FIXTURE) as fh:
+            lines = fh.read().splitlines()
+        records, audit = parse_trips(io.StringIO("\n\n".join(lines) + "\n\n"))
+        assert (len(records), audit.rows) == (2, 3)
+
+    def test_stop_before_start_wins_and_nan_is_out_of_bounds(self):
+        header = ",".join(REQUIRED_COLUMNS)
+        rows = ["2014-04-01 10:00:00,2014-04-01 09:00:00,1,2,0.0,0.0,40.7,-74.0",
+                "2014-04-01 10:00:00,2014-04-01 10:10:00,1,2,nan,-74.0,40.7,-74.0",
+                "2014-04-01 10:00:00,2014-04-01 10:10:00,1,2,40.7,-74.0,40.7,-inf"]
+        records, audit = parse_trips(io.StringIO("\n".join([header] + rows)))
+        assert len(records) == 0
+        assert dict(audit.skipped) == {"stop_before_start": 1, "out_of_bounds": 2}
+
+
+# Well-formed values of each column; the second stop comes before the start
+# and the second latitude lies outside the NYC box.
+WELL_FORMED = {
+    "starttime": ["2014-04-01 10:00:00"], "stoptime": ["4/1/2014 10:10", "2014-04-01 09:59:59"],
+    "start station id": ["72"], "end station id": ["79"],
+    "start station latitude": ["40.7"], "start station longitude": ["-74.0"],
+    "end station latitude": ["40.75", "41.6"], "end station longitude": ["-73.99"],
+}
+GARBAGE = st.one_of(
+    st.sampled_from(["", " ", "N/A", "nan", "-inf", "1e999", "72.0", "1_0", "99999999999999999999",
+                     "2014-02-30 00:00:00", "2014-04-01 09:00:00", "13/1/2014 00:00", "0.0"]),
+    st.text(alphabet=st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+            max_size=6),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parse_counts_every_garbage_row_and_never_raises(data):
+    """Random fields, row lengths and blank lines: each row is accepted or skipped."""
+    columns = data.draw(st.permutations(REQUIRED_COLUMNS + ("tripduration",)))
+    missing = data.draw(st.sampled_from(REQUIRED_COLUMNS)) if data.draw(st.integers(0, 4)) == 0 \
+        else None
+    columns = [c for c in columns if c != missing]
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n")
+    writer.writerow(columns)
+    written = 0
+    for _ in range(data.draw(st.integers(0, 12))):
+        row = [data.draw(st.sampled_from(WELL_FORMED.get(c, ["540"]))) for c in columns]
+        if data.draw(st.booleans()):
+            row = row[:data.draw(st.integers(0, len(row)))] + data.draw(st.lists(GARBAGE, max_size=2))
+            for _ in range(data.draw(st.integers(0, 3))):
+                if row:
+                    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(GARBAGE)
+        writer.writerow(row)
+        written += bool(row)
+    stream = io.StringIO(out.getvalue(), newline="")
+    if missing is not None:
+        with pytest.raises(SchemaError, match=missing):
+            parse_trips(stream)
+        return
+    trips, audit = parse_trips(stream)
+    assert audit.accepted + audit.total_skipped() == audit.rows == written
+    assert len(trips) == audit.accepted
+    assert all(type(count) is int and count > 0 for count in audit.skipped.values())
+
 
 class TestSelectStations:
     def test_top_two_by_volume(self):
         records = []
         for sid, count in ((10, 10), (20, 5), (30, 1)):
             records += [trip(0, 0, s=sid, e=sid)] * count  # 2 events per trip
-        assert select_stations(records, n=2) == [10, 20]
+        assert select_stations(table(records), n=2) == [10, 20]
 
     def test_tie_goes_to_lower_id(self):
-        records = [trip(0, 0, s=5, e=5), trip(0, 0, s=3, e=3), trip(0, 0, s=9, e=9)]
+        records = table([trip(0, 0, s=5, e=5), trip(0, 0, s=3, e=3), trip(0, 0, s=9, e=9)])
         assert select_stations(records, n=2) == [3, 5]
 
     def test_matches_full_sort_oracle(self):
@@ -95,17 +188,17 @@ class TestSelectStations:
         for sid in range(200):
             for _ in range(int(rng.integers(1, 30))):
                 records.append(trip(0, 0, s=sid, e=int(rng.integers(0, 200))))
-        got = select_stations(records, n=128)
+        got = select_stations(table(records), n=128)
         counts = {}
-        for r in records:
-            counts[r.start_station] = counts.get(r.start_station, 0) + 1
-            counts[r.end_station] = counts.get(r.end_station, 0) + 1
+        for _, _, s, e, *_ in records:
+            counts[s] = counts.get(s, 0) + 1
+            counts[e] = counts.get(e, 0) + 1
         oracle = [sid for sid, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))][:128]
         assert got == oracle
 
     def test_too_few_stations_fatal(self):
         with pytest.raises(DataError, match="2"):
-            select_stations([trip(0, 0, s=1, e=2)], n=5)
+            select_stations(table([trip(0, 0, s=1, e=2)]), n=5)
 
 
 class TestAssignGrid:
@@ -147,8 +240,8 @@ class TestAssignGrid:
     def test_modal_coordinates(self):
         records = [trip(0, 0, s=1, e=1, lat=40.7, lon=-74.0)] * 3
         records.append(trip(0, 0, s=1, e=1, lat=40.8, lon=-73.9))
-        coords = station_coordinates(records)
-        assert coords[1] == (40.7, -74.0)
+        coords = station_coordinates(table(records))
+        assert coords == {1: (40.7, -74.0)}
 
 
 class TestBuildSeries:
@@ -159,14 +252,14 @@ class TestBuildSeries:
     def test_counts_three_starts_in_one_hour(self):
         t0 = APRIL_1_2014
         records = [trip(t0 + 7 * 3600 + k * 60, t0 + 8 * 3600, s=1, e=2) for k in range(3)]
-        series, audit = build_demand_series(records, self.grid2(), t0, t0 + 24 * 3600)
+        series, audit = build_demand_series(table(records), self.grid2(), t0, t0 + 24 * 3600)
         assert series.values[7, 0, 0, 0] == 3.0
         assert audit["accepted_starts"] == 3
 
     def test_start_and_stop_binned_independently(self):
         t0 = APRIL_1_2014
         rec = trip(t0 + 9 * 3600 + 59 * 60, t0 + 10 * 3600 + 60, s=1, e=1)
-        series, _ = build_demand_series([rec], self.grid2(), t0, t0 + 24 * 3600)
+        series, _ = build_demand_series(table([rec]), self.grid2(), t0, t0 + 24 * 3600)
         assert series.values[9, 0, 0, 0] == 1.0   # start in hour 9
         assert series.values[10, 1, 0, 0] == 1.0  # stop in hour 10
 
@@ -176,7 +269,7 @@ class TestBuildSeries:
             trip(t0 - 10, t0 + 30, s=1, e=1),          # start before range
             trip(t0 + 30, t0 + 60, s=999, e=1),        # unknown start station
         ]
-        series, audit = build_demand_series(records, self.grid2(), t0, t0 + 3600)
+        series, audit = build_demand_series(table(records), self.grid2(), t0, t0 + 3600)
         assert audit["out_of_range_starts"] == 1
         assert audit["unselected_station_starts"] == 1
         assert audit["accepted_stops"] == 2
@@ -192,21 +285,102 @@ class TestBuildSeries:
             records.append(trip(start, start + int(rng.integers(0, 7200)),
                                 s=int(rng.choice([1, 2, 3, 4])),
                                 e=int(rng.choice([1, 2, 3, 4]))))
-        series, audit = build_demand_series(records, grid, t0, t0 + 48 * 3600)
+        series, audit = build_demand_series(table(records), grid, t0, t0 + 48 * 3600)
         assert series.values[:, 0].sum() == audit["accepted_starts"]
         assert series.values[:, 1].sum() == audit["accepted_stops"]
         assert audit["accepted_starts"] == 500  # all starts inside the range
 
     def test_unaligned_range_rejected(self):
         with pytest.raises(UsageError):
-            build_demand_series([], self.grid2(), 10, 7210)
+            build_demand_series(table([]), self.grid2(), 10, 7210)
 
     def test_derive_time_range_covers_starts(self):
         records = [trip(APRIL_1_2014 + 100, APRIL_1_2014 + 200),
                    trip(APRIL_1_2014 + 5 * 3600, APRIL_1_2014 + 6 * 3600)]
-        t0, t1 = derive_time_range(records)
+        t0, t1 = derive_time_range(table(records))
         assert t0 == APRIL_1_2014
         assert t1 == APRIL_1_2014 + 6 * 3600
+
+
+# The per-record passes that the columnar ones replaced, kept as references.
+Record = namedtuple("Record", "start_epoch stop_epoch start_station end_station "
+                              "start_lat start_lon end_lat end_lon")
+
+
+def reference_select_stations(records, n):
+    counts = Counter()
+    for rec in records:
+        counts[rec.start_station] += 1
+        counts[rec.end_station] += 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [sid for sid, _ in ranked[:n]]
+
+
+def reference_station_coordinates(records):
+    seen = {}
+    for rec in records:
+        seen.setdefault(rec.start_station, Counter())[(rec.start_lat, rec.start_lon)] += 1
+        seen.setdefault(rec.end_station, Counter())[(rec.end_lat, rec.end_lon)] += 1
+    return {sid: min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+            for sid, counter in seen.items()}
+
+
+def reference_build_demand_series(records, grid, t0, t1, interval):
+    length = (t1 - t0) // interval
+    values = np.zeros((length, 2, grid.rows, grid.cols), dtype=np.float32)
+    audit = Counter()
+    for rec in records:
+        for channel, epoch, sid in ((0, rec.start_epoch, rec.start_station),
+                                    (1, rec.stop_epoch, rec.end_station)):
+            kind = "starts" if channel == 0 else "stops"
+            if not t0 <= epoch < t1:
+                audit[f"out_of_range_{kind}"] += 1
+                continue
+            pos = grid.position.get(sid)
+            if pos is None:
+                audit[f"unselected_station_{kind}"] += 1
+                continue
+            values[(epoch - t0) // interval, channel, pos[0], pos[1]] += 1.0
+            audit[f"accepted_{kind}"] += 1
+    return values, audit
+
+
+def random_trips(seed, n):
+    """Trips over 40 stations with few distinct counts and coordinates, so that
+    ties are common; some stops run past the series end or before its start."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(np.arange(1, 500), size=40, replace=False)
+    lats = rng.choice([40.70, 40.71, 40.72], size=(40, 3))
+    lons = rng.choice([-74.0, -73.99], size=(40, 3))
+    s, e = rng.integers(0, 40, size=(2, n))
+    ks, ke = rng.integers(0, 3, size=(2, n))
+    start = APRIL_1_2014 + rng.integers(0, 30 * 3600, n)
+    stop = start + rng.integers(-7200, 6 * 3600, n)
+    return table(list(zip(start.tolist(), stop.tolist(), ids[s].tolist(), ids[e].tolist(),
+                          lats[s, ks].tolist(), lons[s, ks].tolist(),
+                          lats[e, ke].tolist(), lons[e, ke].tolist())))
+
+
+class TestColumnarPassesMatchReferences:
+    @pytest.mark.parametrize("seed,n", [(0, 30), (1, 200), (2, 3000)])
+    def test_selection_coordinates_and_series(self, seed, n):
+        trips = random_trips(seed, n)
+        records = [Record(*t) for t in trips.tolist()]
+        assert select_stations(trips, n=16) == reference_select_stations(records, 16)
+        coords = station_coordinates(trips)
+        assert coords == reference_station_coordinates(records)
+        assert all(type(k) is int and type(lat) is float and type(lon) is float
+                   for k, (lat, lon) in coords.items())
+        grid = assign_grid([(sid, *coords[sid]) for sid in select_stations(trips, n=16)], 4, 4)
+        for interval in (3600, 1800):
+            t0, t1 = derive_time_range(trips, interval)
+            t1 -= 4 * interval          # leaves some starts out of range too
+            series, audit = build_demand_series(trips, grid, t0, t1, interval)
+            values, ref_audit = reference_build_demand_series(records, grid, t0, t1, interval)
+            assert dict(audit) == dict(ref_audit)
+            assert all(type(count) is int for count in audit.values())
+            assert series.values.dtype == values.dtype
+            assert series.values.tobytes() == values.tobytes()
 
 
 class TestWindows:
