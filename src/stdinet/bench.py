@@ -142,35 +142,54 @@ def ridge_closed_form(x, y, lam):
 def lasso_coordinate_descent(x, y, alpha, tol=1e-6, max_sweeps=1000):
     """Cyclic coordinate descent for (1/2n)||y - Xb||^2 + alpha*||b||_1.
 
-    The intercept is unpenalized (handled by centering).  Stops when no
-    coefficient moved more than ``tol`` in a sweep.
+    ``y`` is one output (n,) or m outputs (n, m) of the same design; the
+    result is ``beta`` (f,) and a scalar intercept, or (f, m) and (m,).
+    Every output is solved as if alone, but in the covariance-update form
+    (Friedman, Hastie & Tibshirani, J. Stat. Softw. 33(1), 2010): the Gram
+    matrix is shared, so one coordinate step moves all outputs at once.  The
+    intercept is unpenalized (handled by centering).  An output stops when
+    none of its coefficients moved more than ``tol`` in a sweep.
     """
     n, f = x.shape
+    ys = y.reshape(n, -1)
+    m = ys.shape[1]
     x_mean = x.mean(axis=0)
-    y_mean = y.mean()
     xc = x - x_mean
-    yc = y - y_mean
     gram = xc.T @ xc
-    cty = xc.T @ yc
-    diag = np.diag(gram).copy()
-    beta = np.zeros(f)
-    q = np.zeros(f)  # gram @ beta, maintained incrementally
+    # One mean and one GEMV per output: a single (f, n) @ (n, m) GEMM rounds
+    # differently from the per-output solve.
+    y_mean = [ys[:, k].mean() for k in range(m)]
+    cty = np.stack([xc.T @ (ys[:, k] - y_mean[k]) for k in range(m)], axis=1)
+    diag = np.diag(gram)
+    steps = [(j, diag[j], gram[:, j, None].copy()) for j in range(f) if diag[j] != 0.0]
     thresh = n * alpha
+    beta = np.zeros((f, m))
+    # The outputs still moving, and their beta, q = gram @ beta and cty.
+    live = np.arange(m)
+    b, q, c = beta.copy(), np.zeros((f, m)), cty
     for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j in range(f):
-            if diag[j] == 0.0:
-                continue
-            rho = cty[j] - q[j] + diag[j] * beta[j]
-            new = np.sign(rho) * max(abs(rho) - thresh, 0.0) / diag[j]
-            delta = new - beta[j]
-            if delta != 0.0:
-                q += gram[:, j] * delta
-                beta[j] = new
-                max_delta = max(max_delta, abs(delta))
-        if max_delta < tol:
-            break
-    intercept = y_mean - x_mean @ beta
+        moved = np.zeros(len(live))
+        for j, d, g in steps:
+            rho = c[j] - q[j] + d * b[j]
+            new = np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0) / d
+            delta = new - b[j]
+            q += g * delta
+            # A nil step keeps the old coefficient, as the one-output solve
+            # did; writing ``new`` would flip the sign of some zeros.
+            np.copyto(b[j], new, where=delta != 0.0)
+            np.maximum(moved, np.abs(delta), out=moved)
+        done = moved < tol
+        if done.any():
+            beta[:, live[done]] = b[:, done]
+            keep = ~done
+            live, b, q, c = live[keep], b[:, keep], q[:, keep], c[:, keep]
+            if not len(live):
+                break
+    beta[:, live] = b
+    intercept = np.array([y_mean[k] - x_mean @ np.ascontiguousarray(beta[:, k])
+                          for k in range(m)])
+    if y.ndim == 1:
+        return beta[:, 0], intercept[0]
     return beta, intercept
 
 
@@ -203,14 +222,7 @@ def baseline_linear(train_windows, val_windows, kind, lambda_grid=(0.01, 0.1, 1.
         if kind == "ridge":
             weights, intercept = ridge_closed_form(x_train, y_train, lam)
         else:
-            cols = []
-            intercepts = []
-            for j in range(y_train.shape[1]):
-                beta, b0 = lasso_coordinate_descent(x_train, y_train[:, j], lam)
-                cols.append(beta)
-                intercepts.append(b0)
-            weights = np.stack(cols, axis=1)
-            intercept = np.array(intercepts)
+            weights, intercept = lasso_coordinate_descent(x_train, y_train, lam)
         val_pred = x_val @ weights + intercept
         rmse = float(np.sqrt(np.mean((val_pred - y_val) ** 2)))
         if best is None or rmse < best[0]:

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -212,12 +213,16 @@ def cmd_train(args):
     return 0
 
 
-def _extra(extra, key, default, kind):
-    """A checkpoint's ``extra`` value: an int, or for ``float`` any real number."""
+def _extra(extra, key, default, kind, bounds=None):
+    """A checkpoint's ``extra`` value: an int, or for ``float`` any real number,
+    inside the open interval ``bounds`` when one is given."""
     value = extra.get(key, default)
     allowed = (int, float) if kind is float else (int,)
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise DataError(f"checkpoint extra {key}={value!r}: expected {kind.__name__}")
+    if bounds and not bounds[0] < value < bounds[1]:
+        raise DataError(f"checkpoint extra {key}={value!r}: expected a value in "
+                        f"({bounds[0]}, {bounds[1]})")
     return value
 
 
@@ -234,8 +239,9 @@ def cmd_eval(args):
         )
     windows = D.make_windows(series, model.dims.seq_len)
     _, _, test = D.split_dataset(windows, test_days=_extra(extra, "test_days", 10, int),
-                                 val_frac=_extra(extra, "val_frac", 0.1, float))
-    preds = predict_windows(model, test, scale=_extra(extra, "scale", 1.0, float))
+                                 val_frac=_extra(extra, "val_frac", 0.1, float, (0, 1)))
+    preds = predict_windows(model, test,
+                            scale=_extra(extra, "scale", 1.0, float, (0, math.inf)))
     _, _, targets = D.windows_to_arrays(test)
     metrics = compute_metrics(preds, targets.astype(np.float64))
     per_channel = {k: dataclasses.asdict(v)

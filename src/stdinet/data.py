@@ -329,6 +329,8 @@ def split_dataset(windows, test_days=10, val_frac=0.1):
     Test windows may consume input intervals from before the boundary; only
     the target's timestamp decides membership.
     """
+    if not 0 < val_frac < 1:
+        raise UsageError(f"val_frac must lie in (0, 1), got {val_frac!r}")
     if not windows:
         raise DataError("no windows to split")
     end_epoch = max(w.target_epoch for w in windows) + windows[0].interval_seconds

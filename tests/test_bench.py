@@ -230,6 +230,114 @@ class TestLinearBaselines:
             baseline_linear(windows[:10], windows[10:], "ridge", lambda_grid=(0.0, 1.0))
 
 
+def lasso_scalar_reference(x, y, alpha, tol=1e-6, max_sweeps=1000):
+    """One output at a time, one scalar coordinate step at a time.
+
+    The per-column solve that ``lasso_coordinate_descent`` ran before it
+    took every output in one sweep; kept as the bitwise reference.
+    """
+    n, f = x.shape
+    x_mean = x.mean(axis=0)
+    y_mean = y.mean()
+    xc = x - x_mean
+    gram = xc.T @ xc
+    cty = xc.T @ (y - y_mean)
+    diag = np.diag(gram).copy()
+    beta = np.zeros(f)
+    q = np.zeros(f)
+    thresh = n * alpha
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in range(f):
+            if diag[j] == 0.0:
+                continue
+            rho = cty[j] - q[j] + diag[j] * beta[j]
+            new = np.sign(rho) * max(abs(rho) - thresh, 0.0) / diag[j]
+            delta = new - beta[j]
+            if delta != 0.0:
+                q += gram[:, j] * delta
+                beta[j] = new
+                max_delta = max(max_delta, abs(delta))
+        if max_delta < tol:
+            break
+    return beta, y_mean - x_mean @ beta
+
+
+def lasso_per_column(x, y, alpha, **kwargs):
+    fits = [lasso_scalar_reference(x, y[:, k], alpha, **kwargs) for k in range(y.shape[1])]
+    return np.stack([b for b, _ in fits], axis=1), np.array([b0 for _, b0 in fits])
+
+
+def assert_same_bits(got, want):
+    # tobytes also tells -0.0 from 0.0, which array_equal does not.
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def demand_design(length, seed):
+    inputs, _, targets = windows_to_arrays(
+        make_windows(random_demand_series(length, rows=4, cols=4, seed=seed), 3))
+    n = len(inputs)
+    return inputs.reshape(n, -1).astype(np.float64), targets.reshape(n, -1).astype(np.float64)
+
+
+LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
+
+
+class TestLassoAllOutputs:
+    """The 2-d solve is bit-equal to solving each output column alone."""
+
+    @pytest.mark.parametrize("alpha", LAMBDA_GRID)
+    def test_demand_design_matches_per_column(self, alpha):
+        x, y = demand_design(160, seed=12)
+        assert x.shape == (157, 96) and y.shape == (157, 32)
+        assert_same_bits(lasso_coordinate_descent(x, y, alpha), lasso_per_column(x, y, alpha))
+
+    @pytest.mark.parametrize("alpha", LAMBDA_GRID)
+    def test_zero_variance_feature_is_skipped(self, alpha):
+        x, y = demand_design(240, seed=13)
+        x[:, 7] = 2.0
+        fit = lasso_coordinate_descent(x, y, alpha)
+        assert not fit[0][7].any()
+        assert_same_bits(fit, lasso_per_column(x, y, alpha))
+
+    @pytest.mark.parametrize("alpha", LAMBDA_GRID)
+    def test_outputs_stop_at_their_own_sweep(self, alpha):
+        # Correlated features make the large second output take 300-400
+        # sweeps and the noise output about 200 (at 0.01); the all-zero first
+        # output is done after one.
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(90, 1)) + 0.3 * rng.normal(size=(90, 6))
+        y = np.zeros((90, 3))
+        y[:, 1] = 1000.0 * (x @ np.array([3.0, -2.0, 1.0, 0.0, 0.5, -1.0]))
+        y[:, 1] += rng.normal(scale=0.1, size=90)
+        y[:, 2] = rng.normal(size=90)
+        cut = lasso_per_column(x, y, alpha, max_sweeps=50)
+        full = lasso_per_column(x, y, alpha)
+        assert not np.array_equal(cut[0][:, 1], full[0][:, 1])
+        assert not full[0][:, 0].any()
+        assert_same_bits(lasso_coordinate_descent(x, y, alpha), full)
+        # Cut off before the slow outputs converge: each keeps its last sweep.
+        assert_same_bits(lasso_coordinate_descent(x, y, alpha, max_sweeps=50), cut)
+
+    def test_one_output_returns_vector_and_scalar(self):
+        x, y = demand_design(120, seed=15)
+        beta, b0 = lasso_coordinate_descent(x, y[:, 3], 0.1)
+        ref_beta, ref_b0 = lasso_scalar_reference(x, y[:, 3], 0.1)
+        assert beta.shape == (96,) and np.ndim(b0) == 0
+        assert beta.tobytes() == ref_beta.tobytes() and b0 == ref_b0
+
+    def test_baseline_linear_matches_per_column(self):
+        series = random_demand_series(200, rows=4, cols=4, seed=16)
+        train, val, _ = split_dataset(make_windows(series, 3), test_days=2, val_frac=0.2)
+        model = baseline_linear(train, val, "lasso", LAMBDA_GRID)
+        inputs, _, targets = windows_to_arrays(train)
+        x = inputs.reshape(len(train), -1).astype(np.float64)
+        y = targets.reshape(len(train), -1).astype(np.float64)
+        assert_same_bits((model.weights, model.intercept), lasso_per_column(x, y, model.lam))
+
+
 class TestMlpBaseline:
     def test_parameter_census(self):
         dims = ModelDims()  # input 3*2*8*16 = 768, output 256

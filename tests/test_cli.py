@@ -179,6 +179,15 @@ class TestTrain:
         assert override.split("=")[0] in caplog.text
         assert not (tmp_path / "c.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1"])
+    def test_val_frac_outside_unit_interval_is_a_usage_error(self, toy_series_path, tmp_path,
+                                                             value, caplog):
+        rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
+                   "--config", FAST + ",val_frac=" + value, "--out", str(tmp_path / "v.ckpt")])
+        assert rc == 2
+        assert "val_frac" in caplog.text
+        assert not (tmp_path / "v.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_exit_code(self, toy_series_path, tmp_path):
@@ -320,6 +329,21 @@ class TestCheckpointFaults:
         assert self.eval_rc(ckpt, toy_series_path) == 3
         assert f"extra {key}=" in caplog.text
 
+    @pytest.mark.parametrize("extra,key", [
+        ({"test_days": 2, "scale": 0.0}, "scale"),
+        ({"test_days": 2, "scale": -2.0}, "scale"),
+        ({"test_days": 2, "scale": float("nan")}, "scale"),
+        ({"test_days": 2, "scale": float("inf")}, "scale"),
+        ({"test_days": 2, "val_frac": 1.5}, "val_frac"),
+        ({"test_days": 2, "val_frac": 0}, "val_frac"),
+    ], ids=["zero-scale", "negative-scale", "nan-scale", "infinite-scale", "val-frac-above-one",
+            "zero-val-frac"])
+    def test_out_of_range_extra_value_is_a_data_error(self, ckpt, toy_series_path, caplog,
+                                                      extra, key):
+        rewrite_manifest(ckpt, lambda manifest: manifest.update(extra=extra))
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert f"extra {key}=" in caplog.text
+
     @pytest.mark.parametrize("edit", [
         lambda manifest: manifest["dims"].update(channels=0),
         lambda manifest: manifest["dims"].update(depth=3),
@@ -452,6 +476,15 @@ class TestBench:
         assert rc == 0
         rows = list(csv.DictReader((tmp_path / "bench_table3.csv").open()))
         assert "STDIFusion" in {r["method"] for r in rows}
+
+    def test_val_frac_outside_unit_interval_is_a_usage_error(self, toy_series_path, tmp_path,
+                                                             caplog):
+        rc = main(["bench", "--data", str(toy_series_path), "--suite", "table1",
+                   "--seed", "0", "--out", str(tmp_path / "out"),
+                   "--config", FAST + ",epochs=1,patience=1,val_frac=1.5"])
+        assert rc == 2
+        assert "val_frac" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_same_seed_identical_csv(self, toy_series_path, tmp_path):
         blobs = []

@@ -442,6 +442,12 @@ class TestSplit:
         with pytest.raises(DataError, match="empty split"):
             split_dataset(windows, test_days=10, val_frac=0.1)
 
+    @pytest.mark.parametrize("val_frac", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_val_frac_outside_unit_interval_rejected(self, val_frac):
+        windows = make_windows(random_demand_series(400, seed=8), seq_len=3)
+        with pytest.raises(UsageError, match="val_frac"):
+            split_dataset(windows, test_days=2, val_frac=val_frac)
+
     def test_windows_to_arrays_shapes(self):
         series = random_demand_series(30, seed=11)
         windows = make_windows(series, seq_len=3)
