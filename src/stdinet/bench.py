@@ -1,6 +1,7 @@
-"""Metrics, reference baselines, and the benchmark runner.
+"""Reference baselines and the benchmark runner.
 
-RMSE and MAE pool every predicted value: all stations, both channels, all
+RMSE and MAE (``compute_metrics``, shared with the training loop's
+validation) pool every predicted value: all stations, both channels, all
 test intervals share one denominator z.  Per-channel numbers are reported
 additionally but are not the headline.
 
@@ -19,12 +20,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import make_windows, split_dataset, generate_hour_embeddings, load_hour_embeddings, windows_to_arrays
+from .data import TEST_DAYS, VAL_FRAC, hour_table, make_windows, split_dataset, windows_to_arrays
 from .errors import DataError, UsageError
 from .layers import LinearLayer
 from .model import MODEL_KINDS, ModelBase, ModelDims, build_model
 from .tensor import resolve_dtype
-from .training import TrainConfig, fit, predict_windows
+from .training import MetricPair, TrainConfig, compute_metrics, fit, predict_windows
 
 # RMSE/MAE reported for each method on the 2014 NYC Citi Bike benchmark,
 # shown beside reproduced numbers.  The exact station selection and grid
@@ -62,29 +63,6 @@ SUITES["all"] = list(dict.fromkeys(SUITES["table1"] + SUITES["table2"] + SUITES[
 # metrics
 
 
-@dataclass
-class MetricPair:
-    rmse: float
-    mae: float
-    z: int
-
-
-def compute_metrics(preds, targets):
-    """Pooled RMSE and MAE over every predicted value."""
-    preds = np.asarray(preds, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if preds.size == 0:
-        raise UsageError("compute_metrics: empty predictions")
-    if preds.shape != targets.shape:
-        raise UsageError(f"compute_metrics: shapes {preds.shape} vs {targets.shape}")
-    err = preds - targets
-    return MetricPair(
-        rmse=float(np.sqrt(np.mean(err ** 2))),
-        mae=float(np.mean(np.abs(err))),
-        z=int(preds.size),
-    )
-
-
 def per_channel_metrics(preds, targets):
     """Supplementary rental/return breakdown of the pooled metrics."""
     out = {}
@@ -104,9 +82,9 @@ def baseline_ha(series, test_windows, boundary_epoch):
     least one full week of them is required.  Hours never seen in training
     predict zero.
     """
-    epochs = series.start_epoch + np.arange(series.length) * series.interval_seconds
-    train = epochs < boundary_epoch
-    hours = epochs[train] // 3600 % 24
+    index = np.arange(series.length)
+    train = series.start_epoch + index * series.interval_seconds < boundary_epoch
+    hours = series.hour_of(index)[train]
     if len(hours) < 168:
         raise DataError(f"historical average needs a training week, got {len(hours)} intervals")
     # np.add.at sums in index order, the order a running per-hour sum takes.
@@ -114,7 +92,7 @@ def baseline_ha(series, test_windows, boundary_epoch):
     np.add.at(sums, hours, series.values[train])
     counts = np.bincount(hours, minlength=24).reshape(24, 1, 1, 1)
     means = sums / np.maximum(counts, 1)
-    return means[[w.target_epoch // 3600 % 24 for w in test_windows]]
+    return means[[w.hour for w in test_windows]]
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +186,19 @@ class LinearBaseline:
         return flat.reshape((n,) + shape)
 
 
-def baseline_linear(train_windows, val_windows, kind, lambda_grid=(0.01, 0.1, 1.0, 10.0)):
+# The penalties the linear baselines choose from on validation RMSE.
+LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
+
+
+def baseline_linear(train_windows, val_windows, kind):
     """Per-output ridge or lasso with the penalty chosen on validation RMSE."""
     if kind not in ("ridge", "lasso"):
         raise UsageError(f"linear baseline kind must be ridge or lasso, got {kind!r}")
-    if any(lam <= 0 for lam in lambda_grid):
-        raise UsageError("penalty grid must be strictly positive")
     x_train, y_train = _design(train_windows)
     x_val, y_val = _design(val_windows)
 
     best = None
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         if kind == "ridge":
             weights, intercept = ridge_closed_form(x_train, y_train, lam)
         else:
@@ -275,21 +255,12 @@ class MlpModel(ModelBase):
 class BenchConfig:
     dims: ModelDims = field(default_factory=ModelDims)
     train: TrainConfig = field(default_factory=TrainConfig)
-    test_days: int = 10
-    val_frac: float = 0.1
-    lambda_grid: tuple = (0.01, 0.1, 1.0, 10.0)
-    embeddings_path: str = ""   # empty: deterministic generated table
+    test_days: int = TEST_DAYS
+    val_frac: float = VAL_FRAC
+    embeddings: str = "generate"    # or the path of an hour table file
 
     def digest(self):
-        payload = {
-            "dims": asdict(self.dims),
-            "train": self.train.__dict__,
-            "test_days": self.test_days,
-            "val_frac": self.val_frac,
-            "lambda_grid": list(self.lambda_grid),
-            "embeddings_path": self.embeddings_path,
-        }
-        raw = json.dumps(payload, sort_keys=True).encode()
+        raw = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(raw).hexdigest()[:12]
 
 
@@ -313,7 +284,7 @@ class BenchReport:
     n_test: int
 
 
-def _method_predictions(method, series, splits, config):
+def _method_predictions(method, series, splits, config, table):
     train, val, test = splits
     seed = config.train.seed
     detail = {}
@@ -321,23 +292,19 @@ def _method_predictions(method, series, splits, config):
         boundary = min(w.target_epoch for w in test)
         preds = baseline_ha(series, test, boundary)
     elif method in ("Ridge", "Lasso"):
-        model = baseline_linear(train, val, method.lower(), config.lambda_grid)
+        model = baseline_linear(train, val, method.lower())
         preds = model.predict(test)
         detail["lambda"] = model.lam
     elif method == "MLP":
         model = MlpModel(config.dims, seed, dtype=resolve_dtype(config.train.precision))
         model, history = fit(model, train, val, config.train)
-        preds = predict_windows(model, test, scale=history.scale)
+        preds = predict_windows(model, test)
         detail["epochs_run"] = history.epochs_run
     elif method in MODEL_KINDS:
-        if config.embeddings_path:
-            table = load_hour_embeddings(config.embeddings_path, config.dims.embed_dim)
-        else:
-            table = generate_hour_embeddings(config.dims.embed_dim, seed)
         model = build_model(method, config.dims, seed=seed, embedding=table,
                             dtype=resolve_dtype(config.train.precision))
         model, history = fit(model, train, val, config.train)
-        preds = predict_windows(model, test, scale=history.scale)
+        preds = predict_windows(model, test)
         detail["epochs_run"] = history.epochs_run
     else:
         raise UsageError(
@@ -361,12 +328,15 @@ def run_benchmark(series, methods, config=None):
     _, _, test = splits
     _, _, test_targets = windows_to_arrays(test)
     test_targets = test_targets.astype(np.float64)
+    table = None
+    if any(method in MODEL_KINDS for method in methods):
+        table = hour_table(config.embeddings, config.dims.embed_dim, config.train.seed)
 
     digest = config.digest()
     rows = []
     for method in methods:
         started = time.perf_counter()
-        preds, detail = _method_predictions(method, series, splits, config)
+        preds, detail = _method_predictions(method, series, splits, config, table)
         runtime = time.perf_counter() - started
         metrics = compute_metrics(preds, test_targets)
         rows.append(BenchRow(

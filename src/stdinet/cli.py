@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -89,35 +88,31 @@ def parse_overrides(text):
     return out
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
 def _typed(key, value, like):
-    if isinstance(like, bool):
-        try:
-            return _BOOLS[value.lower()]
-        except KeyError:
-            raise UsageError(f"config {key}={value!r}: expected one of {', '.join(_BOOLS)}") from None
     try:
         return type(like)(value)
     except ValueError:
         raise UsageError(f"config {key}={value!r}: expected {type(like).__name__}") from None
 
 
-def apply_overrides(overrides, train, dims, split):
-    """Distribute key=value overrides onto config, dims, and split params."""
-    dims_kv = dataclasses.asdict(dims)
+def apply_overrides(overrides, config):
+    """A copy of ``config`` with key=value overrides on its train config, dims and split."""
+    train = dataclasses.asdict(config.train)
+    dims = dataclasses.asdict(config.dims)
+    split = {key: getattr(config, key) for key in SPLIT_FIELDS}
     for key, value in overrides.items():
-        if hasattr(train, key):
-            setattr(train, key, _typed(key, value, getattr(train, key)))
-        elif key in DIM_FIELDS:
-            dims_kv[key] = _typed(key, value, dims_kv[key])
-        elif key in SPLIT_FIELDS:
-            split[key] = _typed(key, value, split[key])
-        else:
+        target = train if key in train else dims if key in DIM_FIELDS else split
+        if key not in target:
             raise UsageError(f"unknown config key {key!r}")
-    return train, ModelDims(**dims_kv), split
+        target[key] = _typed(key, value, target[key])
+    return dataclasses.replace(config, train=TrainConfig(**train), dims=ModelDims(**dims), **split)
+
+
+def run_config(args, series):
+    """The settings of a train or bench run on ``series``: defaults, then --config."""
+    config = BenchConfig(dims=ModelDims(rows=series.rows, cols=series.cols),
+                         train=TrainConfig(seed=args.seed), embeddings=args.embeddings)
+    return apply_overrides(parse_overrides(args.config), config)
 
 
 def parse_grid(text):
@@ -131,10 +126,9 @@ def parse_grid(text):
     return rows, cols
 
 
-def _load_embeddings(spec, dims, seed):
-    if spec == "generate":
-        return D.generate_hour_embeddings(dims.embed_dim, seed)
-    return D.load_hour_embeddings(resolve_path(spec), dims.embed_dim)
+def embeddings_spec(text):
+    """--embeddings: "generate", or a path resolved like every data path."""
+    return text if text == "generate" else str(resolve_path(text))
 
 
 # ---------------------------------------------------------------------------
@@ -175,38 +169,33 @@ def cmd_train(args):
     started = time.time()
     data_path = resolve_path(args.data)
     series = D.read_demand_series(data_path)
-    train_cfg = TrainConfig(seed=args.seed)
-    dims = ModelDims(rows=series.rows, cols=series.cols)
-    split = {"test_days": 10, "val_frac": 0.1}
-    train_cfg, dims, split = apply_overrides(parse_overrides(args.config), train_cfg, dims, split)
+    config = run_config(args, series)
+    dims = config.dims
 
     if args.model not in MODEL_KINDS:
         raise UsageError(f"unknown model kind {args.model!r}; valid kinds: {', '.join(MODEL_KINDS)}")
-    embedding = _load_embeddings(args.embeddings, dims, args.seed)
+    embedding = D.hour_table(config.embeddings, dims.embed_dim, args.seed)
     model = build_model(args.model, dims, seed=args.seed, embedding=embedding,
-                        dtype=resolve_dtype(train_cfg.precision))
+                        dtype=resolve_dtype(config.train.precision))
 
     windows = D.make_windows(series, dims.seq_len)
-    train_w, val_w, _ = D.split_dataset(windows, **split)
+    train_w, val_w, _ = D.split_dataset(windows, config.test_days, config.val_frac)
     log.info("training %s on %d windows (%d validation)", args.model, len(train_w), len(val_w))
     out = Path(args.out)
     log_path = out.with_name(out.name + ".log.jsonl")
-    model, history = fit(model, train_w, val_w, train_cfg, log_path=log_path)
+    model, history = fit(model, train_w, val_w, config.train, log_path=log_path)
 
     extra = {
-        "scale": history.scale,
         "seq_len": dims.seq_len,
-        "test_days": split["test_days"],
-        "val_frac": split["val_frac"],
+        "test_days": config.test_days,
+        "val_frac": config.val_frac,
         "best_val_rmse": min(history.val_rmse),
         "seed": args.seed,
     }
     save_checkpoint(out, model, extra=extra)
     manifest_path = out.with_name(out.name + ".manifest.json")
     write_manifest(manifest_path, "train",
-                   {"model": args.model, "config": train_cfg.__dict__,
-                    "dims": dataclasses.asdict(dims), "split": split,
-                    "embeddings": args.embeddings},
+                   {"model": args.model, **dataclasses.asdict(config)},
                    args.seed, [data_path], [out, log_path], started)
     print(f"checkpoint: {out}")
     print(f"epochs_run: {history.epochs_run}  best_val_rmse: {min(history.val_rmse):.6f}")
@@ -237,11 +226,14 @@ def cmd_eval(args):
             f"series grid {series.rows}x{series.cols} does not match "
             f"checkpoint grid {model.dims.rows}x{model.dims.cols}"
         )
+    # A model fit to counts divided by ``scale`` predicts on that scale, not in counts.
+    if _extra(extra, "scale", 1, float) != 1:
+        raise DataError(f"checkpoint extra scale={extra['scale']!r}: the model was fit to "
+                        "scaled counts, which eval does not score")
     windows = D.make_windows(series, model.dims.seq_len)
-    _, _, test = D.split_dataset(windows, test_days=_extra(extra, "test_days", 10, int),
-                                 val_frac=_extra(extra, "val_frac", 0.1, float, (0, 1)))
-    preds = predict_windows(model, test,
-                            scale=_extra(extra, "scale", 1.0, float, (0, math.inf)))
+    _, _, test = D.split_dataset(windows, test_days=_extra(extra, "test_days", D.TEST_DAYS, int),
+                                 val_frac=_extra(extra, "val_frac", D.VAL_FRAC, float, (0, 1)))
+    preds = predict_windows(model, test)
     _, _, targets = D.windows_to_arrays(test)
     metrics = compute_metrics(preds, targets.astype(np.float64))
     per_channel = {k: dataclasses.asdict(v)
@@ -297,13 +289,7 @@ def cmd_bench(args):
     started = time.time()
     data_path = resolve_path(args.data)
     series = D.read_demand_series(data_path)
-    train_cfg = TrainConfig(seed=args.seed)
-    dims = ModelDims(rows=series.rows, cols=series.cols)
-    split = {"test_days": 10, "val_frac": 0.1}
-    train_cfg, dims, split = apply_overrides(parse_overrides(args.config), train_cfg, dims, split)
-    config = BenchConfig(dims=dims, train=train_cfg, test_days=split["test_days"],
-                         val_frac=split["val_frac"], embeddings_path=args.embeddings
-                         if args.embeddings != "generate" else "")
+    config = run_config(args, series)
     methods = SUITES[args.suite]
     report = run_benchmark(series, methods, config)
 
@@ -316,8 +302,7 @@ def cmd_bench(args):
     manifest_path = out_dir / f"bench_{args.suite}.manifest.json"
     write_manifest(manifest_path, "bench",
                    {"suite": args.suite, "methods": methods,
-                    "config": {"train": train_cfg.__dict__, "dims": dataclasses.asdict(dims),
-                               "split": split},
+                    "config": dataclasses.asdict(config),
                     "runtimes_s": {r.method: round(r.runtime_s, 3) for r in report.rows}},
                    args.seed, [data_path], [csv_path, json_path], started)
     print(render_table(report))
@@ -346,7 +331,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a model on a series file")
     p.add_argument("--data", required=True, help="demand series file")
     p.add_argument("--model", required=True, help=f"one of: {', '.join(MODEL_KINDS)}")
-    p.add_argument("--embeddings", default="generate",
+    p.add_argument("--embeddings", default="generate", type=embeddings_spec,
                    help="hour embedding text file, or 'generate' for the seeded table")
     p.add_argument("--config", default="", help="comma-separated key=value overrides")
     p.add_argument("--seed", type=int, default=0)
@@ -370,7 +355,8 @@ def build_parser():
     p.add_argument("--suite", choices=sorted(SUITES), default="table1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default="", help="comma-separated key=value overrides")
-    p.add_argument("--embeddings", default="generate")
+    p.add_argument("--embeddings", default="generate", type=embeddings_spec,
+                   help="hour embedding text file, or 'generate' for the seeded table")
     p.add_argument("--out", default=".", help="directory for CSV/JSON/manifest outputs")
     p.set_defaults(func=cmd_bench)
     return parser
@@ -399,3 +385,7 @@ def main(argv=None):
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

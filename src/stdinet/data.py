@@ -322,7 +322,11 @@ def make_windows(series, seq_len=3):
     return windows
 
 
-def split_dataset(windows, test_days=10, val_frac=0.1):
+# The default split: the last 10 days test, the latest tenth of the rest validates.
+TEST_DAYS, VAL_FRAC = 10, 0.1
+
+
+def split_dataset(windows, test_days=TEST_DAYS, val_frac=VAL_FRAC):
     """Chronological split: last ``test_days`` of targets are the test set,
     the latest ``val_frac`` of the remainder is validation, the rest trains.
 
@@ -390,6 +394,13 @@ def generate_hour_embeddings(dim, seed=0):
     """Deterministic fallback table: 24 seeded unit-variance gaussian rows."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(24,)))
     return rng.standard_normal((24, dim))
+
+
+def hour_table(spec, dim, seed=0):
+    """The hour table a run names: ``"generate"`` for the seeded table, else a file path."""
+    if spec == "generate":
+        return generate_hour_embeddings(dim, seed)
+    return load_hour_embeddings(spec, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -266,16 +266,14 @@ class DemandModel(ModelBase):
             feat_dim = dims.seq_len * dims.spatial_dim
         self.feat_dim = feat_dim
 
-        if self.head in ("hyper",):
-            if embedding is None:
-                embedding = generate_hour_embeddings(dims.embed_dim, seed)
+        if self.head != "static" and embedding is None:
+            embedding = generate_hour_embeddings(dims.embed_dim, seed)
+        if self.head == "hyper":
             self.interval = IntervalNet(
                 feat_dim, dims, rng, embedding,
                 trainable_embedding=(kind == "STDIEmbedding"), dtype=dtype,
             )
         elif self.head == "fusion":
-            if embedding is None:
-                embedding = generate_hour_embeddings(dims.embed_dim, seed)
             self.fusion_embedding = Tensor(np.asarray(embedding, dtype=dtype).copy(),
                                            requires_grad=False)
             self.fusion_linear = LinearLayer(dims.embed_dim, dims.fusion_dim, rng, dtype)

@@ -25,8 +25,6 @@ class TrainConfig:
     patience: int = 10          # epochs without val improvement before stopping
     seed: int = 0
     precision: str = "standard"
-    decoupled_decay: bool = False   # default: L2 term added to the gradient
-    scale: bool = False             # divide counts by the train max before fitting
 
     def validate(self):
         if min(self.lr, self.weight_decay + 1, self.epochs, self.batch_size, self.patience) <= 0:
@@ -47,27 +45,24 @@ ADAM_CHUNK = 32768
 
 
 class Adam:
-    """Adam with bias correction; weight decay defaults to L2-on-gradient.
+    """Adam with bias correction and weight decay as an L2 term on the gradient.
 
     The moment decays are 0.9 and 0.999 and eps is 1e-8.  Only tensors handed
-    in are updated, so frozen tensors are excluded by construction.
-    ``decoupled=True`` applies the decay directly to the parameters instead
-    of the gradient.  Moments and parameters are updated in place, chunk by
-    chunk through two scratch buffers per dtype; each operation is the one
-    of the textbook formula, in the same order, so the result is bit for
-    bit the same.
+    in are updated, so frozen tensors are excluded by construction.  Moments
+    and parameters are updated in place, chunk by chunk through two scratch
+    buffers per dtype; each operation is the one of the textbook formula, in
+    the same order, so the result is bit for bit the same.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=1e-3, weight_decay=0.0, decoupled=False):
+    def __init__(self, params, lr=1e-3, weight_decay=0.0):
         self.params = list(params)
         for p in self.params:
             if not p.data.flags.c_contiguous:
                 raise UsageError("adam: parameters must be C-contiguous to be updated in place")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -88,7 +83,7 @@ class Adam:
                 self._update(*(arr[lo:hi] for arr in flat), s1[:hi - lo], s2[:hi - lo], bc1, bc2)
 
     def _update(self, p, g, m, v, a, b, bc1, bc2):
-        if self.weight_decay and not self.decoupled:
+        if self.weight_decay:
             np.multiply(p, self.weight_decay, out=a)
             g = np.add(g, a, out=a)                     # g + wd * p
         m *= self.beta1
@@ -102,8 +97,6 @@ class Adam:
         np.divide(m, bc1, out=b)
         np.divide(b, a, out=b)                          # update = (m / bc1) / a
         p -= np.multiply(b, self.lr, out=b)             # p -= lr * update
-        if self.weight_decay and self.decoupled:
-            p -= np.multiply(p, self.lr * self.weight_decay, out=a)
 
     def zero_grad(self):
         for p in self.params:
@@ -117,15 +110,12 @@ class TrainHistory:
     val_mae: list = field(default_factory=list)
     best_epoch: int = -1       # 0-based index into the lists
     epochs_run: int = 0
-    scale: float = 1.0
 
 
-def predict_windows(model, windows, batch_size=256, scale=1.0):
-    """Eval-mode predictions for a list of windows, on the raw count scale."""
+def predict_windows(model, windows, batch_size=256):
+    """Eval-mode predictions for a list of windows, as float64 counts."""
     inputs, hours, _ = windows_to_arrays(windows)
     inputs = inputs.astype(model.dtype)
-    if scale != 1.0:
-        inputs = inputs / scale
     preds = []
     tapes = {p.tape for _, p in model.named_tensors() if p.tape is not None}
     tape = tapes.pop() if tapes else None
@@ -135,13 +125,30 @@ def predict_windows(model, windows, batch_size=256, scale=1.0):
             x = Tensor(inputs[lo:lo + batch_size])
             out = model.forward_batch(x, hours[lo:lo + batch_size], mode="eval")
             preds.append(out.data.astype(np.float64))
-    stacked = np.concatenate(preds, axis=0)
-    return stacked * scale
+    return np.concatenate(preds, axis=0)
 
 
-def _rmse_mae(preds, targets):
+@dataclass
+class MetricPair:
+    rmse: float
+    mae: float
+    z: int
+
+
+def compute_metrics(preds, targets):
+    """Pooled RMSE and MAE over every predicted value."""
+    preds = np.asarray(preds, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if preds.size == 0:
+        raise UsageError("compute_metrics: empty predictions")
+    if preds.shape != targets.shape:
+        raise UsageError(f"compute_metrics: shapes {preds.shape} vs {targets.shape}")
     err = preds - targets
-    return float(np.sqrt(np.mean(err ** 2))), float(np.mean(np.abs(err)))
+    return MetricPair(
+        rmse=float(np.sqrt(np.mean(err ** 2))),
+        mae=float(np.mean(np.abs(err))),
+        z=int(preds.size),
+    )
 
 
 def fit(model, train_windows, val_windows, config, log_path=None):
@@ -171,21 +178,13 @@ def fit(model, train_windows, val_windows, config, log_path=None):
     inputs, hours, targets = windows_to_arrays(train_windows)
     inputs = inputs.astype(dtype)
     targets = targets.astype(dtype)
-    scale = 1.0
-    if config.scale:
-        scale = float(max(inputs.max(), targets.max(), 1.0))
-        inputs = inputs / dtype(scale)
-        targets = targets / dtype(scale)
-
     _, _, val_targets = windows_to_arrays(val_windows)
-    val_targets = val_targets.astype(np.float64)
 
     tape = Tape()
     model.attach_tape(tape)
-    adam = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay,
-                decoupled=config.decoupled_decay)
+    adam = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
-    history = TrainHistory(scale=scale)
+    history = TrainHistory()
     best_snapshot = None
     best_rmse = math.inf
     since_best = 0
@@ -221,8 +220,8 @@ def fit(model, train_windows, val_windows, config, log_path=None):
             train_s = time.perf_counter() - epoch_start
             tape.reset()
 
-            preds = predict_windows(model, val_windows, scale=scale)
-            rmse, mae = _rmse_mae(preds, val_targets)
+            val = compute_metrics(predict_windows(model, val_windows), val_targets)
+            rmse, mae = val.rmse, val.mae
             history.train_loss.append(float(np.mean(losses)))
             history.val_rmse.append(rmse)
             history.val_mae.append(mae)

@@ -12,6 +12,7 @@ from stdinet.data import make_windows, random_demand_series, split_dataset, wind
 from stdinet.model import ModelDims, TOY_DIMS
 from stdinet.training import TrainConfig
 from stdinet.bench import (
+    LAMBDA_GRID,
     BenchConfig,
     MlpModel,
     REFERENCE_RESULTS,
@@ -116,7 +117,8 @@ class TestHistoricalAverage:
         boundary = test[0].target_epoch
         # At the two-hour interval no training interval starts in this hour,
         # which therefore predicts zero.
-        test.append(dataclasses.replace(test[-1], target_epoch=test[-1].target_epoch + 3600))
+        test.append(dataclasses.replace(test[-1], target_epoch=test[-1].target_epoch + 3600,
+                                        hour=(test[-1].hour + 1) % 24))
         preds = baseline_ha(series, test, boundary)
         assert preds.dtype == np.float64
         assert preds.tobytes() == reference_ha(series, test, boundary).tobytes()
@@ -224,11 +226,6 @@ class TestLinearBaselines:
         np.testing.assert_array_equal(beta, np.zeros(4))
         assert b0 == pytest.approx(y.mean())
 
-    def test_zero_penalty_grid_rejected(self):
-        windows = copy_task_windows(n=20, seed=9)
-        with pytest.raises(UsageError):
-            baseline_linear(windows[:10], windows[10:], "ridge", lambda_grid=(0.0, 1.0))
-
 
 def lasso_scalar_reference(x, y, alpha, tol=1e-6, max_sweeps=1000):
     """One output at a time, one scalar coordinate step at a time.
@@ -282,9 +279,6 @@ def demand_design(length, seed):
     return inputs.reshape(n, -1).astype(np.float64), targets.reshape(n, -1).astype(np.float64)
 
 
-LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
-
-
 class TestLassoAllOutputs:
     """The 2-d solve is bit-equal to solving each output column alone."""
 
@@ -331,7 +325,7 @@ class TestLassoAllOutputs:
     def test_baseline_linear_matches_per_column(self):
         series = random_demand_series(200, rows=4, cols=4, seed=16)
         train, val, _ = split_dataset(make_windows(series, 3), test_days=2, val_frac=0.2)
-        model = baseline_linear(train, val, "lasso", LAMBDA_GRID)
+        model = baseline_linear(train, val, "lasso")
         inputs, _, targets = windows_to_arrays(train)
         x = inputs.reshape(len(train), -1).astype(np.float64)
         y = targets.reshape(len(train), -1).astype(np.float64)

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stdinet
 from stdinet.cli import main, parse_overrides, resolve_path
 from stdinet.data import random_demand_series, read_demand_series, write_demand_series
 
@@ -163,13 +167,21 @@ class TestTrain:
         assert not (tmp_path / "b1.ckpt").exists()
 
     @pytest.mark.parametrize("override", ["lr=abc", "epochs=2.5", "channels=four", "val_frac=x",
-                                          "scale=maybe"])
+                                          "patience=x"])
     def test_untyped_config_value_is_a_usage_error(self, toy_series_path, tmp_path, override,
                                                    caplog):
         rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
                    "--config", FAST + "," + override, "--out", str(tmp_path / "c.ckpt")])
         assert rc == 2
         assert override.split("=")[0] in caplog.text
+
+    @pytest.mark.parametrize("override", ["bogus=1", "rows=4", "validate=1"])
+    def test_unknown_config_key_is_a_usage_error(self, toy_series_path, tmp_path, override,
+                                                 caplog):
+        rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
+                   "--config", FAST + "," + override, "--out", str(tmp_path / "k.ckpt")])
+        assert rc == 2
+        assert "unknown config key" in caplog.text
 
     @pytest.mark.parametrize("override", ["channels=0", "rank=-1", "lstm_hidden=0", "seq_len=0"])
     def test_dims_below_one_are_a_usage_error(self, toy_series_path, tmp_path, override, caplog):
@@ -336,8 +348,9 @@ class TestCheckpointFaults:
         ({"test_days": 2, "scale": float("inf")}, "scale"),
         ({"test_days": 2, "val_frac": 1.5}, "val_frac"),
         ({"test_days": 2, "val_frac": 0}, "val_frac"),
+        ({"test_days": 2, "scale": 2.0}, "scale"),
     ], ids=["zero-scale", "negative-scale", "nan-scale", "infinite-scale", "val-frac-above-one",
-            "zero-val-frac"])
+            "zero-val-frac", "scaled-counts"])
     def test_out_of_range_extra_value_is_a_data_error(self, ckpt, toy_series_path, caplog,
                                                       extra, key):
         rewrite_manifest(ckpt, lambda manifest: manifest.update(extra=extra))
@@ -367,6 +380,13 @@ class TestCheckpointFaults:
     def test_damaged_manifest_is_a_data_error(self, ckpt, toy_series_path, edit):
         rewrite_manifest(ckpt, edit)
         assert self.eval_rc(ckpt, toy_series_path) == 3
+
+    def test_unit_scale_scores_as_no_scale(self, ckpt, toy_series_path, capsys):
+        assert self.eval_rc(ckpt, toy_series_path) == 0
+        unscaled = capsys.readouterr().out
+        rewrite_manifest(ckpt, lambda manifest: manifest["extra"].update(scale=1.0))
+        assert self.eval_rc(ckpt, toy_series_path) == 0
+        assert capsys.readouterr().out == unscaled
 
     def test_manifest_without_identity_skip_loads(self, ckpt, toy_series_path):
         rewrite_manifest(ckpt, lambda manifest: manifest.update(standard_skip=False))
@@ -411,6 +431,16 @@ class TestGradcheck:
         assert "conv2d" in out
         assert (tmp_path / "gradcheck.json").exists()
         assert (tmp_path / "gradcheck.manifest.json").exists()
+
+    @pytest.mark.parametrize("module", ["stdinet", "stdinet.cli"])
+    def test_runs_as_a_module(self, tmp_path, module):
+        src = str(Path(stdinet.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", module, "gradcheck", "--seeds", "1",
+                               "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "gradcheck.json").exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_no_seeds_is_a_usage_error(self, tmp_path, seeds, caplog):
@@ -504,17 +534,6 @@ class TestPlumbing:
         from stdinet.errors import UsageError
         with pytest.raises(UsageError):
             parse_overrides("nonsense")
-
-    def test_boolean_override_spellings(self):
-        from stdinet.cli import apply_overrides
-        from stdinet.model import TOY_DIMS
-        from stdinet.training import TrainConfig
-
-        for text, expected in (("1", True), ("TRUE", True), ("yes", True), ("On", True),
-                               ("0", False), ("false", False), ("NO", False), ("off", False)):
-            train, _, _ = apply_overrides({"scale": text}, TrainConfig(scale=not expected),
-                                          TOY_DIMS, {})
-            assert train.scale is expected, text
 
     def test_env_data_dir_resolution(self, tmp_path, monkeypatch):
         (tmp_path / "inner").mkdir()

@@ -64,12 +64,11 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, np.array([1.5, -2.0], dtype=p.data.dtype))
 
     def test_weight_decay_shrinks_positive_params(self):
-        for decoupled in (False, True):
-            p = Tensor(np.array([2.0]), requires_grad=True)
-            p.grad = np.zeros(1, dtype=p.data.dtype)
-            adam = Adam([p], lr=1e-2, weight_decay=0.1, decoupled=decoupled)
-            adam.step()
-            assert p.data[0] < 2.0
+        p = Tensor(np.array([2.0]), requires_grad=True)
+        p.grad = np.zeros(1, dtype=p.data.dtype)
+        adam = Adam([p], lr=1e-2, weight_decay=0.1)
+        adam.step()
+        assert p.data[0] < 2.0
 
     def test_missing_gradient_fatal(self):
         p = Tensor(np.zeros(2), requires_grad=True)
@@ -85,7 +84,7 @@ class TestAdam:
         bc2 = 1.0 - b2 ** step_count
         for p, m, v in zip(params, ms, vs):
             g = p.grad
-            if adam.weight_decay and not adam.decoupled:
+            if adam.weight_decay:
                 g = g + adam.weight_decay * p.data
             m *= b1
             m += (1.0 - b1) * g
@@ -93,18 +92,15 @@ class TestAdam:
             v += (1.0 - b2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + adam.eps)
             p.data -= (adam.lr * update).astype(p.data.dtype)
-            if adam.weight_decay and adam.decoupled:
-                p.data -= (adam.lr * adam.weight_decay) * p.data
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("decoupled", [False, True])
-    def test_in_place_update_is_bit_identical_to_reference(self, dtype, decoupled):
+    def test_in_place_update_is_bit_identical_to_reference(self, dtype):
         rng = np.random.default_rng(9)
         # One parameter spans several chunks and ends in a partial one.
         shapes = [(3, 4), (2 * ADAM_CHUNK + 5,), (7,), ()]
         ours = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
         refs = [Tensor(t.data.copy(), requires_grad=True) for t in ours]
-        adam = Adam(ours, lr=3e-3, weight_decay=0.01, decoupled=decoupled)
+        adam = Adam(ours, lr=3e-3, weight_decay=0.01)
         ms = [np.zeros_like(t.data) for t in refs]
         vs = [np.zeros_like(t.data) for t in refs]
         for step in range(1, 6):
@@ -198,15 +194,6 @@ class TestFit:
         config = TrainConfig(lr=1e30, epochs=5, batch_size=32, patience=5, seed=3)
         with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
             fit(model, train, val, config)
-
-    def test_scaled_training_round_trips_to_raw_metrics(self):
-        train, val, _ = self.small_dataset(seed=8)
-        model = build_model("TemporalFC", TOY_DIMS, seed=8, dtype=np.float32)
-        config = TrainConfig(lr=1e-3, epochs=2, batch_size=32, patience=2, seed=4, scale=True)
-        model, history = fit(model, train, val, config)
-        assert history.scale > 1.0
-        preds = predict_windows(model, val, scale=history.scale)
-        assert np.all(np.isfinite(preds))
 
     @pytest.mark.parametrize("n_train,batch_size", [(40, 1), (1, 32)])
     def test_configuration_that_trains_nothing_is_refused(self, n_train, batch_size):
