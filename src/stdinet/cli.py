@@ -141,7 +141,9 @@ def cmd_ingest(args):
     if args.interval < 1:
         raise UsageError(f"bad --interval {args.interval}; expected a positive number of seconds")
     trip_paths = [resolve_path(p) for p in args.trips]
+    parse_started = time.perf_counter()
     trips, audit = D.parse_trip_files(trip_paths)
+    parse_s = time.perf_counter() - parse_started
     log.info("parsed %d rows, accepted %d, skipped %d",
              audit.rows, audit.accepted, audit.total_skipped())
     stations = D.select_stations(trips, n=args.stations)
@@ -157,8 +159,9 @@ def cmd_ingest(args):
     manifest_path = out.with_name(out.name + ".manifest.json")
     write_manifest(manifest_path, "ingest",
                    {"stations": args.stations, "grid": args.grid,
-                    "interval": args.interval, "skipped": dict(audit.skipped),
-                    "counters": dict(counts)},
+                    "interval": args.interval, "rows": audit.rows, "accepted": audit.accepted,
+                    "skipped": dict(audit.skipped), "parse_s": round(parse_s, 6),
+                    "trips_per_s": round(audit.rows / parse_s, 1), "counters": dict(counts)},
                    None, trip_paths, [out, map_path], started)
     print(f"series: {out}  intervals={series.length}  grid={rows}x{cols}")
     print(f"events: starts={int(series.values[:, 0].sum())} stops={int(series.values[:, 1].sum())}")
@@ -170,12 +173,12 @@ def cmd_train(args):
     data_path = resolve_path(args.data)
     series = D.read_demand_series(data_path)
     config = run_config(args, series)
-    dims = config.dims
+    dims, seed = config.dims, config.train.seed
 
     if args.model not in MODEL_KINDS:
         raise UsageError(f"unknown model kind {args.model!r}; valid kinds: {', '.join(MODEL_KINDS)}")
-    embedding = D.hour_table(config.embeddings, dims.embed_dim, args.seed)
-    model = build_model(args.model, dims, seed=args.seed, embedding=embedding,
+    embedding = D.hour_table(config.embeddings, dims.embed_dim, seed)
+    model = build_model(args.model, dims, seed=seed, embedding=embedding,
                         dtype=resolve_dtype(config.train.precision))
 
     windows = D.make_windows(series, dims.seq_len)
@@ -190,13 +193,13 @@ def cmd_train(args):
         "test_days": config.test_days,
         "val_frac": config.val_frac,
         "best_val_rmse": min(history.val_rmse),
-        "seed": args.seed,
+        "seed": seed,
     }
     save_checkpoint(out, model, extra=extra)
     manifest_path = out.with_name(out.name + ".manifest.json")
     write_manifest(manifest_path, "train",
                    {"model": args.model, **dataclasses.asdict(config)},
-                   args.seed, [data_path], [out, log_path], started)
+                   seed, [data_path], [out, log_path], started)
     print(f"checkpoint: {out}")
     print(f"epochs_run: {history.epochs_run}  best_val_rmse: {min(history.val_rmse):.6f}")
     return 0
@@ -304,7 +307,7 @@ def cmd_bench(args):
                    {"suite": args.suite, "methods": methods,
                     "config": dataclasses.asdict(config),
                     "runtimes_s": {r.method: round(r.runtime_s, 3) for r in report.rows}},
-                   args.seed, [data_path], [csv_path, json_path], started)
+                   config.train.seed, [data_path], [csv_path, json_path], started)
     print(render_table(report))
     return 0
 

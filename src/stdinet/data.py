@@ -19,6 +19,8 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,15 +44,25 @@ LON_RANGE = (-75.0, -73.0)
 TIME_FORMATS = ("%Y-%m-%d %H:%M:%S", "%m/%d/%Y %H:%M:%S", "%m/%d/%Y %H:%M")
 
 
-# One accepted trip per element; times are UTC epoch seconds.
+# One accepted trip per element, fields in the order of REQUIRED_COLUMNS;
+# times are UTC epoch seconds.
 TRIP_DTYPE = np.dtype(
     [(name, np.int64) for name in ("start", "stop", "start_station", "end_station")]
     + [(name, np.float64) for name in ("start_lat", "start_lon", "end_lat", "end_lon")])
 
-# Parsed rows wait as tuples until this many are converted to TRIP_DTYPE at
-# once, which bounds the memory the tuples take.
-_CHUNK_ROWS = 65536
+# Rows are converted column by column this many at a time, which bounds the
+# memory their field strings take.
+_CHUNK_ROWS = 16384
 _INT64 = range(-(1 << 63), 1 << 63)
+# Stands in for a row too short to hold the required fields; it fails every column.
+_SHORT_ROW = ("",) * len(REQUIRED_COLUMNS)
+
+# The strict timestamp layouts the column pass converts, as templates: every
+# letter is one ASCII digit of that field, anything else a literal separator.
+# The first is the April-August 2014 layout, the others the September one
+# with a 1- or 2-digit month and day.
+_COLUMN_LAYOUTS = ("YYYY-mm-dd HH:MM:SS",) + tuple(
+    f"{'m' * m}/{'d' * d}/YYYY HH:MM:SS" for m in (1, 2) for d in (1, 2))
 
 
 @dataclass
@@ -64,16 +76,9 @@ class ParseAudit:
 
 
 def _parse_time(text):
+    """Epoch seconds of one timestamp: ``strptime`` over ``TIME_FORMATS`` after
+    stripping whitespace, so an impossible time raises ValueError."""
     text = text.strip()
-    # Fast path for the dominant "YYYY-MM-DD HH:MM:SS" layout.
-    if len(text) == 19 and text[4] == "-" and text[10] == " ":
-        try:
-            return calendar.timegm((
-                int(text[0:4]), int(text[5:7]), int(text[8:10]),
-                int(text[11:13]), int(text[14:16]), int(text[17:19]), 0, 0, 0,
-            ))
-        except ValueError:
-            pass
     for fmt in TIME_FORMATS:
         try:
             return calendar.timegm(datetime.strptime(text, fmt).timetuple())
@@ -82,10 +87,115 @@ def _parse_time(text):
     raise ValueError(f"unparsable timestamp {text!r}")
 
 
-def _screen(parsed, skipped):
-    """The ``parsed`` trips that stop no earlier than they start, inside the NYC box;
+def _parse_row(fields):
+    """One row's required fields converted one by one, as a TRIP_DTYPE tuple;
+    raises ValueError when any of them does not parse."""
+    start, stop, sid, eid, slat, slon, elat, elon = fields
+    sid, eid = int(sid), int(eid)
+    if sid not in _INT64 or eid not in _INT64:
+        raise ValueError(f"station id {sid} or {eid} does not fit int64")
+    return (_parse_time(start), _parse_time(stop), sid, eid,
+            float(slat), float(slon), float(elat), float(elon))
+
+
+def _layout_epochs(buf, layout):
+    """The rows of ``buf`` (uint8, one timestamp per row) that match ``layout``
+    and name a real time, and their epoch seconds."""
+    is_digit = np.array([c.isalpha() for c in layout])
+    digits = buf - np.uint8(ord("0"))          # wraps below "0", so one test suffices
+    rows = np.flatnonzero(
+        np.where(is_digit, digits <= 9, buf == np.frombuffer(layout.encode(), np.uint8)).all(1))
+    digits = digits[rows]
+    part = {}
+    for letter in "YmdHMS":
+        number = np.zeros(len(rows), np.int64)
+        for pos in (i for i, c in enumerate(layout) if c == letter):
+            number = number * 10 + digits[:, pos]
+        part[letter] = number
+    year, month, day = part["Y"], part["m"], part["d"]
+    months = (year - 1970) * 12 + month - 1
+    first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    length = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first
+    real = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= length)
+            & (part["H"] < 24) & (part["M"] < 60) & (part["S"] < 60))
+    epochs = (first + day - 1) * 86400 + part["H"] * 3600 + part["M"] * 60 + part["S"]
+    return rows[real], epochs[real]
+
+
+def _time_column(texts):
+    """Epoch seconds of a column of timestamps, and the mask of those converted.
+
+    Timestamps of one length are checked together against each layout of that
+    length in ``_COLUMN_LAYOUTS``; every other shape is left to the per-row path.
+    """
+    n = len(texts)
+    epochs, ok = np.zeros(n, np.int64), np.zeros(n, bool)
+    lengths = np.fromiter(map(len, texts), np.int64, n)
+    for size in sorted({len(layout) for layout in _COLUMN_LAYOUTS}):
+        in_group = lengths == size
+        if not in_group.any():
+            continue
+        # A character outside ASCII becomes one "?", which no layout accepts.
+        joined = "".join(compress(texts, in_group.tolist())).encode("ascii", "replace")
+        buf = np.frombuffer(joined, np.uint8).reshape(-1, size)
+        group = np.flatnonzero(in_group)
+        for layout in (layout for layout in _COLUMN_LAYOUTS if len(layout) == size):
+            rows, values = _layout_epochs(buf, layout)
+            epochs[group[rows]] = values
+            ok[group[rows]] = True
+    return epochs, ok
+
+
+def _number_column(texts, kind, dtype):
+    """``kind`` (int or float) of each text as ``dtype``, and the mask of those
+    converted; an int beyond ``dtype`` fails like an unparsable one."""
+    n = len(texts)
+    try:
+        return np.fromiter(map(kind, texts), dtype, n), np.ones(n, bool)
+    except (ValueError, OverflowError):
+        pass
+    values, ok = np.zeros(n, dtype), np.ones(n, bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = kind(text)
+        except (ValueError, OverflowError):
+            ok[i] = False
+    return values, ok
+
+
+def _convert(rows, audit):
+    """The screened TRIP_DTYPE array of one chunk of required-field tuples.
+
+    Each column is converted at once; a row that fails any column goes through
+    ``_parse_row`` and, if it parses there, keeps its place in the chunk.
+    """
+    audit.rows += len(rows)
+    chunk = np.empty(len(rows), dtype=TRIP_DTYPE)
+    ok = np.ones(len(rows), bool)
+    for name, texts in zip(TRIP_DTYPE.names, zip(*rows)):
+        if name in ("start", "stop"):
+            chunk[name], column_ok = _time_column(texts)
+        else:
+            kind = int if TRIP_DTYPE[name] == np.int64 else float
+            chunk[name], column_ok = _number_column(texts, kind, TRIP_DTYPE[name])
+        ok &= column_ok
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            chunk[i] = _parse_row(rows[i])
+        except ValueError:
+            continue
+        ok[i] = True
+    unparsable = len(rows) - int(np.count_nonzero(ok))
+    if unparsable:
+        audit.skipped["unparsable"] += unparsable
+    trips = _screen(chunk[ok], audit.skipped)
+    audit.accepted += len(trips)
+    return trips
+
+
+def _screen(chunk, skipped):
+    """The trips of ``chunk`` that stop no earlier than they start, inside the NYC box;
     stop-before-start takes precedence, and a NaN coordinate is out of bounds."""
-    chunk = np.array(parsed, dtype=TRIP_DTYPE)
     backwards = chunk["stop"] < chunk["start"]
     keep = ~backwards
     for name, (lo, hi) in (("start_lat", LAT_RANGE), ("end_lat", LAT_RANGE),
@@ -97,56 +207,76 @@ def _screen(parsed, skipped):
     return chunk[keep]
 
 
-def parse_trips(stream, audit=None):
-    """Parse one CSV stream into a TRIP_DTYPE array; bad rows are counted, not fatal.
-
-    A missing required column is fatal and names the column.  Rows are skipped (with a
-    reason counter) when a field is missing or fails to parse, the stop precedes the
-    start, or coordinates fall outside the NYC bounding box; blank lines are not rows.
-    """
-    audit = audit if audit is not None else ParseAudit()
+def _trip_chunks(stream, audit):
+    """Screened TRIP_DTYPE chunks of one CSV stream, in file order; the header
+    is checked before the first chunk."""
     reader = csv.reader(stream)
     # Tolerate stray whitespace in header cells; of repeated names the last wins.
     index = {name.strip(): i for i, name in enumerate(next(reader, []))}
     for col in REQUIRED_COLUMNS:
         if col not in index:
             raise SchemaError(f"trip CSV is missing required column {col!r}")
-    i_start, i_stop, i_sid, i_eid, i_slat, i_slon, i_elat, i_elon = (
-        index[col] for col in REQUIRED_COLUMNS)
+    positions = [index[col] for col in REQUIRED_COLUMNS]
+    fields, width = itemgetter(*positions), max(positions) + 1
 
-    chunks, parsed = [], []
+    rows = []
     for row in reader:
         if not row:
             continue
-        audit.rows += 1
-        try:
-            sid, eid = int(row[i_sid]), int(row[i_eid])
-            if sid not in _INT64 or eid not in _INT64:
-                raise ValueError(f"station id {sid} or {eid} does not fit int64")
-            parsed.append((
-                _parse_time(row[i_start]), _parse_time(row[i_stop]), sid, eid,
-                float(row[i_slat]), float(row[i_slon]), float(row[i_elat]), float(row[i_elon]),
-            ))
-        except (ValueError, IndexError):
-            audit.skipped["unparsable"] += 1
-            continue
-        if len(parsed) == _CHUNK_ROWS:
-            chunks.append(_screen(parsed, audit.skipped))
-            parsed = []
-    chunks.append(_screen(parsed, audit.skipped))
-    trips = np.concatenate(chunks)
-    audit.accepted += len(trips)
-    return trips, audit
+        rows.append(fields(row) if len(row) >= width else _SHORT_ROW)
+        if len(rows) == _CHUNK_ROWS:
+            yield _convert(rows, audit)
+            rows = []
+    if rows:
+        yield _convert(rows, audit)
+
+
+def parse_trips(stream, audit=None):
+    """Parse one CSV stream into a TRIP_DTYPE array; bad rows are counted, not fatal.
+
+    A missing required column is fatal and names the column.  Rows are skipped (with a
+    reason counter) when a field is missing or fails to parse, the stop precedes the
+    start, or coordinates fall outside the NYC bounding box; blank lines are not rows.
+
+    Rows are read in chunks of ``_CHUNK_ROWS`` and converted a column at a time:
+    timestamps in the strict layouts of ``_COLUMN_LAYOUTS`` by array arithmetic,
+    station ids by ``int`` and coordinates by ``float``.  A row that any column
+    rejects is converted again on its own (``_parse_row``: ``strptime`` over
+    ``TIME_FORMATS``, ``int``, ``float``), so the accepted rows and the audit are
+    those of the per-row conversion.
+    """
+    audit = audit if audit is not None else ParseAudit()
+    chunks = list(_trip_chunks(stream, audit))
+    return np.concatenate([np.empty(0, dtype=TRIP_DTYPE)] + chunks), audit
+
+
+def _row_bound(path):
+    """An upper bound on the CSV rows of a file: its line breaks (LF, CR or
+    CRLF) plus one; a pair split across two reads counts twice."""
+    breaks = 1
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            returns = block.count(b"\r")
+            breaks += block.count(b"\n") + returns - (returns and block.count(b"\r\n"))
+    return breaks
 
 
 def parse_trip_files(paths):
-    """Parse several CSV files into one TRIP_DTYPE array with a merged audit."""
+    """Parse several CSV files into one TRIP_DTYPE array with a merged audit.
+
+    The array is allocated once, sized by the files' line breaks, filled chunk
+    by chunk and shrunk to the accepted trips, so no second copy of it is made.
+    """
     audit = ParseAudit()
-    parts = [np.empty(0, dtype=TRIP_DTYPE)]
+    trips = np.empty(sum(_row_bound(path) for path in paths), dtype=TRIP_DTYPE)
+    n = 0
     for path in paths:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            parts.append(parse_trips(fh, audit=audit)[0])
-    return np.concatenate(parts), audit
+            for chunk in _trip_chunks(fh, audit):
+                trips[n:n + len(chunk)] = chunk
+                n += len(chunk)
+    trips.resize(n, refcheck=False)
+    return trips, audit
 
 
 # ---------------------------------------------------------------------------

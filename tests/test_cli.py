@@ -102,6 +102,9 @@ class TestIngest:
         config = json.loads((tmp_path / "series.stdm.manifest.json").read_text())["config"]
         assert config["skipped"] == {"unparsable": 2}
         assert config["counters"]["accepted_starts"] == n_rows
+        assert config["rows"] == config["accepted"] + sum(config["skipped"].values()) == n_rows + 2
+        assert config["parse_s"] > 0
+        assert config["trips_per_s"] == pytest.approx(config["rows"] / config["parse_s"], rel=1e-3)
 
     def test_schema_error_exit_code(self, tmp_path):
         trips = tmp_path / "bad.csv"
@@ -144,6 +147,20 @@ class TestTrain:
         second = capsys.readouterr().out
         assert first == second
         assert "rmse=" in first
+
+    def test_config_seed_seeds_the_whole_run(self, toy_series_path, tmp_path):
+        """--config seed=N seeds the model, the hour table and the shuffle alike,
+        whatever --seed says."""
+        ckpts = []
+        for flag in ("0", "5"):
+            ckpt = tmp_path / f"seed-{flag}.ckpt"
+            assert main(["train", "--data", str(toy_series_path), "--model", "STDI",
+                         "--config", FAST + ",seed=5,channels=4,lstm_hidden=8,rank=4,embed_dim=6",
+                         "--seed", flag, "--out", str(ckpt)]) == 0
+            manifest = json.loads((tmp_path / f"seed-{flag}.ckpt.manifest.json").read_text())
+            assert manifest["seed"] == 5
+            ckpts.append(ckpt.read_bytes())
+        assert ckpts[0] == ckpts[1]
 
     def test_unified_spatial_kind_accepted(self, toy_series_path, tmp_path):
         ckpt = tmp_path / "us.ckpt"
@@ -517,14 +534,16 @@ class TestBench:
         assert not (tmp_path / "out").exists()
 
     def test_same_seed_identical_csv(self, toy_series_path, tmp_path):
+        """--seed 7, or any --seed with --config seed=7, is one run, recorded as seed 7."""
         blobs = []
-        for sub in ("r1", "r2"):
+        for sub, flag, override in (("r1", "7", ""), ("r2", "0", ",seed=7")):
             out = tmp_path / sub
             rc = main(["bench", "--data", str(toy_series_path), "--suite", "table1",
-                       "--seed", "7", "--out", str(out),
-                       "--config", FAST + ",epochs=1,patience=1"])
+                       "--seed", flag, "--out", str(out),
+                       "--config", FAST + ",epochs=1,patience=1" + override])
             assert rc == 0
             blobs.append((out / "bench_table1.csv").read_bytes())
+            assert json.loads((out / "bench_table1.manifest.json").read_text())["seed"] == 7
         assert blobs[0] == blobs[1]
 
 

@@ -1,8 +1,11 @@
 """Data pipeline tests: parsing, grids, series, windows, splits, embeddings."""
 
+import calendar
 import csv
 import io
+import time
 from collections import Counter, namedtuple
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,10 @@ from hypothesis import strategies as st
 
 from stdinet import DataError, SchemaError, UsageError
 from stdinet.data import (
+    LAT_RANGE,
+    LON_RANGE,
     REQUIRED_COLUMNS,
+    TIME_FORMATS,
     TRIP_DTYPE,
     DemandSeries,
     assign_grid,
@@ -21,6 +27,7 @@ from stdinet.data import (
     generate_hour_embeddings,
     load_hour_embeddings,
     make_windows,
+    parse_trip_files,
     parse_trips,
     random_demand_series,
     read_demand_series,
@@ -122,6 +129,22 @@ class TestParseTrips:
         assert len(records) == 0
         assert dict(audit.skipped) == {"stop_before_start": 1, "out_of_bounds": 2}
 
+    @pytest.mark.parametrize("when", ["2014-04-31 00:00:00", "2014-02-29 12:00:00",
+                                      "2014-04-01 25:61:61", "2014-04-00 00:00:00",
+                                      "2014-04-01 00:00:60", "4/31/2014 00:00:00",
+                                      "2/29/2014 12:00:00", "4/1/2014 25:61:61",
+                                      "4/0/2014 00:00:00", "4/1/2014 00:00:60",
+                                      "2014-04-01 24:00:00", "4/1/2014 24:00:00"])
+    @pytest.mark.parametrize("column", ["starttime", "stoptime"])
+    def test_impossible_time_is_unparsable(self, when, column):
+        header = ",".join(REQUIRED_COLUMNS)
+        fields = dict(starttime="2014-01-01 00:00:00", stoptime="2014-12-31 00:00:00")
+        fields[column] = when
+        row = f"{fields['starttime']},{fields['stoptime']},1,2,40.7,-74.0,40.7,-74.0"
+        records, audit = parse_trips(io.StringIO(header + "\n" + row))
+        assert len(records) == 0
+        assert dict(audit.skipped) == {"unparsable": 1}
+
 
 # Well-formed values of each column; the second stop comes before the start
 # and the second latitude lies outside the NYC box.
@@ -131,11 +154,24 @@ WELL_FORMED = {
     "start station latitude": ["40.7"], "start station longitude": ["-74.0"],
     "end station latitude": ["40.75", "41.6"], "end station longitude": ["-73.99"],
 }
+# Timestamp-shaped strings in either column layout, in range or not, with 1-
+# or 2-digit fields; some carry a stray space or a non-ASCII digit.
+TIMESTAMPS = st.builds(
+    lambda y, mo, d, h, mi, sec, us, pad, junk: junk(
+        f"{mo:0{pad}d}/{d:0{pad}d}/{y:04d} {h:02d}:{mi:02d}:{sec:02d}" if us
+        else f"{y:04d}-{mo:0{pad}d}-{d:0{pad}d} {h:02d}:{mi:02d}:{sec:02d}"),
+    st.sampled_from([0, 1, 1970, 2014, 2016, 9999]), st.integers(0, 13), st.integers(0, 32),
+    st.integers(0, 24), st.integers(0, 60), st.sampled_from([0, 59, 60, 61]), st.booleans(),
+    st.sampled_from([1, 2]),
+    st.sampled_from([str, " {}".format, "{} ".format, lambda t: t.replace("1", "\u0661", 1),
+                     lambda t: t.replace(" ", "  "), lambda t: t[:-3]]),
+)
 GARBAGE = st.one_of(
     st.sampled_from(["", " ", "N/A", "nan", "-inf", "1e999", "72.0", "1_0", "99999999999999999999",
                      "2014-02-30 00:00:00", "2014-04-01 09:00:00", "13/1/2014 00:00", "0.0"]),
     st.text(alphabet=st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
             max_size=6),
+    TIMESTAMPS,
 )
 
 
@@ -169,6 +205,145 @@ def test_parse_counts_every_garbage_row_and_never_raises(data):
     assert audit.accepted + audit.total_skipped() == audit.rows == written
     assert len(trips) == audit.accepted
     assert all(type(count) is int and count > 0 for count in audit.skipped.values())
+    assert_same_parse((trips, audit), reference_parse_trips(io.StringIO(out.getvalue(), newline="")))
+
+
+# The per-row parse that the column pass replaced, kept as the reference: every
+# timestamp through strptime over TIME_FORMATS, ids through int, coordinates
+# through float, then the same skip rules row by row.
+def reference_time(text):
+    text = text.strip()
+    for fmt in TIME_FORMATS:
+        try:
+            return calendar.timegm(datetime.strptime(text, fmt).timetuple())
+        except ValueError:
+            continue
+    raise ValueError(text)
+
+
+def reference_parse_trips(stream):
+    """(trips, rows, skipped) of the row-at-a-time parse."""
+    reader = csv.reader(stream)
+    index = {name.strip(): i for i, name in enumerate(next(reader))}
+    columns = [index[c] for c in REQUIRED_COLUMNS]
+    rows, parsed, skipped = 0, [], Counter()
+    for row in reader:
+        if not row:
+            continue
+        rows += 1
+        try:
+            start, stop, sid, eid, slat, slon, elat, elon = [row[i] for i in columns]
+            sid, eid = int(sid), int(eid)
+            if not (-2 ** 63 <= sid < 2 ** 63 and -2 ** 63 <= eid < 2 ** 63):
+                raise ValueError(sid, eid)
+            trip = (reference_time(start), reference_time(stop), sid, eid,
+                    float(slat), float(slon), float(elat), float(elon))
+        except (ValueError, IndexError):
+            skipped["unparsable"] += 1
+            continue
+        if trip[1] < trip[0]:
+            skipped["stop_before_start"] += 1
+        elif not all(LAT_RANGE[0] <= lat <= LAT_RANGE[1] for lat in trip[4::2]) or \
+                not all(LON_RANGE[0] <= lon <= LON_RANGE[1] for lon in trip[5::2]):
+            skipped["out_of_bounds"] += 1
+        else:
+            parsed.append(trip)
+    return np.array(parsed, dtype=TRIP_DTYPE), rows, skipped
+
+
+def assert_same_parse(got, reference):
+    (trips, audit), (ref_trips, ref_rows, ref_skipped) = got, reference
+    assert trips.dtype == TRIP_DTYPE
+    assert trips.tobytes() == ref_trips.tobytes()
+    assert (audit.rows, audit.accepted) == (ref_rows, len(ref_trips))
+    assert dict(audit.skipped) == dict(ref_skipped)
+
+
+TIME_CASES = [
+    "2014-04-01 00:12:00", "2014-12-31 23:59:59", "2016-02-29 12:00:00", "9/1/2014 00:00:25",
+    "12/31/2014 23:59:59", "9/30/2014 08:05:00", "10/1/2014 08:05:00", "09/01/2014 00:00:25",
+    "4/1/2014 10:10", "2014-4-1 10:00:00", " 2014-04-01 10:00:00", "2014-04-01 10:00:00\t",
+    "2014-04-01  10:00:00", "4/ 1/2014 10:00:00", "\u0662\u0660\u0661\u0664-04-01 10:00:00",
+    "2014-04-31 00:00:00", "2014-02-29 12:00:00", "2014-04-01 25:61:61", "2014-04-00 00:00:00",
+    "2014-04-01 00:00:60", "4/31/2014 00:00:00", "13/1/2014 00:00:00", "0/1/2014 00:00:00",
+    "0000-01-01 00:00:00", "2014-04-01T10:00:00", "N/A", "", "2014/04/01 10:00:00",
+    "2014-04-01 24:00:00", "4/1/2014 24:00:00", "2014-04-01 10:0::00", "2014-0a-01 10:00:00",
+    "0001-01-01 00:00:00", "2/29/2016 12:00:00", "4/01/2014 00:00:00", "04/1/2014 00:00:00",
+]
+ID_CASES = ["72", "3002", " 12", "+5", "1_0", "\u0661\u0662", "nan", "", "7.0",
+            "99999999999999999999", "-9223372036854775809", "9223372036854775807"]
+LAT_CASES = ["40.7", "40.75", " 40.8 ", "+40.7", "4.07e1", "40_7.0", "nan", "inf", "0.0", "", "N/A"]
+LON_CASES = ["-74.0", "-73.99", "-73.950001", "-1e999", "nan", "", "-74_0"]
+
+
+def junk_trips_csv(seed, n):
+    """A trip CSV of ``n`` rows, most of them valid in either layout, the rest
+    carrying every case above, short rows and blank lines."""
+    rng = np.random.default_rng(seed)
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    columns = ["tripduration", *REQUIRED_COLUMNS, "bikeid"]
+    writer.writerow(columns)
+    for _ in range(n):
+        start = APRIL_1_2014 + int(rng.integers(0, 180 * 86400))
+        stop = start + int(rng.integers(-600, 3600))
+        row = {"tripduration": "540", "bikeid": "1"}
+        for col, epoch in (("starttime", start), ("stoptime", stop)):
+            t = time.gmtime(epoch)
+            if rng.random() < 0.1:
+                row[col] = str(rng.choice(TIME_CASES))
+            elif rng.random() < 0.5:
+                row[col] = time.strftime("%Y-%m-%d %H:%M:%S", t)
+            else:
+                row[col] = f"{t.tm_mon}/{t.tm_mday}/{t.tm_year} {time.strftime('%H:%M:%S', t)}"
+        for col, cases, good in (("start station id", ID_CASES, str(rng.integers(1, 40))),
+                                 ("end station id", ID_CASES, str(rng.integers(1, 40))),
+                                 ("start station latitude", LAT_CASES, f"{rng.uniform(40.6, 40.9):.6f}"),
+                                 ("start station longitude", LON_CASES, f"{rng.uniform(-74.1, -73.9):.6f}"),
+                                 ("end station latitude", LAT_CASES, f"{rng.uniform(40.6, 40.9):.6f}"),
+                                 ("end station longitude", LON_CASES, f"{rng.uniform(-74.1, -73.9):.6f}")):
+            row[col] = str(rng.choice(cases)) if rng.random() < 0.03 else good
+        fields = [row[c] for c in columns]
+        if rng.random() < 0.02:
+            fields = fields[:int(rng.integers(0, len(fields)))]
+        writer.writerow(fields)
+        if rng.random() < 0.02:
+            out.write("\n")
+    return out.getvalue()
+
+
+class TestColumnParseMatchesRowParse:
+    @pytest.mark.parametrize("chunk_rows", [None, 7, 1])
+    def test_junk_csv(self, monkeypatch, chunk_rows):
+        if chunk_rows:
+            monkeypatch.setattr("stdinet.data._CHUNK_ROWS", chunk_rows)
+        text = junk_trips_csv(0, 600)
+        got = parse_trips(io.StringIO(text, newline=""))
+        assert_same_parse(got, reference_parse_trips(io.StringIO(text, newline="")))
+        trips, audit = got
+        assert len(trips) > 300
+        assert set(audit.skipped) == {"unparsable", "stop_before_start", "out_of_bounds"}
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r", "mixed"])
+    def test_files_with_any_line_break(self, tmp_path, monkeypatch, line_break):
+        """parse_trip_files sizes its table by line breaks: LF, CRLF, CR-only, a
+        mix of lone CR and LF, and no final break must all fit."""
+        monkeypatch.setattr("stdinet.data._CHUNK_ROWS", 50)
+        texts = [junk_trips_csv(seed, n) for seed, n in ((1, 200), (2, 3), (3, 120))]
+        if line_break == "mixed":
+            files = ["".join(line + "\n\r"[k % 2] for k, line in enumerate(text.splitlines()))
+                     for text in texts]
+        else:
+            files = [text.replace("\n", line_break) for text in texts]
+        paths = []
+        for k, text in enumerate(files):
+            path = tmp_path / f"trips-{k}.csv"
+            path.write_bytes(text.rstrip("\r\n").encode("utf-8"))
+            paths.append(path)
+        trips, audit = parse_trip_files(paths)
+        ref = [reference_parse_trips(io.StringIO(text, newline="")) for text in texts]
+        assert_same_parse((trips, audit), (np.concatenate([r[0] for r in ref]),
+                                           sum(r[1] for r in ref), sum((r[2] for r in ref), Counter())))
 
 
 class TestSelectStations:
