@@ -3,7 +3,8 @@
 Initialization conventions, pinned for reproducibility: convolution kernels
 are He-normal with std sqrt(2/fan_in); linear and LSTM weights are uniform
 in +-1/sqrt(fan_in); all biases start at zero; batchnorm starts at gamma=1,
-beta=0.
+beta=0.  Passing ``rng=None`` draws nothing: every weight is left as an
+``np.empty`` array, a skeleton whose values a checkpoint load reads in.
 """
 
 from __future__ import annotations
@@ -17,8 +18,15 @@ from .tensor import BnState, Tensor
 LSTM_GATES = ("i", "f", "g", "o")
 
 
+def drawn_param(rng, shape, dtype, draw):
+    """A trainable tensor of ``draw()`` cast to dtype, or undrawn when rng is None."""
+    data = np.empty(shape, dtype=dtype) if rng is None else draw().astype(dtype)
+    return Tensor(data, requires_grad=True)
+
+
 def he_normal(rng, shape, fan_in, dtype):
-    return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype), requires_grad=True)
+    return drawn_param(rng, shape, dtype,
+                       lambda: rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
 
 
 def _uniform(rng, shape, fan_in):
@@ -27,7 +35,7 @@ def _uniform(rng, shape, fan_in):
 
 
 def uniform_fan_in(rng, shape, fan_in, dtype):
-    return Tensor(_uniform(rng, shape, fan_in).astype(dtype), requires_grad=True)
+    return drawn_param(rng, shape, dtype, lambda: _uniform(rng, shape, fan_in))
 
 
 def zeros_param(shape, dtype):
@@ -161,9 +169,10 @@ class LstmParams:
         self.b_hx = {}
         for k, gate in enumerate(LSTM_GATES):
             rows = slice(k * d, (k + 1) * d)
-            # Assignment casts the float64 draws as astype(dtype) would.
-            self.w_in[rows] = _uniform(rng, (d, input_dim), input_dim)
-            self.w_rec[rows] = _uniform(rng, (d, d), d)
+            if rng is not None:
+                # Assignment casts the float64 draws as astype(dtype) would.
+                self.w_in[rows] = _uniform(rng, (d, input_dim), input_dim)
+                self.w_rec[rows] = _uniform(rng, (d, d), d)
             self.w_ix[gate] = Tensor(self.w_in[rows], requires_grad=True)
             self.b_ix[gate] = Tensor(self.b_in[rows], requires_grad=True)
             self.w_hx[gate] = Tensor(self.w_rec[rows], requires_grad=True)

@@ -26,6 +26,8 @@ map of V.  Every head finishes with ReLU, so predictions are nonnegative.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -34,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .data import generate_hour_embeddings
 from .errors import DataError, DomainError, ShapeError, UsageError
-from .layers import ConvBlock, LinearLayer, LstmParams, lstm_sequence_batch
+from .layers import ConvBlock, LinearLayer, LstmParams, drawn_param, lstm_sequence_batch
 from .tensor import Tensor
 
 HOURS = 24
@@ -152,14 +154,12 @@ class IntervalNet:
                                 requires_grad=trainable_embedding)
         self.lin_w = LinearLayer(dims.embed_dim, dims.rank, rng, dtype)
         self.lin_b = LinearLayer(dims.embed_dim, dims.output_dim, rng, dtype)
-        self.o_mat = Tensor(
-            (rng.uniform(-1, 1, size=(dims.rank, feat_dim)) / np.sqrt(feat_dim)).astype(dtype),
-            requires_grad=True,
-        )
-        self.o_prime = Tensor(
-            (rng.uniform(-1, 1, size=(dims.output_dim, dims.rank)) / np.sqrt(dims.rank)).astype(dtype),
-            requires_grad=True,
-        )
+        self.o_mat = drawn_param(
+            rng, (dims.rank, feat_dim), dtype,
+            lambda: rng.uniform(-1, 1, size=(dims.rank, feat_dim)) / np.sqrt(feat_dim))
+        self.o_prime = drawn_param(
+            rng, (dims.output_dim, dims.rank), dtype,
+            lambda: rng.uniform(-1, 1, size=(dims.output_dim, dims.rank)) / np.sqrt(dims.rank))
 
     def generate(self, hour):
         """Weights (k, feat) and bias (k,) for one hour, kept on the tape."""
@@ -234,17 +234,20 @@ class ModelBase:
 
 
 class DemandModel(ModelBase):
-    """One built model: feature path plus head, with checkpoint support."""
+    """One built model: feature path plus head, with checkpoint support.
 
-    def __init__(self, kind, dims, seed, embedding=None, dtype=T.STANDARD):
+    The weights are drawn from ``rng`` in a fixed order.  With ``rng=None``
+    nothing is drawn and the weights and hour table are ``np.empty``: the
+    skeleton that load_checkpoint reads a checkpoint into.
+    """
+
+    def __init__(self, kind, dims, rng, embedding=None, dtype=T.STANDARD):
         if kind not in _KINDS:
             raise UsageError(f"unknown model kind {kind!r}; valid kinds: {', '.join(MODEL_KINDS)}")
         self.kind = kind
         self.dims = dims
-        self.seed = seed
         self.dtype = dtype
         self.feature_path, self.head = _KINDS[kind]
-        rng = np.random.default_rng(seed)
 
         self.spatial = None
         self.lstm = None
@@ -267,7 +270,7 @@ class DemandModel(ModelBase):
         self.feat_dim = feat_dim
 
         if self.head != "static" and embedding is None:
-            embedding = generate_hour_embeddings(dims.embed_dim, seed)
+            embedding = np.empty((HOURS, dims.embed_dim), dtype=dtype)
         if self.head == "hyper":
             self.interval = IntervalNet(
                 feat_dim, dims, rng, embedding,
@@ -345,7 +348,10 @@ class DemandModel(ModelBase):
 
 def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD):
     """Construct any model kind; see the module table for the mapping."""
-    return DemandModel(kind, dims or ModelDims(), seed, embedding=embedding, dtype=dtype)
+    dims = dims or ModelDims()
+    if embedding is None:
+        embedding = generate_hour_embeddings(dims.embed_dim, seed)
+    return DemandModel(kind, dims, np.random.default_rng(seed), embedding=embedding, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +413,11 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint; returns (model, extra).
 
     The model gets the precision the manifest records; a manifest written
-    before the precision was recorded loads as float32.
+    before the precision was recorded loads as float32.  No weight is drawn:
+    the model's arrays are allocated empty and each entry's bytes are read
+    straight into its parameter's array (or batchnorm statistic).  The whole
+    manifest is checked against the model and the data size first, so a
+    damaged file raises DataError before any tensor byte is read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -423,8 +433,28 @@ def load_checkpoint(path):
             manifest = json.loads(fh.read(mlen).decode("utf-8"))
         except ValueError as exc:
             raise DataError(f"{path}: unreadable checkpoint manifest ({exc})") from None
-        blob = fh.read()
+        data_start = fh.tell()
+        data_size = os.fstat(fh.fileno()).st_size - data_start
+        model, extra, targets = _checked_skeleton(path, manifest, data_size)
+        for start, nbytes, dtype, name, arr in sorted(targets, key=lambda t: t[0]):
+            fh.seek(data_start + start)
+            # An entry stored at another precision is read whole, then cast.
+            into = arr if dtype == arr.dtype else np.empty(arr.shape, dtype=dtype)
+            got = fh.readinto(into)
+            if got != nbytes:
+                raise DataError(f"{path}: entry {name} ends after {got} of its {nbytes} bytes; "
+                                "the file is truncated")
+            if into is not arr:
+                arr[...] = into
+    return model, extra
 
+
+def _checked_skeleton(path, manifest, data_size):
+    """(model skeleton, extra, read targets) for a manifest that passes every check.
+
+    A read target is (offset, nbytes, dtype, name, array) for each of the
+    model's parameter arrays and batchnorm statistics.
+    """
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: the checkpoint manifest is not a JSON object")
     if manifest.get("standard_skip", False) is not False:
@@ -443,34 +473,32 @@ def load_checkpoint(path):
     entries, extra = manifest.get("entries"), manifest.get("extra", {})
     if not isinstance(entries, list) or not isinstance(extra, dict):
         raise DataError(f"{path}: the checkpoint manifest needs an entries list and an extra object")
-    model = build_model(kind, dims, seed=0, dtype=np.dtype(dtype_name).type)
-    arrays = {}
+    index = {}
     spans = []
     for i, e in enumerate(entries):
         name, shape, dtype, start, nbytes = _manifest_entry(path, i, e)
         spans.append((start, nbytes, name))
-        if start + nbytes > len(blob):
+        if start + nbytes > data_size:
             raise DataError(f"{path}: entry {name} needs bytes {start}..{start + nbytes} "
-                            f"but the data is {len(blob)} bytes; the file is truncated")
-        if nbytes != int(np.prod(shape)) * np.dtype(dtype).itemsize:
+                            f"but the data is {data_size} bytes; the file is truncated")
+        if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
             raise DataError(f"{path}: entry {name} has {nbytes} bytes "
                             f"for shape {shape} of {dtype}")
-        arrays[name] = np.frombuffer(blob[start:start + nbytes], dtype=dtype).reshape(shape).copy()
+        index[name] = (start, nbytes, np.dtype(dtype), tuple(shape))
 
-    def stored(name, shape):
-        if name not in arrays:
-            raise DataError(f"{path}: checkpoint is missing {name}")
-        if arrays[name].shape != shape:
-            raise DataError(
-                f"{path}: shape mismatch for {name}: file {arrays[name].shape}, model {shape}"
-            )
-        return arrays[name]
-
-    for name, p in model.named_tensors():
-        p.data[...] = stored(name, p.data.shape).astype(model.dtype)
+    model = DemandModel(kind, dims, None, dtype=np.dtype(dtype_name).type)
+    arrays = [(name, p.data) for name, p in model.named_tensors()]
     for name, s in model.named_states():
-        s.running_mean[:] = stored(f"{name}.running_mean", s.running_mean.shape)
-        s.running_var[:] = stored(f"{name}.running_var", s.running_var.shape)
+        arrays.append((f"{name}.running_mean", s.running_mean))
+        arrays.append((f"{name}.running_var", s.running_var))
+    targets = []
+    for name, arr in arrays:
+        if name not in index:
+            raise DataError(f"{path}: checkpoint is missing {name}")
+        start, nbytes, dtype, shape = index[name]
+        if shape != arr.shape:
+            raise DataError(f"{path}: shape mismatch for {name}: file {shape}, model {arr.shape}")
+        targets.append((start, nbytes, dtype, name, arr))
     # The entries, in offset order, must tile the data with no overlap, gap or
     # tail.  This comes after the lookups by name, so that a dropped entry is
     # reported by its name.
@@ -480,9 +508,9 @@ def load_checkpoint(path):
             raise DataError(f"{path}: checkpoint entries overlap or leave a gap: "
                             f"{name} starts at byte {start}, not {end}")
         end = start + nbytes
-    if end != len(blob):
-        raise DataError(f"{path}: the entries end at byte {end} of {len(blob)} data bytes")
-    return model, extra
+    if end != data_size:
+        raise DataError(f"{path}: the entries end at byte {end} of {data_size} data bytes")
+    return model, extra, targets
 
 
 def _manifest_entry(path, index, entry):

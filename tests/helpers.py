@@ -1,4 +1,6 @@
-"""Shared test utilities: toy tasks and plain training loops."""
+"""Shared test utilities: toy tasks, plain training loops, checkpoint edits."""
+
+import json
 
 import numpy as np
 
@@ -60,3 +62,13 @@ def manual_steps(model, windows, steps, lr=1e-3, weight_decay=0.0, stop_below=No
         adam.step()
         adam.zero_grad()
     return losses
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to a checkpoint's manifest dict and write it back."""
+    raw = path.read_bytes()
+    mlen = int.from_bytes(raw[8:12], "little")
+    manifest = json.loads(raw[12:12 + mlen])
+    edit(manifest)
+    payload = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + mlen:])

@@ -7,11 +7,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from helpers import rewrite_manifest
 
 import stdinet
 from stdinet.cli import main, parse_overrides, resolve_path
@@ -257,16 +260,6 @@ class TestEval:
         assert "4x4" in caplog.text and "2x2" in caplog.text
 
 
-def rewrite_manifest(path, edit):
-    """Apply ``edit`` to a checkpoint's manifest dict and write it back."""
-    raw = path.read_bytes()
-    mlen = int.from_bytes(raw[8:12], "little")
-    manifest = json.loads(raw[12:12 + mlen])
-    edit(manifest)
-    payload = json.dumps(manifest).encode()
-    path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + mlen:])
-
-
 # Manifest fields the checkpoint loader reads, as (where, key); those it
 # cannot do without; and values of a type no such field may take.
 READ_FIELDS = ([("top", k) for k in ("kind", "dims", "dtype", "entries", "extra")]
@@ -336,6 +329,18 @@ class TestCheckpointFaults:
         assert grown[0] in caplog.text
 
 
+    def test_entry_size_overflowing_int64_is_a_data_error(self, ckpt, toy_series_path,
+                                                          caplog):
+        """A shape whose element count wraps to 0 in int64 does not excuse 0 bytes."""
+        def add(manifest):
+            end = max(e["offset"] + e["nbytes"] for e in manifest["entries"])
+            manifest["entries"].append({"name": "huge", "shape": [2**32, 2**32], "dtype": "<f4",
+                                        "offset": end, "nbytes": 0, "trainable": False})
+
+        rewrite_manifest(ckpt, add)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "entry huge has 0 bytes" in caplog.text
+
     @pytest.mark.parametrize("shift,tail", [(4, b""), (-4, b""), (0, b"\0" * 4)],
                              ids=["moved-later", "moved-earlier", "tail"])
     def test_entries_not_tiling_the_data_are_a_data_error(self, ckpt, toy_series_path, caplog,
@@ -397,6 +402,23 @@ class TestCheckpointFaults:
     def test_damaged_manifest_is_a_data_error(self, ckpt, toy_series_path, edit):
         rewrite_manifest(ckpt, edit)
         assert self.eval_rc(ckpt, toy_series_path) == 3
+
+    def test_short_read_is_a_data_error(self, ckpt, toy_series_path, caplog, capsys,
+                                        monkeypatch):
+        """A file that ends inside an entry, though the size check saw it whole."""
+        raw = ckpt.read_bytes()
+        mlen = int.from_bytes(raw[8:12], "little")
+        entries = json.loads(raw[12:12 + mlen])["entries"]
+        kept = len(raw) - 12 - mlen - 40
+        cut = min((e for e in entries if e["offset"] + e["nbytes"] > kept),
+                  key=lambda e: e["offset"])["name"]
+        ckpt.write_bytes(raw[:-40])
+        fstat = os.fstat
+        monkeypatch.setattr(stdinet.model, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 40)))
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert f"entry {cut} ends after" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unit_scale_scores_as_no_scale(self, ckpt, toy_series_path, capsys):
         assert self.eval_rc(ckpt, toy_series_path) == 0

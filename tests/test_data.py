@@ -3,6 +3,7 @@
 import calendar
 import csv
 import io
+import tempfile
 import time
 from collections import Counter, namedtuple
 from datetime import datetime
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stdinet import DataError, SchemaError, UsageError
 from stdinet.data import (
@@ -689,6 +691,27 @@ class TestSeriesFile:
         assert loaded.start_epoch == APRIL_1_2014
         assert loaded.interval_seconds == 3600
         np.testing.assert_array_equal(loaded.values, series.values)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_series_round_trips(self, data):
+        """Every header field and every float32 bit pattern comes back as written."""
+        rows = data.draw(st.integers(1, 5), label="rows")
+        cols = data.draw(st.integers(1, 5), label="cols")
+        length = data.draw(st.integers(0, 40), label="length")
+        series = DemandSeries(
+            start_epoch=data.draw(st.integers(-2**63, 2**63 - 1), label="start_epoch"),
+            interval_seconds=data.draw(st.integers(1, 2**32 - 1), label="interval"),
+            values=data.draw(arrays(np.float32, (length, 2, rows, cols)), label="values"),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "demand.stdm"
+            write_demand_series(path, series)
+            loaded = read_demand_series(path)
+        assert (loaded.start_epoch, loaded.interval_seconds, loaded.length, loaded.rows,
+                loaded.cols) == (series.start_epoch, series.interval_seconds, length, rows, cols)
+        assert loaded.values.dtype == np.float32
+        assert loaded.values.tobytes() == series.values.tobytes()
 
     def test_byte_identical_rewrites(self, tmp_path):
         series = random_demand_series(6, seed=16)

@@ -1,13 +1,14 @@
 """Model assembly tests: spatial stacking, generated weights, variants."""
 
 import hashlib
-import json
-import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import rewrite_manifest
 
 from stdinet import DomainError, ShapeError, UsageError
 from stdinet.layers import LSTM_GATES
@@ -20,7 +21,6 @@ from stdinet.model import (
     SpatialModule,
     TOY_DIMS,
     build_model,
-    CKPT_MAGIC,
     load_checkpoint,
     save_checkpoint,
 )
@@ -65,6 +65,34 @@ def triple_loop_weights(o_prime, w, o):
 
 def toy_model(kind="STDI", seed=0, dtype=F64):
     return build_model(kind, TOY_DIMS, seed=seed, dtype=dtype)
+
+
+def randomized_model(kind, dtype, seed):
+    """A toy model whose every parameter and batchnorm statistic is seeded noise.
+
+    Zero biases and unit variances would match an array a load left unfilled
+    only by luck; noise matches nothing but the bytes that were saved.
+    """
+    rng = np.random.default_rng(seed)
+    model = build_model(kind, TOY_DIMS, seed=seed, dtype=dtype)
+    for _, p in model.named_tensors():
+        p.data[...] = rng.normal(size=p.data.shape)
+    for _, s in model.named_states():
+        s.running_mean[:] = rng.normal(size=s.running_mean.shape)
+        s.running_var[:] = rng.uniform(0.5, 2.0, size=s.running_var.shape)
+    return model
+
+
+def stored_arrays(model):
+    """Every array a checkpoint holds, by name, plus the stacked LSTM arrays."""
+    arrays = {n: p.data for n, p in model.named_tensors()}
+    for n, s in model.named_states():
+        arrays[f"{n}.running_mean"] = s.running_mean
+        arrays[f"{n}.running_var"] = s.running_var
+    if model.lstm is not None:
+        for attr in ("w_in", "b_in", "w_rec", "b_rec"):
+            arrays[f"lstm.{attr}"] = getattr(model.lstm, attr)
+    return arrays
 
 
 def toy_window(rng, dims=TOY_DIMS, batch=None):
@@ -394,17 +422,65 @@ class TestCheckpoint:
         model = build_model("SpatialFC", TOY_DIMS, seed=14, dtype=np.float32)
         path = tmp_path / "old.ckpt"
         save_checkpoint(path, model)
-        blob = path.read_bytes()
-        version, mlen = struct.unpack("<II", blob[4:12])
-        manifest = json.loads(blob[12:12 + mlen])
-        del manifest["dtype"]
-        payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        path.write_bytes(CKPT_MAGIC + struct.pack("<II", version, len(payload))
-                         + payload + blob[12 + mlen:])
+        rewrite_manifest(path, lambda manifest: manifest.pop("dtype"))
         loaded, _ = load_checkpoint(path)
         assert loaded.dtype == np.float32
         for (_, p), (_, q) in zip(model.named_tensors(), loaded.named_tensors()):
             np.testing.assert_array_equal(q.data, p.data)
+
+    def test_float64_entries_without_precision_are_cast_to_float32(self, tmp_path):
+        """``<f8`` entries in a manifest that records no precision: the cast path."""
+        model = randomized_model("STDI", F64, seed=18)
+        path = tmp_path / "old64.ckpt"
+        save_checkpoint(path, model)
+        rewrite_manifest(path, lambda manifest: manifest.pop("dtype"))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float32
+        want, got = stored_arrays(model), stored_arrays(loaded)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == np.float32, name
+            assert got[name].tobytes() == arr.astype(np.float32).tobytes(), name
+        assert_lstm_views(loaded)
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_kind_round_trips_byte_identical(self, kind, dtype, tmp_path):
+        model = randomized_model(kind, dtype, seed=19)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert (loaded.kind, loaded.dims, loaded.dtype) == (kind, TOY_DIMS, dtype)
+        want, got = stored_arrays(model), stored_arrays(loaded)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), name
+        if loaded.lstm is not None:
+            assert_lstm_views(loaded)
+        seqs = Tensor(toy_window(np.random.default_rng(20), batch=3).astype(dtype))
+        hours = [0, 9, 23]
+        assert (loaded.forward_batch(seqs, hours, mode="eval").data.tobytes()
+                == model.forward_batch(seqs, hours, mode="eval").data.tobytes())
+
+    def test_load_peak_memory_is_near_the_weights(self, tmp_path):
+        """A load holds one copy of the weights: no blob, no random draws, no casts."""
+        dims = ModelDims(rows=4, cols=8, channels=8, lstm_hidden=256, rank=16, embed_dim=10)
+        model = build_model("STDI", dims, seed=21, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        weights = (sum(p.data.nbytes for _, p in model.named_tensors())
+                   + sum(s.running_mean.nbytes + s.running_var.nbytes
+                         for _, s in model.named_states()))
+        del model
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights > 2_000_000
+        assert peak <= 1.5 * weights, f"peak {peak} bytes for {weights} bytes of weights"
 
 
 class TestGradcheckCoverage:
