@@ -19,8 +19,8 @@ from .model import (
 )
 from .data import (
     DemandSeries,
-    SampleWindow,
     StationGrid,
+    Windows,
     assign_grid,
     build_demand_series,
     generate_hour_embeddings,
@@ -52,7 +52,7 @@ __all__ = [
     "STANDARD", "VERIFICATION", "Tape", "Tensor", "finite_diff_check",
     "MODEL_KINDS", "ModelDims", "TOY_DIMS", "build_model",
     "load_checkpoint", "save_checkpoint",
-    "DemandSeries", "SampleWindow", "StationGrid", "assign_grid",
+    "DemandSeries", "StationGrid", "Windows", "assign_grid",
     "build_demand_series", "generate_hour_embeddings", "load_hour_embeddings",
     "make_windows", "parse_trips", "read_demand_series", "regime_demand_series",
     "select_stations", "split_dataset", "write_demand_series",

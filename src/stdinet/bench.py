@@ -83,7 +83,7 @@ def baseline_ha(series, test_windows, boundary_epoch):
     predict zero.
     """
     index = np.arange(series.length)
-    train = series.start_epoch + index * series.interval_seconds < boundary_epoch
+    train = series.epoch_of(index) < boundary_epoch
     hours = series.hour_of(index)[train]
     if len(hours) < 168:
         raise DataError(f"historical average needs a training week, got {len(hours)} intervals")
@@ -92,7 +92,7 @@ def baseline_ha(series, test_windows, boundary_epoch):
     np.add.at(sums, hours, series.values[train])
     counts = np.bincount(hours, minlength=24).reshape(24, 1, 1, 1)
     means = sums / np.maximum(counts, 1)
-    return means[[w.hour for w in test_windows]]
+    return means[series.hour_of(test_windows.index)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +180,7 @@ class LinearBaseline:
 
     def predict(self, windows):
         x, _ = _design(windows)
-        flat = x @ self.weights + self.intercept
-        n = flat.shape[0]
-        shape = windows[0].target.shape
-        return flat.reshape((n,) + shape)
+        return (x @ self.weights + self.intercept).reshape((-1, *windows.series.values.shape[1:]))
 
 
 # The penalties the linear baselines choose from on validation RMSE.
@@ -289,7 +286,7 @@ def _method_predictions(method, series, splits, config, table):
     seed = config.train.seed
     detail = {}
     if method == "HA":
-        boundary = min(w.target_epoch for w in test)
+        boundary = series.epoch_of(int(test.index.min()))
         preds = baseline_ha(series, test, boundary)
     elif method in ("Ridge", "Lasso"):
         model = baseline_linear(train, val, method.lower())
@@ -323,11 +320,10 @@ def run_benchmark(series, methods, config=None):
             raise UsageError(
                 f"unknown method {method!r}; valid methods: {', '.join(ALL_METHODS)}"
             )
-    windows = make_windows(series, config.dims.seq_len)
-    splits = split_dataset(windows, test_days=config.test_days, val_frac=config.val_frac)
-    _, _, test = splits
-    _, _, test_targets = windows_to_arrays(test)
-    test_targets = test_targets.astype(np.float64)
+    splits = split_dataset(make_windows(series, config.dims.seq_len),
+                           test_days=config.test_days, val_frac=config.val_frac)
+    test = splits[2]
+    test_targets = windows_to_arrays(test)[2].astype(np.float64)
     table = None
     if any(method in MODEL_KINDS for method in methods):
         table = hour_table(config.embeddings, config.dims.embed_dim, config.train.seed)

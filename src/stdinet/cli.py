@@ -237,10 +237,9 @@ def cmd_eval(args):
     _, _, test = D.split_dataset(windows, test_days=_extra(extra, "test_days", D.TEST_DAYS, int),
                                  val_frac=_extra(extra, "val_frac", D.VAL_FRAC, float, (0, 1)))
     preds = predict_windows(model, test)
-    _, _, targets = D.windows_to_arrays(test)
-    metrics = compute_metrics(preds, targets.astype(np.float64))
-    per_channel = {k: dataclasses.asdict(v)
-                   for k, v in per_channel_metrics(preds, targets.astype(np.float64)).items()}
+    targets = D.windows_to_arrays(test)[2].astype(np.float64)
+    metrics = compute_metrics(preds, targets)
+    per_channel = {k: dataclasses.asdict(v) for k, v in per_channel_metrics(preds, targets).items()}
     payload = {
         "rmse": metrics.rmse, "mae": metrics.mae, "z": metrics.z,
         "n_test": len(test), "per_channel": per_channel, "kind": model.kind,
@@ -378,7 +377,7 @@ def main(argv=None):
     except (UsageError, DomainError) as exc:
         log.error("%s", exc)
         return 2
-    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
         return 3
     except DivergenceError as exc:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import compress
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -374,11 +375,15 @@ class DemandSeries:
 
     @property
     def end_epoch(self):
-        return self.start_epoch + self.length * self.interval_seconds
+        return self.epoch_of(self.length)
+
+    def epoch_of(self, index):
+        """Epoch seconds at which interval ``index`` starts."""
+        return self.start_epoch + index * self.interval_seconds
 
     def hour_of(self, index):
         """Hour of day (0..23) at which interval ``index`` starts."""
-        return ((self.start_epoch + index * self.interval_seconds) // 3600) % 24
+        return self.epoch_of(index) // 3600 % 24
 
 
 def derive_time_range(trips, interval=3600):
@@ -425,31 +430,39 @@ def build_demand_series(trips, grid, t0, t1, interval=3600):
 # windows and splits
 
 
-@dataclass
-class SampleWindow:
-    inputs: np.ndarray    # (L, 2, rows, cols), the L intervals before the target
-    target: np.ndarray    # (2, rows, cols)
-    hour: int             # hour of day of the target interval
-    target_index: int
-    target_epoch: int
-    interval_seconds: int
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Samples of one series: for each target interval t in ``index``, the ``seq_len``
+    intervals before t.  ``len``, slicing, ``+`` and iteration (yielding ``inputs``,
+    ``target``, ``hour``, ``target_index`` and ``target_epoch``) work as on a list."""
+
+    series: DemandSeries
+    seq_len: int
+    index: np.ndarray     # int64 target indices
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, key):
+        return Windows(self.series, self.seq_len, self.index[key])
+
+    def __add__(self, other):
+        if other.series is not self.series or other.seq_len != self.seq_len:
+            raise UsageError("only windows of one series and length can be joined")
+        return Windows(self.series, self.seq_len, np.concatenate([self.index, other.index]))
+
+    def __iter__(self):
+        s, seq_len = self.series, self.seq_len
+        return (SimpleNamespace(inputs=s.values[t - seq_len:t], target=s.values[t],
+                                hour=s.hour_of(t), target_index=t, target_epoch=s.epoch_of(t))
+                for t in self.index.tolist())
 
 
 def make_windows(series, seq_len=3):
-    """One window per target index t in [L, T)."""
+    """The windows of every target index t in [L, T)."""
     if series.length <= seq_len:
         raise DataError(f"series of {series.length} intervals cannot fill windows of length {seq_len}")
-    windows = []
-    for t in range(seq_len, series.length):
-        windows.append(SampleWindow(
-            inputs=series.values[t - seq_len:t],
-            target=series.values[t],
-            hour=int(series.hour_of(t)),
-            target_index=t,
-            target_epoch=series.start_epoch + t * series.interval_seconds,
-            interval_seconds=series.interval_seconds,
-        ))
-    return windows
+    return Windows(series, seq_len, np.arange(seq_len, series.length, dtype=np.int64))
 
 
 # The default split: the last 10 days test, the latest tenth of the rest validates.
@@ -465,29 +478,24 @@ def split_dataset(windows, test_days=TEST_DAYS, val_frac=VAL_FRAC):
     """
     if not 0 < val_frac < 1:
         raise UsageError(f"val_frac must lie in (0, 1), got {val_frac!r}")
-    if not windows:
+    if not len(windows):
         raise DataError("no windows to split")
-    end_epoch = max(w.target_epoch for w in windows) + windows[0].interval_seconds
-    boundary = end_epoch - test_days * 86400
-    ordered = sorted(windows, key=lambda w: w.target_epoch)
-    test = [w for w in ordered if w.target_epoch >= boundary]
-    rest = [w for w in ordered if w.target_epoch < boundary]
-    n_val = int(len(rest) * val_frac)
-    val = rest[len(rest) - n_val:]
-    train = rest[:len(rest) - n_val]
-    if not train or not val or not test:
-        raise DataError(
-            f"empty split: train={len(train)}, val={len(val)}, test={len(test)}"
-        )
+    ordered = windows[np.argsort(windows.index)]
+    epochs = windows.series.epoch_of(ordered.index)
+    boundary = int(epochs[-1]) + windows.series.interval_seconds - test_days * 86400
+    n_rest = int(np.searchsorted(epochs, boundary))
+    n_train = n_rest - int(n_rest * val_frac)
+    train, val, test = ordered[:n_train], ordered[n_train:n_rest], ordered[n_rest:]
+    if not len(train) or not len(val) or not len(test):
+        raise DataError(f"empty split: train={len(train)}, val={len(val)}, test={len(test)}")
     return train, val, test
 
 
 def windows_to_arrays(windows):
-    """Stack windows into (inputs, hours, targets) numpy batches."""
-    inputs = np.stack([w.inputs for w in windows]).astype(np.float32)
-    hours = np.array([w.hour for w in windows], dtype=np.int64)
-    targets = np.stack([w.target for w in windows]).astype(np.float32)
-    return inputs, hours, targets
+    """(inputs, hours, targets) numpy batches of windows, gathered from the series."""
+    values, index = windows.series.values.astype(np.float32, copy=False), windows.index
+    inputs = values[index[:, None] + np.arange(-windows.seq_len, 0)]
+    return inputs, windows.series.hour_of(index), values[index]
 
 
 # ---------------------------------------------------------------------------

@@ -300,10 +300,7 @@ class DemandModel(ModelBase):
         return lstm_sequence_batch(self.lstm, frames)
 
     def forward_batch(self, seqs, hours=None, mode="train"):
-        """Predict (B, 2, i, j) from windows (B, L, 2, i, j) and hour labels.
-
-        A single (L, 2, i, j) window runs as a batch of one.
-        """
+        """Predict (B, 2, i, j) from windows (B, L, 2, i, j) and hour labels."""
         d = self.dims
         batch = seqs.data.shape[0]
         feat = self._features(seqs, mode)

@@ -16,8 +16,9 @@ from .errors import DivergenceError, UsageError
 from .tensor import Tape, Tensor, resolve_dtype
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built: a bad value raises UsageError."""
     lr: float = 1e-3
     weight_decay: float = 5e-5
     epochs: int = 200
@@ -26,9 +27,12 @@ class TrainConfig:
     seed: int = 0
     precision: str = "standard"
 
-    def validate(self):
-        if min(self.lr, self.weight_decay + 1, self.epochs, self.batch_size, self.patience) <= 0:
-            raise UsageError("lr, epochs, batch_size and patience must be positive")
+    def __post_init__(self):
+        # Written so that NaN fails both tests.
+        if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise UsageError("lr must be finite and positive, weight_decay finite and nonnegative")
+        if min(self.epochs, self.batch_size, self.patience) <= 0 or self.seed < 0:
+            raise UsageError("epochs, batch_size and patience must be positive, seed nonnegative")
         if self.patience > self.epochs:
             raise UsageError(f"patience {self.patience} exceeds epochs {self.epochs}")
 
@@ -113,7 +117,7 @@ class TrainHistory:
 
 
 def predict_windows(model, windows, batch_size=256):
-    """Eval-mode predictions for a list of windows, as float64 counts."""
+    """Eval-mode predictions for ``windows`` (a ``data.Windows``), as float64 counts."""
     inputs, hours, _ = windows_to_arrays(windows)
     inputs = inputs.astype(model.dtype)
     preds = []
@@ -155,17 +159,17 @@ def fit(model, train_windows, val_windows, config, log_path=None):
     """Train with shuffled mini-batches and validation-based early stopping.
 
     Per epoch: seeded shuffle, train-mode forward, MSE backward, Adam step;
-    then validation RMSE/MAE in eval mode on raw counts.  Stops when the
-    validation RMSE has not improved for ``patience`` epochs and restores
-    the best epoch's parameters.  Batches that would reach batchnorm with a
-    single sample are dropped, and a configuration in which every batch
-    would be dropped is refused.  Each epoch's log record also carries
-    ``step_s``, the median training step time, and ``samples_per_s``, the
-    windows in batches that stepped per second of the epoch's training.
+    a check that every parameter is finite; then validation RMSE/MAE in eval
+    mode on raw counts.  Stops when the validation RMSE has not improved for
+    ``patience`` epochs and restores the best epoch's parameters.  Batches
+    that would reach batchnorm with a single sample are dropped, and a
+    configuration in which every batch would be dropped is refused.  Each
+    epoch's log record also carries ``step_s``, the median training step
+    time, and ``samples_per_s``, the windows in batches that stepped per
+    second of the epoch's training.
     """
-    config.validate()
     if not train_windows or not val_windows:
-        raise UsageError("fit needs non-empty train and validation window lists")
+        raise UsageError("fit needs non-empty train and validation windows")
     if min(config.batch_size, len(train_windows)) < 2:
         raise UsageError(
             f"fit would train nothing: batches of {config.batch_size} over "
@@ -219,6 +223,9 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 step_times.append(time.perf_counter() - step_start)
             train_s = time.perf_counter() - epoch_start
             tape.reset()
+            # The loss alone can miss NaN weights: a ReLU maps NaN to zero.
+            if not all(np.isfinite(p.data).all() for p in adam.params):
+                raise DivergenceError(f"non-finite parameter after epoch {epoch + 1}")
 
             val = compute_metrics(predict_windows(model, val_windows), val_targets)
             rmse, mae = val.rmse, val.mae

@@ -4,49 +4,37 @@ import json
 
 import numpy as np
 
-from stdinet.data import SampleWindow, windows_to_arrays
 from stdinet.model import TOY_DIMS
 from stdinet.tensor import Tape, Tensor
 from stdinet.training import Adam, mse_loss
 
 
 def copy_task_windows(n=20, dims=TOY_DIMS, seed=0):
-    """Windows whose target is a copy of the last input frame.
+    """(inputs, hours, targets) of windows whose target is a copy of the last input frame.
 
     Counts are 0/1: the generated prediction weights have rank at most
     ``rank`` (4 at toy dims) against 8 outputs, so larger-magnitude random
     frames cannot be memorized exactly by construction.
     """
     rng = np.random.default_rng(seed)
-    windows = []
-    for i in range(n):
-        inputs = rng.integers(0, 2, size=(dims.seq_len, 2, dims.rows, dims.cols)).astype(np.float32)
-        windows.append(SampleWindow(
-            inputs=inputs, target=inputs[-1].copy(), hour=i % 24,
-            target_index=i + dims.seq_len, target_epoch=(i + dims.seq_len) * 3600,
-            interval_seconds=3600,
-        ))
-    return windows
+    inputs = np.stack([rng.integers(0, 2, size=(dims.seq_len, 2, dims.rows, dims.cols))
+                       for _ in range(n)]).astype(np.float32)
+    return inputs, np.arange(n) % 24, inputs[:, -1].copy()
 
 
 def memorize_windows(n, seed, dims=TOY_DIMS):
-    """Arbitrary (window -> positive frame) pairs for memorization tests."""
+    """(inputs, hours, targets) of arbitrary (window -> positive frame) pairs."""
     rng = np.random.default_rng(seed)
-    windows = []
-    for i in range(n):
-        inputs = rng.integers(0, 5, size=(dims.seq_len, 2, dims.rows, dims.cols)).astype(np.float32)
-        target = rng.integers(1, 4, size=(2, dims.rows, dims.cols)).astype(np.float32)
-        windows.append(SampleWindow(
-            inputs=inputs, target=target, hour=i % 24,
-            target_index=i + dims.seq_len, target_epoch=(i + dims.seq_len) * 3600,
-            interval_seconds=3600,
-        ))
-    return windows
+    pairs = [(rng.integers(0, 5, size=(dims.seq_len, 2, dims.rows, dims.cols)),
+              rng.integers(1, 4, size=(2, dims.rows, dims.cols))) for _ in range(n)]
+    inputs, targets = (np.stack(part).astype(np.float32) for part in zip(*pairs))
+    return inputs, np.arange(n) % 24, targets
 
 
-def manual_steps(model, windows, steps, lr=1e-3, weight_decay=0.0, stop_below=None):
-    """Full-batch train-mode loop; optionally stop once the loss crosses a bar."""
-    inputs, hours, targets = windows_to_arrays(windows)
+def manual_steps(model, batch, steps, lr=1e-3, weight_decay=0.0, stop_below=None):
+    """Full-batch train-mode loop over ``batch`` = (inputs, hours, targets);
+    optionally stop once the loss crosses a bar."""
+    inputs, hours, targets = batch
     tape = Tape()
     model.attach_tape(tape)
     adam = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)

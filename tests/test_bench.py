@@ -1,14 +1,13 @@
 """Benchmark tests: metrics, baselines, and the report runner."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from helpers import copy_task_windows, manual_steps, memorize_windows
 
 from stdinet import DataError, UsageError
-from stdinet.data import make_windows, random_demand_series, split_dataset, windows_to_arrays
+from stdinet.data import (DemandSeries, Windows, make_windows, random_demand_series, split_dataset,
+                          windows_to_arrays)
 from stdinet.model import ModelDims, TOY_DIMS
 from stdinet.training import TrainConfig
 from stdinet.bench import (
@@ -105,40 +104,40 @@ def reference_ha(series, test_windows, boundary_epoch):
 
 
 class TestHistoricalAverage:
-    @pytest.mark.parametrize("interval", [3600, 7200])
+    # At a day and a minute, each interval starts a minute later in the day than
+    # the one before, so the last test targets (t >= 390) start in hour 7, in
+    # which no training interval (t < 340) starts; that hour predicts zero.
+    @pytest.mark.parametrize("interval", [3600, 7200, 86460])
     def test_matches_per_interval_loop_bitwise(self, interval):
-        from stdinet.data import DemandSeries
         rng = np.random.default_rng(9)
         values = rng.gamma(2.0, 1.7, size=(400, 2, 2, 3)).astype(np.float32)
         series = DemandSeries(start_epoch=1396310400 + 1800, interval_seconds=interval,
                               values=values)
         windows = make_windows(series, seq_len=3)
         test = windows[-60:]
-        boundary = test[0].target_epoch
-        # At the two-hour interval no training interval starts in this hour,
-        # which therefore predicts zero.
-        test.append(dataclasses.replace(test[-1], target_epoch=test[-1].target_epoch + 3600,
-                                        hour=(test[-1].hour + 1) % 24))
+        boundary = series.epoch_of(int(test.index[0]))
         preds = baseline_ha(series, test, boundary)
         assert preds.dtype == np.float64
         assert preds.tobytes() == reference_ha(series, test, boundary).tobytes()
+        trained = series.hour_of(np.arange(test.index[0]))
+        unseen = ~np.isin(series.hour_of(test.index), trained)
+        assert unseen.sum() == (10 if interval == 86460 else 0)
+        assert not preds[unseen].any() and preds[~unseen].all()
 
     def series_with_profile(self, profile, days=30):
         values = np.zeros((days * 24, 2, 2, 2), dtype=np.float32)
         for t in range(days * 24):
             values[t] = profile[t % 24]
-        from stdinet.data import DemandSeries
         return DemandSeries(start_epoch=0, interval_seconds=3600, values=values)
 
     def test_mean_of_two_values(self):
-        from stdinet.data import DemandSeries
         values = np.zeros((2 * 168, 2, 2, 2), dtype=np.float32)
         # hour 8 of day 0 -> 2, hour 8 of day 1.. -> 4 at one station
         for day in range(14):
             values[day * 24 + 8, 0, 0, 0] = 2.0 if day % 2 == 0 else 4.0
         series = DemandSeries(start_epoch=0, interval_seconds=3600, values=values)
         windows = make_windows(series, seq_len=3)
-        test = [w for w in windows if w.hour == 8][-2:]
+        test = windows[series.hour_of(windows.index) == 8][-2:]
         boundary = min(w.target_epoch for w in test)
         preds = baseline_ha(series, test, boundary)
         # training saw equal numbers of 2s and 4s at hour 8
@@ -157,7 +156,7 @@ class TestHistoricalAverage:
         series = self.series_with_profile(profile)
         windows = make_windows(series, seq_len=3)
         boundary = series.end_epoch - 5 * 86400
-        test = [w for w in windows if w.target_epoch >= boundary]
+        test = windows[series.epoch_of(windows.index) >= boundary]
         preds = baseline_ha(series, test, boundary)
         _, _, targets = windows_to_arrays(test)
         np.testing.assert_allclose(preds, targets, atol=1e-6)
@@ -167,7 +166,7 @@ class TestHistoricalAverage:
             0, 5, size=(24, 2, 2, 2)).astype(np.float32))
         windows = make_windows(series, seq_len=3)
         boundary = series.end_epoch - 3 * 86400
-        test = [w for w in windows if w.target_epoch >= boundary]
+        test = windows[series.epoch_of(windows.index) >= boundary]
         preds = baseline_ha(series, test, boundary)
         by_hour = {}
         for w, p in zip(test, preds):
@@ -194,11 +193,17 @@ class TestLinearBaselines:
             np.testing.assert_allclose(w[:, 0], oracle, atol=1e-6)
 
     def test_identity_task_near_zero_rmse(self):
-        windows = copy_task_windows(n=60, seed=5)
+        # Copy-task window i laid out as a block of four intervals of one series:
+        # its three input frames, then its target at index 4i + 3.
+        inputs, _, targets = copy_task_windows(n=60, seed=5)
+        blocks = np.concatenate([inputs, targets[:, None]], axis=1)
+        series = DemandSeries(start_epoch=0, interval_seconds=3600,
+                              values=blocks.reshape(-1, *blocks.shape[2:]))
+        windows = Windows(series, 3, 4 * np.arange(60) + 3)
+        np.testing.assert_array_equal(windows_to_arrays(windows)[0], inputs)
         model = baseline_linear(windows[:40], windows[40:], "ridge")
         preds = model.predict(windows[40:])
-        _, _, targets = windows_to_arrays(windows[40:])
-        rmse = float(np.sqrt(np.mean((preds - targets) ** 2)))
+        rmse = float(np.sqrt(np.mean((preds - targets[40:]) ** 2)))
         assert rmse < 0.05
 
     def test_huge_penalty_predicts_intercept(self):

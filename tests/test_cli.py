@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from helpers import rewrite_manifest
 
 import stdinet
+import stdinet.cli
 from stdinet.cli import main, parse_overrides, resolve_path
+from stdinet.model import build_model
 from stdinet.data import random_demand_series, read_demand_series, write_demand_series
 
 HEADER = ",".join(f'"{c}"' for c in (
@@ -219,6 +221,43 @@ class TestTrain:
         assert rc == 2
         assert "val_frac" in caplog.text
         assert not (tmp_path / "v.ckpt").exists()
+
+    @pytest.mark.parametrize("override", ["lr=inf", "lr=nan", "weight_decay=nan",
+                                          "weight_decay=-0.5", "weight_decay=inf"])
+    def test_rate_outside_its_range_is_a_usage_error(self, toy_series_path, tmp_path, override,
+                                                     caplog):
+        ckpt = tmp_path / "r.ckpt"
+        rc = main(["train", "--data", str(toy_series_path), "--model", "STDI",
+                   "--config", FAST + ",channels=4,lstm_hidden=8,rank=4,embed_dim=6," + override,
+                   "--out", str(ckpt)])
+        assert rc == 2
+        assert "weight_decay finite and nonnegative" in caplog.text
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command,args", [
+        ("train", ["--model", "STDI", "--seed", "-1", "--out", "s.ckpt"]),
+        ("train", ["--model", "STDI", "--config", "seed=-1", "--out", "s.ckpt"]),
+        ("bench", ["--seed", "-2"])])
+    def test_negative_seed_is_a_usage_error(self, toy_series_path, tmp_path, monkeypatch,
+                                            command, args, caplog):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--data", str(toy_series_path), *args]) == 2
+        assert "seed nonnegative" in caplog.text
+        assert not list(tmp_path.glob("s.ckpt*")) and not list(tmp_path.glob("bench_*"))
+
+    def test_nan_parameter_exit_code(self, toy_series_path, tmp_path, monkeypatch, caplog):
+        def poisoned(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            dict(model.named_tensors())["spatial.block0.entry.kernels"].data.flat[0] = np.nan
+            return model
+        monkeypatch.setattr(stdinet.cli, "build_model", poisoned)
+        ckpt = tmp_path / "n.ckpt"
+        rc = main(["train", "--data", str(toy_series_path), "--model", "STDI",
+                   "--config", FAST + ",channels=4,lstm_hidden=8,rank=4,embed_dim=6",
+                   "--out", str(ckpt)])
+        assert rc == 1
+        assert "non-finite parameter after epoch 1" in caplog.text
+        assert not ckpt.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -587,3 +626,140 @@ class TestPlumbing:
 
     def test_usage_error_exit_code(self):
         assert main(["bench", "--data", "/nonexistent.stdm", "--suite", "table1"]) == 3
+
+
+# Toy model dims and one short epoch: no drawn --config value trains beyond these.
+TOY_RUN = {"channels": "2", "lstm_hidden": "4", "rank": "2", "embed_dim": "4", "fusion_dim": "4",
+           "epochs": "1", "patience": "1", "batch_size": "32", "test_days": "1"}
+# Each key's drawn values stay as small as the toy run or are invalid.
+CONFIG_VALUES = {
+    "epochs": st.integers(-1, 2).map(str), "patience": st.integers(-1, 2).map(str),
+    "batch_size": st.integers(-1, 40).map(str), "seed": st.integers(-1, 3).map(str),
+    "lr": st.sampled_from(["1e-3", "0", "-1", "inf", "nan", "1e30", "x"]),
+    "weight_decay": st.sampled_from(["0", "5e-5", "-0.5", "nan", "inf"]),
+    "precision": st.sampled_from(["standard", "verification", "float16", ""]),
+    "seq_len": st.integers(-1, 4).map(str), "channels": st.integers(-1, 3).map(str),
+    "lstm_hidden": st.integers(-1, 6).map(str), "rank": st.integers(-1, 3).map(str),
+    "embed_dim": st.integers(-1, 5).map(str), "fusion_dim": st.integers(-1, 5).map(str),
+    "test_days": st.integers(-1, 3).map(str),
+    "val_frac": st.sampled_from(["0.1", "0.5", "0", "1", "-0.1", "nan", "0.999"]),
+    "bogus": st.just("1"), "rows": st.just("4"),
+}
+
+
+@st.composite
+def config_text(draw):
+    """The toy run with up to two drawn values and maybe one malformed chunk."""
+    run = dict(TOY_RUN)
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=2, unique=True)):
+        run[key] = draw(CONFIG_VALUES[key])
+    chunks = [f"{key}={value}" for key, value in run.items()]
+    chunks.insert(draw(st.integers(0, len(chunks))),
+                  draw(st.sampled_from(["", "", "nonsense", "=1", "lr==1", " epochs = 1 "])))
+    return ",".join(chunks)
+
+
+class TestFuzz:
+    """Mutated command lines exit 0, 1, 2 or 3 and never print a traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # a dropped --out writes to the working directory
+        series = tmp_path / "toy.stdm"
+        write_demand_series(series, random_demand_series(220, seed=0, start_epoch=1396310400))
+        other = tmp_path / "other.stdm"
+        write_demand_series(other, random_demand_series(220, rows=3, cols=3, seed=1))
+        trips = tmp_path / "trips.csv"
+        synth_trips_csv(trips, n_stations=8, days=2, per_hour=4)
+        ckpt = tmp_path / "stdi.ckpt"
+        assert main(["train", "--data", str(series), "--model", "STDI", "--out", str(ckpt),
+                     "--config", ",".join(f"{k}={v}" for k, v in TOY_RUN.items())]) == 0
+        truncated = tmp_path / "truncated.ckpt"
+        truncated.write_bytes(ckpt.read_bytes()[:-7])
+        table = tmp_path / "hours.txt"
+        table.write_text("".join(f"{h} 0.5 -1 2\n" for h in range(23)))
+        (tmp_path / "out").mkdir()
+        paths = {"series": series, "other": other, "trips": trips, "ckpt": ckpt,
+                 "truncated": truncated, "table": table, "dir": tmp_path / "out",
+                 "missing": tmp_path / "missing" / "x", "under_file": series / "x"}
+        return {name: str(path) for name, path in paths.items()}
+
+    @staticmethod
+    def commands(files, tmp_path):
+        """Per command and option: (flag, a valid value, strategy of other values, droppable)."""
+        def paths(*names, new=()):
+            return st.sampled_from([files[n] for n in names] + [str(tmp_path / n) for n in new])
+        seed = st.integers(-1, 3).map(str) | st.just("x")
+        embeddings = paths("table", "missing", "dir", "series")
+        toy_run = ",".join(f"{k}={v}" for k, v in TOY_RUN.items())
+        return {
+            "ingest": [("--trips", files["trips"], paths("series", "missing", "dir", "ckpt"), False),
+                       ("--out", str(tmp_path / "i.stdm"), paths("dir", "missing", "under_file"),
+                        False),
+                       ("--stations", "8", st.integers(-9, 10).map(str), True),
+                       ("--grid", "2x4", st.sampled_from(["1x8", "2x2", "0x4", "8x16", "x", ""]),
+                        True),
+                       ("--interval", "3600", st.sampled_from(["1800", "86400", "0", "-5", "y"]),
+                        True)],
+            "train": [("--data", files["series"], paths("other", "ckpt", "trips", "missing", "dir"),
+                       False),
+                      ("--model", "STDI",
+                       st.sampled_from(list(stdinet.MODEL_KINDS) + ["MLP", "stdi", ""]), False),
+                      ("--config", toy_run, config_text(), False),
+                      ("--seed", "0", seed, True),
+                      ("--embeddings", "generate", embeddings, True),
+                      ("--out", str(tmp_path / "t.ckpt"), paths("dir", "missing", "under_file"),
+                       False)],
+            "eval": [("--ckpt", files["ckpt"], paths("truncated", "series", "missing", "dir"), False),
+                     ("--data", files["series"], paths("other", "ckpt", "missing", "under_file"),
+                      False),
+                     ("--json-out", str(tmp_path / "e.json"), paths("dir", "missing", "under_file"),
+                      True)],
+            # --seeds stays below one, so the suite itself never runs here.
+            "gradcheck": [("--dims", "toy", st.sampled_from(["paper", ""]), True),
+                          ("--seeds", "0", st.sampled_from(["-2", "z", ""]), False),
+                          ("--out", str(tmp_path / "gc"), paths("dir", "missing"), True)],
+            "bench": [("--data", files["series"], paths("other", "ckpt", "missing"), False),
+                      ("--suite", "table2", st.sampled_from(["table1", "table3", "table9"]), True),
+                      ("--seed", "0", seed, True),
+                      ("--config", toy_run,
+                       config_text().map(lambda c: c.replace("epochs=2", "epochs=1")), False),
+                      ("--embeddings", "generate", embeddings, True),
+                      ("--out", str(tmp_path / "b"), paths("dir", "missing", "under_file"), True)],
+        }
+
+    def run_mutated(self, command, files, tmp_path, capsys, caplog, data):
+        options = self.commands(files, tmp_path)[command]
+        mutated = data.draw(st.lists(st.sampled_from(range(len(options))), max_size=2,
+                                     unique=True))
+        argv = [command]
+        for i, (flag, valid, other, droppable) in enumerate(options):
+            if i not in mutated:
+                argv += [flag, valid]
+            elif not (droppable and data.draw(st.booleans())):
+                argv += [flag, data.draw(other)]
+        extra = data.draw(st.sampled_from([[], [], [], ["--bogus"], ["stray"], ["--help"]]))
+        argv[data.draw(st.integers(1, len(argv))):0] = extra
+        caplog.clear()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err + caplog.text, argv
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["ingest", "train", "eval", "gradcheck"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_argv_exits_with_a_documented_code(self, files, tmp_path, capsys, caplog,
+                                                       command, data):
+        self.run_mutated(command, files, tmp_path, capsys, caplog, data)
+
+    # A bench run trains six toy models, so it gets fewer examples.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_bench_argv_exits_with_a_documented_code(self, files, tmp_path, capsys,
+                                                             caplog, data):
+        self.run_mutated("bench", files, tmp_path, capsys, caplog, data)

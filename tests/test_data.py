@@ -23,6 +23,7 @@ from stdinet.data import (
     TIME_FORMATS,
     TRIP_DTYPE,
     DemandSeries,
+    Windows,
     assign_grid,
     build_demand_series,
     derive_time_range,
@@ -560,14 +561,36 @@ class TestColumnarPassesMatchReferences:
             assert series.values.tobytes() == values.tobytes()
 
 
+def stacked_arrays(windows):
+    """The per-window stack that ``windows_to_arrays`` replaced, kept as its reference."""
+    inputs = np.stack([w.inputs for w in windows]).astype(np.float32)
+    hours = np.array([w.hour for w in windows], dtype=np.int64)
+    targets = np.stack([w.target for w in windows]).astype(np.float32)
+    return inputs, hours, targets
+
+
+def reference_split(windows, test_days, val_frac):
+    """The sorted and filtered lists that ``split_dataset`` replaced, as target indices."""
+    samples = list(windows)
+    end_epoch = max(w.target_epoch for w in samples) + windows.series.interval_seconds
+    boundary = end_epoch - test_days * 86400
+    ordered = sorted(samples, key=lambda w: w.target_epoch)
+    test = [w.target_index for w in ordered if w.target_epoch >= boundary]
+    rest = [w.target_index for w in ordered if w.target_epoch < boundary]
+    n_val = int(len(rest) * val_frac)
+    return rest[:len(rest) - n_val], rest[len(rest) - n_val:], test
+
+
 class TestWindows:
     def test_count_and_target_indices(self):
         series = random_demand_series(5, seed=3)
         windows = make_windows(series, seq_len=3)
         assert len(windows) == 2
         assert [w.target_index for w in windows] == [3, 4]
-        np.testing.assert_array_equal(windows[0].inputs, series.values[0:3])
-        np.testing.assert_array_equal(windows[0].target, series.values[3])
+        first, _ = windows
+        np.testing.assert_array_equal(first.inputs, series.values[0:3])
+        np.testing.assert_array_equal(first.target, series.values[3])
+        assert first.target_epoch == series.start_epoch + 3 * 3600
 
     def test_hour_label_midnight_start(self):
         series = random_demand_series(30, seed=4, start_epoch=0)
@@ -587,6 +610,23 @@ class TestWindows:
     def test_too_short_series_fatal(self):
         with pytest.raises(DataError):
             make_windows(random_demand_series(3, seed=6), seq_len=3)
+
+    def test_slices_and_sums_are_windows_of_the_series(self):
+        series = random_demand_series(20, seed=6)
+        windows = make_windows(series, seq_len=4)
+        for part in (windows[2:5], windows[-3:] + windows[:2], windows[windows.index % 2 == 0]):
+            assert isinstance(part, Windows)
+            assert part.series is series and part.seq_len == 4
+        assert (windows[-3:] + windows[:2]).index.tolist() == [17, 18, 19, 4, 5]
+        assert len(windows[5:5]) == 0 and not windows[5:5]
+
+    @pytest.mark.parametrize("other", [
+        make_windows(random_demand_series(20, seed=6), seq_len=4),
+        make_windows(random_demand_series(20, seed=7), seq_len=3)])
+    def test_windows_of_another_series_or_length_do_not_join(self, other):
+        windows = make_windows(random_demand_series(20, seed=7), seq_len=4)
+        with pytest.raises(UsageError, match="one series"):
+            windows + other
 
 
 class TestSplit:
@@ -632,6 +672,28 @@ class TestSplit:
         assert inputs.shape == (27, 3, 2, 2, 2)
         assert hours.shape == (27,)
         assert targets.shape == (27, 2, 2, 2)
+
+    @pytest.mark.parametrize("seq_len", [1, 3, 5])
+    def test_windows_to_arrays_matches_per_window_stack(self, seq_len):
+        series = random_demand_series(400, rows=2, cols=3, seed=12, start_epoch=APRIL_1_2014 + 1800)
+        windows = make_windows(series, seq_len)
+        train, val, test = split_dataset(windows, test_days=2, val_frac=0.1)
+        for part in (windows, train, val, test, val + train):
+            for got, want in zip(windows_to_arrays(part), stacked_arrays(part)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("test_days,val_frac", [(2, 0.1), (3, 0.5), (1, 0.01), (15, 0.2)])
+    @pytest.mark.parametrize("interval", [3600, 1800, 5400])
+    def test_matches_sorted_list_split(self, test_days, val_frac, interval):
+        series = random_demand_series(800, seed=13, start_epoch=APRIL_1_2014 + 900)
+        series.interval_seconds = interval
+        windows = make_windows(series, seq_len=3)
+        shuffled = windows[np.random.default_rng(14).permutation(len(windows))]
+        want = reference_split(shuffled, test_days, val_frac)
+        for source in (windows, shuffled):
+            got = split_dataset(source, test_days=test_days, val_frac=val_frac)
+            assert [part.index.tolist() for part in got] == [list(part) for part in want]
 
 
 class TestEmbeddings:

@@ -2,14 +2,14 @@
 
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from stdinet import DivergenceError, ShapeError, UsageError
-from stdinet.data import (SampleWindow, make_windows, random_demand_series, split_dataset,
-                          windows_to_arrays)
+from stdinet import DivergenceError, ShapeError, UsageError, training
+from stdinet.data import make_windows, random_demand_series, split_dataset, windows_to_arrays
 from stdinet.model import TOY_DIMS, build_model
 from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, sum_all, tanh
 from stdinet.training import ADAM_CHUNK, Adam, TrainConfig, fit, mse_loss, predict_windows
@@ -150,7 +150,7 @@ class TestFit:
     def test_patience_one_stops_after_two_epochs(self):
         # lr=0 freezes the model, so epoch 2 cannot improve on epoch 1.
         train, val, _ = self.small_dataset()
-        model = build_model("MLP" if False else "TemporalFC", TOY_DIMS, seed=3, dtype=np.float32)
+        model = build_model("TemporalFC", TOY_DIMS, seed=3, dtype=np.float32)
         config = TrainConfig(lr=1e-30, epochs=10, batch_size=32, patience=1, seed=0)
         _, history = fit(model, train, val, config)
         assert history.epochs_run == 2
@@ -173,7 +173,7 @@ class TestFit:
         config = TrainConfig(lr=3e-3, epochs=6, batch_size=32, patience=6, seed=1)
         model, history = fit(model, train, val, config)
         preds = predict_windows(model, val)
-        _, _, val_targets = __import__("stdinet.data", fromlist=["windows_to_arrays"]).windows_to_arrays(val)
+        _, _, val_targets = windows_to_arrays(val)
         rmse = float(np.sqrt(np.mean((preds - val_targets) ** 2)))
         assert rmse == pytest.approx(min(history.val_rmse), abs=1e-12)
         assert history.val_rmse[history.best_epoch] == min(history.val_rmse)
@@ -227,7 +227,32 @@ class TestFit:
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
-            TrainConfig(patience=100, epochs=10).validate()
+            TrainConfig(patience=100, epochs=10)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", 0.0), ("lr", -1e-3), ("lr", math.inf), ("lr", math.nan),
+        ("weight_decay", -0.5), ("weight_decay", math.inf), ("weight_decay", math.nan),
+        ("seed", -1)])
+    def test_rates_and_seed_must_be_in_range(self, field, value):
+        with pytest.raises(UsageError, match="finite" if field != "seed" else "seed"):
+            TrainConfig(**{field: value})
+        TrainConfig(weight_decay=0.0)
+
+    def test_nan_parameter_is_a_divergence(self, monkeypatch):
+        # The NaN entry kernel reaches the head only through batchnorm and
+        # ReLU, which maps NaN to zero, so every training loss stays finite.
+        train, val, _ = self.small_dataset(seed=11)
+        model = build_model("STDI", TOY_DIMS, seed=11, dtype=np.float32)
+        dict(model.named_tensors())["spatial.block0.entry.kernels"].data.flat[0] = np.nan
+        losses = []
+
+        def recorded(pred, target):
+            losses.append(mse_loss(pred, target))
+            return losses[-1]
+        monkeypatch.setattr(training, "mse_loss", recorded)
+        with pytest.raises(DivergenceError, match="non-finite parameter after epoch 1"):
+            fit(model, train, val, TrainConfig(epochs=2, batch_size=32, patience=2, seed=0))
+        assert len(losses) == 6 and all(math.isfinite(loss.item()) for loss in losses)
 
 
 class TestGraphRelease:
@@ -257,7 +282,7 @@ class TestGradientHandOff:
         model = build_model("STDI", TOY_DIMS, seed=seed)
         tape = Tape()
         model.attach_tape(tape)
-        inputs, hours, targets = windows_to_arrays(copy_task_windows(n=6, seed=seed))
+        inputs, hours, targets = copy_task_windows(n=6, seed=seed)
         loss = mse_loss(model.forward_batch(Tensor(inputs, tape=tape), hours, mode="train"),
                         Tensor(targets))
         tape.backward(loss)
