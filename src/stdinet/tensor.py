@@ -26,6 +26,10 @@ PRECISIONS = {"standard": STANDARD, "verification": VERIFICATION}
 # zero padding 1, so spatial dims are preserved.
 CONV_KSIZE = 3
 CONV_PAD = 1
+# Padded rows per batch tile of the float32 convolution: one tile's column
+# buffer (rows, 3*C_in) and its product stay in the L2 cache.  At the paper's
+# 8x16 map and 32 channels that is 16 images of (8+2)*16 rows.
+CONV_TILE_ROWS = 2560
 
 
 def resolve_dtype(precision):
@@ -240,12 +244,14 @@ def leaky_relu(x, slope=0.01):
 
 
 def _sigmoid(d):
-    # Split by sign so exp never overflows.
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    out[~pos] = e / (1.0 + e)
+    # exp(-|d|) never overflows.  Below zero the result is e / (1 + e) with
+    # e = exp(d), from zero up it is 1 / (1 + exp(-d)): each sign's formula,
+    # so the values are the ones of splitting the array by sign, without the
+    # masked gathers.  min(d, -d) is -|d| that keeps a NaN's sign.
+    e = np.exp(np.minimum(d, -d))
+    t = 1.0 + e
+    out = np.divide(e, t, out=np.empty_like(d))
+    np.divide(1.0, t, out=out, where=d >= 0)
     return out
 
 
@@ -542,23 +548,98 @@ def _conv_forward_canonical(xp, k, b):
     return out
 
 
+class _ColumnTiles:
+    """Width-folded column buffer of a channel-last batch, one tile at a time.
+
+    Image b of a tile owns ``(H+2)*W`` rows, one per padded row y and column
+    x, and row (b, y, x) holds the three horizontal taps (dx = 0, 1, 2) of
+    input row y-1 around column x, so the buffer is (rows, 3*C_in).  The
+    padded rows and the out-of-map taps are zeroed once and never written.
+    The window of vertical tap dy for output row (b, y, x) is then the row
+    ``dy*W`` further down, so every dy is one contiguous row slice and a
+    3x3 convolution is three GEMMs with K = 3*C_in.  The last two rows of
+    each image's stretch mix in the next image; their results are dropped.
+    """
+
+    def __init__(self, bsz, h, w, cin, dtype):
+        self.h, self.w, self.per = h, w, (h + 2 * CONV_PAD) * w
+        self.images = max(1, min(bsz, CONV_TILE_ROWS // self.per))
+        self.col = np.zeros((self.images, h + 2 * CONV_PAD, w, CONV_KSIZE, cin), dtype=dtype)
+
+    def fill(self, xt):
+        """Load images ``xt`` (m, H, W, C_in); return the three dy tap windows.
+
+        Row r of each window, and of its product with a kernel slice, is
+        row r of the images' padded row order, so the real output pixel
+        (b, y, x) is row b*(H+2)*W + y*W + x.
+        """
+        m, h, w = xt.shape[0], self.h, self.w
+        col = self.col[:m, CONV_PAD:CONV_PAD + h]
+        col[:, :, 1:, 0] = xt[:, :, :w - 1]
+        col[:, :, :, 1] = xt
+        col[:, :, :w - 1, 2] = xt[:, :, 1:]
+        flat = self.col[:m].reshape(m * self.per, -1)
+        n = m * self.per - 2 * CONV_PAD * w
+        return [flat[dy * w:dy * w + n] for dy in range(CONV_KSIZE)]
+
+
+def _conv_channel_last(xt, kt, bias=None):
+    """3x3 convolution of ``xt`` (B, H, W, C_in) into a new (B, H, W, C_out).
+
+    ``kt[dy]`` is the (3*C_in, C_out) kernel slice of vertical tap dy, rows
+    in (dx, c) order.  Each batch tile accumulates its three tap GEMMs in a
+    product buffer of the tile's padded rows; only the real rows are copied
+    out, with ``bias`` (if any) added on the way.
+    """
+    bsz, h, w, cin = xt.shape
+    cout = kt.shape[2]
+    tiles = _ColumnTiles(bsz, h, w, cin, xt.dtype)
+    out = np.empty((bsz, h, w, cout), dtype=xt.dtype)
+    prod = np.empty((tiles.images * tiles.per, cout), dtype=xt.dtype)
+    part = np.empty_like(prod)
+    for b0 in range(0, bsz, tiles.images):
+        b1 = min(b0 + tiles.images, bsz)
+        taps = tiles.fill(xt[b0:b1])
+        n = len(taps[0])
+        np.matmul(taps[0], kt[0], out=prod[:n])
+        for tap, k in zip(taps[1:], kt[1:]):
+            prod[:n] += np.matmul(tap, k, out=part[:n])
+        real = prod[:(b1 - b0) * tiles.per].reshape(b1 - b0, -1, w, cout)[:, :h]
+        if bias is None:
+            out[b0:b1] = real
+        else:
+            np.add(real, bias, out=out[b0:b1])
+    return out
+
+
+def _tap_kernels(k):
+    """(C_out, C_in, 3, 3) kernels as three (3*C_in, C_out) slices, one per dy."""
+    cout, cin = k.shape[:2]
+    return np.ascontiguousarray(k.transpose(2, 3, 1, 0)).reshape(CONV_KSIZE, CONV_KSIZE * cin, cout)
+
+
 def conv2d(x, kernels, bias):
     """3x3 / stride-1 / pad-1 convolution; spatial dims are preserved.
 
     Input may be a single (C_in, H, W) map or a batch (B, C_in, H, W);
     kernels are (C_out, C_in, 3, 3) and bias (C_out,).
 
-    The input is held once, zero-padded and channel-last, as ``xp`` of shape
-    (B, H+2, W+2, C_in).  The window of tap (dy, dx) is then a plain
-    (B*H*W, C_in) matrix, so each tap is one GEMM against the (C_out, C_in)
-    kernel slice and no 9x column buffer is ever built.  The float32
-    forward accumulates the nine tap products onto the bias in (dy, dx)
-    order, into a (C_out, B*H*W) array returned through a transposed view,
-    so each output channel is one contiguous run for batchnorm's
-    per-channel reductions.  The float64 forward is the canonical
-    loop, which reads the same buffer through a transposed view.  The
-    backward pass of both precisions is nine tap GEMMs against the output
-    gradient.
+    The float32 forward reads the input channel-last and, one batch tile of
+    about ``CONV_TILE_ROWS`` padded rows at a time, folds the three
+    horizontal taps into a (rows, 3*C_in) column buffer (``_ColumnTiles``).
+    Each vertical tap is a row-shifted view of it, so the convolution is
+    three GEMMs against (3*C_in, C_out) kernel slices.  The output is
+    written channel-last, (B, H, W, C_out), and returned through a
+    transposed (B, C_out, H, W) view, so the next conv's column fill reads
+    it contiguously.  The float64 forward is the canonical loop over a
+    zero-padded copy of the input.
+
+    The node keeps no buffer but its output: the backward pass of both
+    precisions rebuilds the column tiles from the input.  The weight
+    gradient of tap dy is ``col[dy*W:].T @ g`` over the tiles, with the
+    output gradient laid out in the same padded rows; the input gradient
+    is the same tiled convolution of the output gradient with the kernels
+    flipped and their channel axes swapped.
     """
     _conv_check(x, kernels, bias)
     _common_dtype((x, kernels, bias), "conv2d")
@@ -567,37 +648,34 @@ def conv2d(x, kernels, bias):
     kd, bd = kernels.data, bias.data
     bsz, cin, h, w = xd.shape
     cout = kd.shape[0]
-    rows = bsz * h * w
-    xp = np.zeros((bsz, h + 2 * CONV_PAD, w + 2 * CONV_PAD, cin), dtype=xd.dtype)
-    xp[:, CONV_PAD:CONV_PAD + h, CONV_PAD:CONV_PAD + w, :] = xd.transpose(0, 2, 3, 1)
-
-    def tap(dy, dx):
-        return xp[:, dy:dy + h, dx:dx + w, :].reshape(rows, cin)
 
     if xd.dtype == VERIFICATION:
-        out = _conv_forward_canonical(xp.transpose(0, 3, 1, 2), kd, bd)
+        xp = np.zeros((bsz, cin, h + 2 * CONV_PAD, w + 2 * CONV_PAD), dtype=xd.dtype)
+        xp[:, :, CONV_PAD:CONV_PAD + h, CONV_PAD:CONV_PAD + w] = xd
+        out = _conv_forward_canonical(xp, kd, bd)
     else:
-        acc = np.empty((cout, rows), dtype=xd.dtype)
-        acc[...] = bd[:, None]
-        for dy in range(CONV_KSIZE):
-            for dx in range(CONV_KSIZE):
-                acc += kd[:, :, dy, dx] @ tap(dy, dx).T
-        out = acc.reshape(cout, bsz, h, w).transpose(1, 0, 2, 3)
+        out = _conv_channel_last(xd.transpose(0, 2, 3, 1), _tap_kernels(kd), bd).transpose(0, 3, 1, 2)
 
     def backward(g):
-        gb = g[None] if single else g
-        gm = gb.transpose(0, 2, 3, 1).reshape(rows, cout)
-        gt = gb.transpose(1, 0, 2, 3).reshape(cout, rows)
-        dk = np.empty_like(kd)
-        dxp = np.zeros_like(xp)
-        for dy in range(CONV_KSIZE):
-            for dx in range(CONV_KSIZE):
-                dk[:, :, dy, dx] = gt @ tap(dy, dx)
-                dxp[:, dy:dy + h, dx:dx + w, :] += (gm @ kd[:, :, dy, dx]).reshape(bsz, h, w, cin)
-        dx_ = np.ascontiguousarray(
-            dxp[:, CONV_PAD:CONV_PAD + h, CONV_PAD:CONV_PAD + w, :].transpose(0, 3, 1, 2))
-        db = gb.sum(axis=(0, 2, 3))
-        return (dx_[0] if single else dx_, dk, db)
+        gt = (g[None] if single else g).transpose(0, 2, 3, 1)
+        tiles = _ColumnTiles(bsz, h, w, cin, xd.dtype)
+        gpad = np.zeros((tiles.images, h + 2 * CONV_PAD, w, cout), dtype=g.dtype)
+        dkt = np.zeros((CONV_KSIZE, CONV_KSIZE * cin, cout), dtype=g.dtype)
+        xt = xd.transpose(0, 2, 3, 1)
+        for b0 in range(0, bsz, tiles.images):
+            b1 = min(b0 + tiles.images, bsz)
+            taps = tiles.fill(xt[b0:b1])
+            gpad[:b1 - b0, :h] = gt[b0:b1]
+            gm = gpad[:b1 - b0].reshape(-1, cout)[:len(taps[0])]
+            for dy, tap in enumerate(taps):
+                dkt[dy] += tap.T @ gm
+        dk = dkt.reshape(CONV_KSIZE, CONV_KSIZE, cin, cout).transpose(3, 2, 0, 1).copy()
+        db = gt.sum(axis=(0, 1, 2))
+        if not x.requires_grad:
+            return None, dk, db
+        flipped = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = _conv_channel_last(gt, _tap_kernels(flipped)).transpose(0, 3, 1, 2)
+        return (dx[0] if single else dx, dk, db)
 
     return _record("conv2d", (x, kernels, bias), out[0] if single else out, backward)
 

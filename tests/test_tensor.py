@@ -4,11 +4,14 @@ Expected values marked by hand arithmetic were recomputed with the naive
 oracles defined at the top of this file before being frozen.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stdinet import ShapeError, UsageError
 from stdinet.tensor import (
+    CONV_TILE_ROWS,
     STANDARD,
     VERIFICATION,
     BnState,
@@ -76,6 +79,16 @@ def tensordot_conv2d_backward(x, k, g):
     return dxp[:, :, 1:1 + h, 1:1 + w], dk, g.sum(axis=(0, 2, 3))
 
 
+def two_branch_sigmoid(d):
+    """The sigmoid as it was written, split by sign with masked gathers."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def t64(data, requires_grad=False, tape=None):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad, tape=tape)
 
@@ -93,6 +106,18 @@ class TestElementwise:
         out = sigmoid(t64([-1e4, 1e4])).data
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bit_identical_to_two_branch_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e2, -1e2, 1e-40, -1e-40,
+                 88.7, -88.7, 710.0, -710.0, 746.0, -746.0]
+        d = np.concatenate([rng.normal(scale=10.0, size=100_000), edges]).astype(dtype)
+        with np.errstate(over="ignore"):
+            want = two_branch_sigmoid(d)
+        got = sigmoid(Tensor(d)).data
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_leaky_relu_definition(self):
         out = leaky_relu(t64([-2.0, 3.0]), slope=0.01)
@@ -199,8 +224,7 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channels"):
             conv2d(t64(np.ones((3, 4, 4))), t64(np.ones((2, 2, 3, 3))), t64(np.zeros(2)))
 
-    # Shapes (B, C_in, C_out, H, W) for the channel-last tap-GEMM kernel,
-    # including one-row, one-column and one-channel maps.
+    # Shapes (B, C_in, C_out, H, W) for the column-tile kernel, including one-row, one-column and one-channel maps.
     TAP_SHAPES = [(1, 1, 1, 1, 1), (3, 1, 2, 1, 5), (2, 3, 4, 6, 1), (4, 2, 3, 3, 5),
                   (2, 5, 3, 7, 4), (3, 4, 1, 2, 2)]
 
@@ -245,6 +269,60 @@ class TestConv2d:
             for got, want in ((x.grad, dx[0] if single else dx), (k.grad, dk), (b.grad, db)):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    # (H, W, B): one-column, two-column, one-row, non-square and paper-sized
+    # maps, each at a batch of exactly one tile and at a batch of several
+    # tiles whose last one is partial.
+    TILE_CASES = [(8, 1, 256), (8, 1, 600), (3, 2, 256), (3, 2, 520), (1, 5, 170),
+                  (1, 5, 400), (5, 7, 52), (5, 7, 110), (8, 16, 16), (8, 16, 40)]
+
+    @pytest.mark.parametrize("h,w,bsz", TILE_CASES)
+    def test_float32_tiles_match_naive_loop(self, h, w, bsz):
+        images = CONV_TILE_ROWS // ((h + 2) * w)
+        assert bsz == images or (bsz > 2 * images and bsz % images)
+        rng = np.random.default_rng(h * 100 + w * 10 + bsz)
+        x = rng.normal(size=(bsz, 2, h, w))
+        k = rng.normal(size=(3, 2, 3, 3))
+        b = rng.normal(size=3)
+        out = conv2d(Tensor(x.astype(np.float32)), Tensor(k.astype(np.float32)),
+                     Tensor(b.astype(np.float32))).data
+        assert out.dtype == np.float32 and out.shape == (bsz, 3, h, w)
+        for i in range(bsz):
+            np.testing.assert_allclose(out[i], naive_conv2d(x[i], k, b), rtol=0, atol=1e-5)
+
+    def test_float64_backward_across_tiles_matches_tensordot_reference(self):
+        bsz, cin, cout, h, w = 40, 3, 4, 8, 16
+        assert bsz > 2 * (CONV_TILE_ROWS // ((h + 2) * w))
+        rng = np.random.default_rng(37)
+        xd = rng.normal(size=(bsz, cin, h, w))
+        kd = rng.normal(size=(cout, cin, 3, 3))
+        gd = rng.normal(size=(bsz, cout, h, w))
+        tape = Tape()
+        x = t64(xd, requires_grad=True, tape=tape)
+        k = t64(kd, requires_grad=True, tape=tape)
+        b = t64(rng.normal(size=cout), requires_grad=True, tape=tape)
+        tape.backward(sum_all(hadamard(conv2d(x, k, b), t64(gd))))
+        dx, dk, db = tensordot_conv2d_backward(xd, kd, gd)
+        for got, want in ((x.grad, dx), (k.grad, dk), (b.grad, db)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+    def test_recorded_node_keeps_only_its_output(self):
+        """The backward rule rebuilds its columns from the input, so a
+        recorded conv at paper dims holds no buffer beyond its output."""
+        rng = np.random.default_rng(43)
+        tape = Tape()
+        x = Tensor(rng.normal(size=(64, 32, 8, 16)).astype(np.float32), requires_grad=True, tape=tape)
+        k = Tensor(rng.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True, tape=tape)
+        b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True, tape=tape)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, k, b)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tape.nodes[-1].output is out
+        assert held <= out.data.nbytes + 65536, f"{held} bytes held for a {out.data.nbytes}-byte output"
 
 
 class TestBatchnorm:
