@@ -232,7 +232,7 @@ def _trip_chunks(stream, audit):
         yield _convert(rows, audit)
 
 
-def parse_trips(stream, audit=None):
+def parse_trips(stream):
     """Parse one CSV stream into a TRIP_DTYPE array; bad rows are counted, not fatal.
 
     A missing required column is fatal and names the column.  Rows are skipped (with a
@@ -246,7 +246,7 @@ def parse_trips(stream, audit=None):
     ``TIME_FORMATS``, ``int``, ``float``), so the accepted rows and the audit are
     those of the per-row conversion.
     """
-    audit = audit if audit is not None else ParseAudit()
+    audit = ParseAudit()
     chunks = list(_trip_chunks(stream, audit))
     return np.concatenate([np.empty(0, dtype=TRIP_DTYPE)] + chunks), audit
 
@@ -594,15 +594,14 @@ def write_station_map(path, grid):
 # synthetic data
 
 
-def random_demand_series(length, rows=2, cols=2, seed=0, max_count=5, start_epoch=0):
-    """Uniform random integer counts; handy for smoke tests."""
+def random_demand_series(length, rows=2, cols=2, seed=0, start_epoch=0):
+    """Uniform random integer counts in 0..4; handy for smoke tests."""
     rng = np.random.default_rng(seed)
-    values = rng.integers(0, max_count, size=(length, 2, rows, cols)).astype(np.float32)
+    values = rng.integers(0, 5, size=(length, 2, rows, cols)).astype(np.float32)
     return DemandSeries(start_epoch=start_epoch, interval_seconds=3600, values=values)
 
 
-def regime_demand_series(length, rows=2, cols=2, seed=0, noise=0.5, start_epoch=0,
-                         return_maps=False):
+def regime_demand_series(length, rows=2, cols=2, seed=0, noise=0.5, start_epoch=0):
     """A series whose hour-to-hour map switches among 4 hour-indexed regimes.
 
     Frame t is a regime-specific linear map of frame t-1: the regime
@@ -630,7 +629,4 @@ def regime_demand_series(length, rows=2, cols=2, seed=0, noise=0.5, start_epoch=
         nxt = maps[r] @ values[t - 1] + biases[r] + rng.normal(0.0, noise, size=k)
         values[t] = np.maximum(np.round(nxt), 0.0)
     shaped = values.reshape(length, 2, rows, cols).astype(np.float32)
-    series = DemandSeries(start_epoch=start_epoch, interval_seconds=3600, values=shaped)
-    if return_maps:
-        return series, maps, biases
-    return series
+    return DemandSeries(start_epoch=start_epoch, interval_seconds=3600, values=shaped)

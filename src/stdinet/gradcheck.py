@@ -91,17 +91,16 @@ def _check_op(name, rng, tape):
         x = _t(rng, in_shape, tape)
         w = _t(rng, out_shape, tape, requires_grad=False)
         return finite_diff_check(lambda v: _weighted_sum(op(x), w), x)
-    if name in _JOIN_OPS:
+    if name == "hconcat":
         # Parts of distinct values, each differenced in turn, so that a
         # gradient routed to the wrong part fails it.
-        part_shapes, out_shape = _JOIN_OPS[name]
-        op = getattr(T, name)
-        parts = [_t(rng, shape, tape) for shape in part_shapes]
-        w = _t(rng, out_shape, tape, requires_grad=False)
+        parts = [_t(rng, (3, width), tape) for width in (1, 2, 3)]
+        w = _t(rng, (3, 6), tape, requires_grad=False)
         err = 0.0
         for target in parts:
             tape.reset()
-            err = max(err, finite_diff_check(lambda v: _weighted_sum(op(parts), w), target))
+            err = max(err, finite_diff_check(
+                lambda v: _weighted_sum(T.hconcat(parts), w), target))
         return err
     if name == "mean":
         x = _t(rng, (3, 4), tape)
@@ -126,15 +125,9 @@ _SHAPE_OPS = {
     "take_rows": ((5, 3), (4, 3), lambda x: T.take_rows(x, [4, 0, 4, 2])),
 }
 
-# Cases joining several inputs: the part shapes and the output shape.
-_JOIN_OPS = {
-    "hconcat": (((3, 1), (3, 2), (3, 3)), (3, 6)),
-    "stack": (((3, 2),) * 3, (3, 3, 2)),
-}
-
 OPS = ("add", "sub", "hadamard", "relu", "leaky_relu", "sigmoid", "tanh",
        "matmul", "affine", "conv2d", "batchnorm", "reshape", "scale_rows",
-       "transpose", "hconcat", "stack", "take", "take_rows", "mean")
+       "transpose", "hconcat", "take", "take_rows", "mean")
 
 
 def _check_composed(name, rng, tape, dims):
@@ -224,12 +217,12 @@ COMPOSED = ("res_unit", "conv_block", "lstm", "interval_net", "model_eval",
             "model_train_batch")
 
 
-def _seed(name, s, base_seed):
+def _seed(name, s):
     # crc32, unlike hash(), is the same in every process.
-    return base_seed + 1000 * s + zlib.crc32(name.encode()) % 997
+    return 1000 * s + zlib.crc32(name.encode()) % 997
 
 
-def run_suite(dims=TOY_DIMS, n_seeds=20, base_seed=0):
+def run_suite(dims=TOY_DIMS, n_seeds=20):
     """Max relative error per component over seeds.
 
     Returns (results, ok) where results maps component name to
@@ -239,14 +232,14 @@ def run_suite(dims=TOY_DIMS, n_seeds=20, base_seed=0):
     for name in OPS:
         worst = 0.0
         for s in range(n_seeds):
-            rng = np.random.default_rng(_seed(name, s, base_seed))
+            rng = np.random.default_rng(_seed(name, s))
             tape = Tape()
             worst = max(worst, _check_op(name, rng, tape))
         results[name] = (worst, OP_THRESHOLD)
     for name in COMPOSED:
         worst = 0.0
         for s in range(n_seeds):
-            rng = np.random.default_rng(_seed(name, s, base_seed))
+            rng = np.random.default_rng(_seed(name, s))
             tape = Tape()
             worst = max(worst, _check_composed(name, rng, tape, dims))
         results[name] = (worst, COMPOSED_THRESHOLD)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError, UsageError
+from .errors import ShapeError
 from .tensor import BnState, Tensor
 
 LSTM_GATES = ("i", "f", "g", "o")
@@ -187,12 +187,6 @@ class LstmParams:
             out.append((f"b_h{gate}", self.b_hx[gate]))
         return out
 
-    def run(self, xs):
-        """h_L of the fused sequence op over a (L, B, in) tensor."""
-        blocks = tuple(tuple(kind[g] for g in LSTM_GATES)
-                       for kind in (self.w_ix, self.b_ix, self.w_hx, self.b_hx))
-        return T.lstm(xs, (self.w_in, self.b_in, self.w_rec, self.b_rec), blocks)
-
 
 def lstm_step(p, x_t, h_prev, c_prev):
     """One LSTM cell update; returns (h_t, c_t).
@@ -224,6 +218,5 @@ def lstm_step(p, x_t, h_prev, c_prev):
 
 def lstm_sequence_batch(p, xs):
     """h_L of an LSTM run from zero state over a list of L (batch, input_dim) tensors."""
-    if not xs:
-        raise UsageError("lstm_sequence_batch: empty sequence")
-    return p.run(T.stack(xs))
+    blocks = tuple(tuple(kind[g] for g in LSTM_GATES) for kind in (p.w_ix, p.b_ix, p.w_hx, p.b_hx))
+    return T.lstm(xs, (p.w_in, p.b_in, p.w_rec, p.b_rec), blocks)

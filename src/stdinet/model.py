@@ -208,6 +208,14 @@ class ModelBase:
     def named_states(self):
         return []
 
+    def named_arrays(self):
+        """Every array a checkpoint holds, by checkpoint name: the parameters,
+        then each batchnorm's running mean and variance."""
+        out = [(n, p.data) for n, p in self.named_tensors()]
+        for n, s in self.named_states():
+            out += [(f"{n}.running_mean", s.running_mean), (f"{n}.running_var", s.running_var)]
+        return out
+
     def parameters(self):
         """Trainable tensors only (frozen hour tables are excluded)."""
         return [p for _, p in self.named_tensors() if p.requires_grad]
@@ -220,17 +228,11 @@ class ModelBase:
         return sum(p.data.size for p in self.parameters())
 
     def snapshot(self):
-        params = {n: p.data.copy() for n, p in self.named_tensors()}
-        states = {n: s.copy() for n, s in self.named_states()}
-        return params, states
+        return {n: a.copy() for n, a in self.named_arrays()}
 
     def restore(self, snap):
-        params, states = snap
-        for n, p in self.named_tensors():
-            p.data[...] = params[n]
-        for n, s in self.named_states():
-            s.running_mean[:] = states[n].running_mean
-            s.running_var[:] = states[n].running_var
+        for n, a in self.named_arrays():
+            a[...] = snap[n]
 
 
 class DemandModel(ModelBase):
@@ -374,11 +376,8 @@ def save_checkpoint(path, model, extra=None):
     entries = []
     blobs = []
     offset = 0
-    items = [(n, p.data, p.requires_grad) for n, p in model.named_tensors()]
-    for name, state in model.named_states():
-        items.append((f"{name}.running_mean", state.running_mean, False))
-        items.append((f"{name}.running_var", state.running_var, False))
-    for name, arr, trainable in items:
+    trainable = {n for n, p in model.named_tensors() if p.requires_grad}
+    for name, arr in model.named_arrays():
         raw = np.ascontiguousarray(arr, dtype=stored).tobytes()
         entries.append({
             "name": name,
@@ -386,7 +385,7 @@ def save_checkpoint(path, model, extra=None):
             "dtype": stored,
             "offset": offset,
             "nbytes": len(raw),
-            "trainable": bool(trainable),
+            "trainable": name in trainable,
         })
         blobs.append(raw)
         offset += len(raw)
@@ -484,12 +483,8 @@ def _checked_skeleton(path, manifest, data_size):
         index[name] = (start, nbytes, np.dtype(dtype), tuple(shape))
 
     model = DemandModel(kind, dims, None, dtype=np.dtype(dtype_name).type)
-    arrays = [(name, p.data) for name, p in model.named_tensors()]
-    for name, s in model.named_states():
-        arrays.append((f"{name}.running_mean", s.running_mean))
-        arrays.append((f"{name}.running_var", s.running_var))
     targets = []
-    for name, arr in arrays:
+    for name, arr in model.named_arrays():
         if name not in index:
             raise DataError(f"{path}: checkpoint is missing {name}")
         start, nbytes, dtype, shape = index[name]

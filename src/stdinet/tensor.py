@@ -33,15 +33,10 @@ CONV_TILE_ROWS = 2560
 
 
 def resolve_dtype(precision):
-    """Map a precision name or dtype to the numpy dtype used for tensors."""
-    if isinstance(precision, str):
-        try:
-            return PRECISIONS[precision]
-        except KeyError:
-            raise UsageError(f"unknown precision {precision!r}; expected one of {sorted(PRECISIONS)}")
-    if precision in (np.float32, np.float64):
-        return precision
-    raise UsageError(f"unsupported dtype {precision!r}")
+    """Map a precision name to the numpy dtype used for tensors."""
+    if precision not in PRECISIONS:
+        raise UsageError(f"unknown precision {precision!r}; expected one of {sorted(PRECISIONS)}")
+    return PRECISIONS[precision]
 
 
 class Tensor:
@@ -300,13 +295,12 @@ def affine(x, w, b):
     _common_dtype((x, w, b), "affine")
     xd, wd = x.data, w.data
     out = xd @ wd.T + b.data
+    # A vector is a batch of one row; its weight gradient is a K=1 GEMM.
+    x2 = xd.reshape(-1, wd.shape[1])
 
-    if xd.ndim == 1:
-        def backward(g):
-            return g @ wd, np.outer(g, xd), g
-    else:
-        def backward(g):
-            return g @ wd, g.T @ xd, g.sum(axis=0)
+    def backward(g):
+        g2 = g.reshape(-1, wd.shape[0])
+        return g @ wd, g2.T @ x2, g2.sum(axis=0)
 
     return _record("affine", (x, w, b), out, backward)
 
@@ -352,24 +346,6 @@ def hconcat(parts):
         return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _record("hconcat", parts, np.concatenate([p.data for p in parts], axis=1), backward)
-
-
-def stack(parts):
-    """Stack equal-shape tensors along a new leading axis."""
-    parts = tuple(parts)
-    if not parts:
-        raise UsageError("stack: need at least one tensor")
-    shape = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != shape:
-            raise ShapeError(f"stack: mixed shapes {shape} and {p.data.shape}")
-    _common_dtype(parts, "stack")
-    return _record(
-        "stack",
-        parts,
-        np.stack([p.data for p in parts]),
-        lambda g: tuple(g[i] for i in range(len(parts))),
-    )
 
 
 def take(x, index, axis=0):
@@ -427,19 +403,24 @@ def mean_all(x):
 # recurrence
 
 
-def lstm(xs, stacked, blocks):
+def lstm(steps, stacked, blocks):
     """Final hidden state of an LSTM run from zero state over a sequence.
 
-    ``xs`` is (L, B, in).  ``stacked`` holds the parameters as numpy arrays
-    with the gates stacked in order i, f, g, o: input weights (4d, in),
-    input biases (4d,), recurrent weights (4d, d), recurrent biases (4d,).
-    ``blocks`` gives, for each of the four arrays, the four per-gate Tensors
-    whose data are its row blocks.  The input projection of all L steps is
-    one GEMM; each step adds one (B, d) @ (d, 4d) GEMM.  One node is
-    recorded, whose backward pass through time returns a gradient for the
-    input and for every per-gate Tensor.  The cell is the one of
-    ``layers.lstm_step``: c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
+    ``steps`` is the list of the L input tensors, each (B, in), in time
+    order.  ``stacked`` holds the parameters as numpy arrays with the gates
+    stacked in order i, f, g, o: input weights (4d, in), input biases (4d,),
+    recurrent weights (4d, d), recurrent biases (4d,).  ``blocks`` gives,
+    for each of the four arrays, the four per-gate Tensors whose data are
+    its row blocks.  The steps are concatenated into one (L*B, in) buffer,
+    so the input projection of all L steps is one GEMM; each step adds one
+    (B, d) @ (d, 4d) GEMM.  One node is recorded, whose backward pass
+    through time returns a gradient for every step and for every per-gate
+    Tensor.  The cell is the one of ``layers.lstm_step``:
+    c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
     """
+    steps = tuple(steps)
+    if not steps:
+        raise UsageError("lstm: empty sequence")
     w_in, b_in, w_rec, b_rec = stacked
     d = w_rec.shape[1]
     for array, group in zip(stacked, blocks):
@@ -447,15 +428,19 @@ def lstm(xs, stacked, blocks):
             if t.data.shape != (d,) + array.shape[1:] or \
                     not np.may_share_memory(t.data, array[k * d:(k + 1) * d]):
                 raise UsageError("lstm: a per-gate tensor is not a row block of its stacked array")
-    if xs.data.ndim != 3 or xs.data.shape[2] != w_in.shape[1]:
-        raise ShapeError(f"lstm: input {xs.data.shape} is not (L, B, {w_in.shape[1]})")
+    shape = steps[0].data.shape
+    if len(shape) != 2 or shape[1] != w_in.shape[1]:
+        raise ShapeError(f"lstm: step {shape} is not (B, {w_in.shape[1]})")
+    for s in steps:
+        if s.data.shape != shape:
+            raise ShapeError(f"lstm: mixed step shapes {shape} and {s.data.shape}")
     params = tuple(t for group in blocks for t in group)
-    _common_dtype((xs,) + params, "lstm")
-    length, batch, n_in = xs.data.shape
-    x_flat = xs.data.reshape(length * batch, n_in)
+    _common_dtype(steps + params, "lstm")
+    length, (batch, n_in) = len(steps), shape
+    x_flat = np.concatenate([s.data for s in steps])
     x_proj = (x_flat @ w_in.T + b_in).reshape(length, batch, 4 * d)
 
-    h = np.zeros((batch, d), dtype=xs.data.dtype)
+    h = np.zeros((batch, d), dtype=x_flat.dtype)
     c = np.zeros_like(h)
     hs, cs, tanh_cs, acts = [h], [c], [], []
     for t in range(length):
@@ -498,13 +483,15 @@ def lstm(xs, stacked, blocks):
             dw_rec = dz_flat[batch:].T @ h_prev
         else:
             dw_rec = np.zeros_like(w_rec)
-        dx = (dz_flat @ w_in).reshape(xs.data.shape) if xs.requires_grad else None
-        grads = [dx]
+        if any(s.requires_grad for s in steps):
+            grads = list((dz_flat @ w_in).reshape(length, batch, n_in))
+        else:
+            grads = [None] * length
         for full in (dw_in, db, dw_rec, db):
             grads.extend(full[k * d:(k + 1) * d] for k in range(4))
         return tuple(grads)
 
-    return _record("lstm", (xs,) + params, h, backward)
+    return _record("lstm", steps + params, h, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +680,6 @@ class BnState:
     def __init__(self, channels, dtype=STANDARD):
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    def copy(self):
-        dup = BnState(len(self.running_mean), dtype=self.running_mean.dtype)
-        dup.running_mean[:] = self.running_mean
-        dup.running_var[:] = self.running_var
-        return dup
 
 
 def batchnorm(x, gamma, beta, state, mode):

@@ -806,8 +806,16 @@ class TestSynthetic:
         np.testing.assert_array_equal(series.values, np.round(series.values))
 
     def test_regime_series_follows_declared_maps(self):
-        series, maps, biases = regime_demand_series(400, seed=18, noise=0.0,
-                                                    return_maps=True)
+        series = regime_demand_series(400, seed=18, noise=0.0)
+        # The regimes as the generator draws them before the first frame: for
+        # each of the 4, a permutation matrix times the regime's scale, then a bias.
+        rng = np.random.default_rng(18)
+        maps, biases = [], []
+        for scale in (0.9, 0.6, 0.8, 0.7):
+            mat = np.zeros((8, 8))
+            mat[np.arange(8), rng.permutation(8)] = scale
+            maps.append(mat)
+            biases.append(rng.uniform(1.0, 4.0, size=8))
         flat = series.values.reshape(400, -1).astype(np.float64)
         for t in range(1, 400):
             r = (t % 24) % 4

@@ -285,6 +285,11 @@ class TestLstm:
         with pytest.raises(UsageError):
             lstm_sequence_batch(p, [])
 
+    def test_steps_of_different_shapes_rejected(self):
+        p = self.make_params(np.random.default_rng(18))
+        with pytest.raises(ShapeError, match="mixed step shapes"):
+            lstm_sequence_batch(p, [t64(np.ones((2, 3))), t64(np.ones((1, 3)))])
+
     def test_dim_mismatch(self):
         p = self.make_params(np.random.default_rng(19))
         with pytest.raises(ShapeError):
@@ -353,7 +358,7 @@ class TestFusedSequence:
             t.tape = tape
         xs = [t64(rng.normal(size=(2, 5)), requires_grad=True, tape=tape) for _ in range(3)]
         lstm_sequence_batch(p, xs)
-        assert [node.op for node in tape.nodes] == ["stack", "lstm"]
+        assert [node.op for node in tape.nodes] == ["lstm"]
 
     def test_rebound_gate_tensor_rejected(self):
         rng = np.random.default_rng(41)

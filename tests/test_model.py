@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import rewrite_manifest
 
 from stdinet import DomainError, ShapeError, UsageError
+from stdinet.bench import MlpModel
 from stdinet.layers import LSTM_GATES
 from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, mean_all, sub, sum_all
 from stdinet.model import (
@@ -40,6 +41,21 @@ INIT_CHECKSUMS = {
     "STDIFusion": "39f3c8310eb033fe",
     "UnifiedSpatial": "94eed7d26f11f60b",
     "STDIEmbedding": "1bec59b869ed17e1",
+}
+
+# sha256 prefixes of the whole save_checkpoint file of build_model(kind,
+# TOY_DIMS, seed=5) in float32, taken before the writer walked
+# named_arrays(): the manifest, the entry order and every stored byte.
+CKPT_CHECKSUMS = {
+    "STDI": "b21a4efccfc0bfc4",
+    "SpatialFC": "3837bba5081b53c0",
+    "TemporalFC": "591d275c591894b0",
+    "SpatialTemporalFC": "1c9fa4dc11da29c2",
+    "SpatialDI": "fdba7a384929d4ba",
+    "TemporalDI": "0a5655cc4bbb7d6d",
+    "STDIFusion": "56ca2a3c8a12b6ce",
+    "UnifiedSpatial": "d689ecb10857a20a",
+    "STDIEmbedding": "fce922642c5d0d45",
 }
 
 
@@ -89,7 +105,7 @@ def stored_arrays(model):
     for n, s in model.named_states():
         arrays[f"{n}.running_mean"] = s.running_mean
         arrays[f"{n}.running_var"] = s.running_var
-    if model.lstm is not None:
+    if getattr(model, "lstm", None) is not None:
         for attr in ("w_in", "b_in", "w_rec", "b_rec"):
             arrays[f"lstm.{attr}"] = getattr(model.lstm, attr)
     return arrays
@@ -349,7 +365,7 @@ class TestStackedLstm:
         model.lstm.w_in[...] = 0.0
         model.restore(snap)
         assert_lstm_views(model)
-        np.testing.assert_array_equal(model.lstm.w_ix["o"].data, snap[0]["lstm.w_io"])
+        np.testing.assert_array_equal(model.lstm.w_ix["o"].data, snap["lstm.w_io"])
         assert np.any(model.lstm.w_in != 0.0)
 
     def test_views_survive_load_checkpoint(self, tmp_path):
@@ -370,7 +386,36 @@ class TestStackedLstm:
         assert np.all(model.lstm.w_in != before)
 
 
+class TestSnapshot:
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("MLP",))
+    def test_restore_rewrites_every_array_bit_for_bit(self, kind):
+        if kind == "MLP":
+            model = MlpModel(TOY_DIMS, seed=22)
+        else:
+            model = randomized_model(kind, np.float32, seed=22)
+        want = {name: arr.copy() for name, arr in stored_arrays(model).items()}
+        snap = model.snapshot()
+        rng = np.random.default_rng(23)
+        for arr in stored_arrays(model).values():
+            arr[...] = rng.normal(size=arr.shape)
+        for name, arr in stored_arrays(model).items():
+            assert arr.tobytes() != want[name].tobytes(), name
+        model.restore(snap)
+        got = stored_arrays(model)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+        if getattr(model, "lstm", None) is not None:
+            assert_lstm_views(model)
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_checkpoint_bytes_are_pinned(self, kind, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(kind, TOY_DIMS, seed=5))
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CKPT_CHECKSUMS[kind]
+
     @pytest.mark.parametrize("kind", ["STDI", "SpatialFC", "STDIFusion", "STDIEmbedding"])
     def test_round_trip_preserves_predictions(self, kind, tmp_path):
         rng = np.random.default_rng(15)

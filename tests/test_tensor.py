@@ -31,7 +31,6 @@ from stdinet.tensor import (
     reshape,
     scale_rows,
     sigmoid,
-    stack,
     sub,
     sum_all,
     take,
@@ -462,14 +461,16 @@ class TestBackward:
 
 
 class TestShapeOps:
-    def test_take_and_stack_round_trip(self):
+    def test_take_round_trip(self):
         tape = Tape()
         x = t64(np.arange(12.0).reshape(3, 4), requires_grad=True, tape=tape)
         rows = [take(x, i) for i in range(3)]
-        restacked = stack(rows)
-        np.testing.assert_array_equal(restacked.data, x.data)
-        tape.backward(sum_all(restacked))
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(row.data, x.data[i])
+        # Each row gets a gradient of its own, so one routed to the wrong row fails.
+        tape.backward(add(add(sum_all(rows[0]), mean_all(rows[1])),
+                          sum_all(hadamard(rows[2], rows[2]))))
+        np.testing.assert_array_equal(x.grad, [[1.0] * 4, [0.25] * 4, [16.0, 18.0, 20.0, 22.0]])
 
     def test_take_rows_repeated_indices_accumulate(self):
         tape = Tape()
@@ -505,6 +506,22 @@ class TestShapeOps:
         out2 = affine(t64(np.stack([x, x])), t64(w), t64(b))
         np.testing.assert_allclose(out2.data[0], w @ x + b, atol=1e-14)
         np.testing.assert_array_equal(transpose(t64(w)).data, w.T)
+
+    @pytest.mark.parametrize("dtype", [STANDARD, VERIFICATION])
+    def test_vector_affine_is_a_one_row_batch(self, dtype):
+        """A 1-d input's output and gradients equal those of the same row as a batch, bit for bit."""
+        rng = np.random.default_rng(10)
+        w, x = rng.normal(size=(37, 53)).astype(dtype), rng.normal(size=53).astype(dtype)
+        b, g = rng.normal(size=37).astype(dtype), rng.normal(size=37).astype(dtype)
+        runs = []
+        for x_in, g_out in ((x, g), (x[None], g[None])):
+            tape = Tape()
+            leaves = [Tensor(a, requires_grad=True, tape=tape) for a in (x_in, w, b)]
+            out = affine(*leaves)
+            tape.backward(sum_all(hadamard(out, Tensor(g_out, tape=tape))))
+            runs.append([out.data.reshape(-1)] + [t.grad.reshape(-1) for t in leaves])
+        for vector, row in zip(*runs):
+            assert vector.dtype == dtype and vector.tobytes() == row.tobytes()
 
 
 class TestFiniteDiff:

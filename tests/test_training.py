@@ -201,7 +201,7 @@ class TestFit:
         # batch of one.  Either way no step could run.
         train, val, _ = self.small_dataset(seed=9)
         model = build_model("STDI", TOY_DIMS, seed=9, dtype=np.float32)
-        before = model.snapshot()[0]
+        before = model.snapshot()
         config = TrainConfig(epochs=2, batch_size=batch_size, patience=2, seed=0)
         with pytest.raises(UsageError, match="train nothing"):
             fit(model, train[:n_train], val, config)
