@@ -160,7 +160,8 @@ def cmd_ingest(args):
     write_manifest(manifest_path, "ingest",
                    {"stations": args.stations, "grid": args.grid,
                     "interval": args.interval, "rows": audit.rows, "accepted": audit.accepted,
-                    "skipped": dict(audit.skipped), "parse_s": round(parse_s, 6),
+                    "skipped": dict(audit.skipped), "csv_rows": audit.csv_rows,
+                    "parse_s": round(parse_s, 6),
                     "trips_per_s": round(audit.rows / parse_s, 1), "counters": dict(counts)},
                    None, trip_paths, [out, map_path], started)
     print(f"series: {out}  intervals={series.length}  grid={rows}x{cols}")

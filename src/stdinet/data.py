@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import calendar
 import csv
+import io
 import json
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import compress
+from itertools import chain
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -51,12 +52,19 @@ TRIP_DTYPE = np.dtype(
     [(name, np.int64) for name in ("start", "stop", "start_station", "end_station")]
     + [(name, np.float64) for name in ("start_lat", "start_lon", "end_lat", "end_lon")])
 
-# Rows are converted column by column this many at a time, which bounds the
+# Files are read in blocks of whole lines of about this many bytes, which bounds
+# the memory a block, its quote offsets and its columns take.
+_BLOCK_BYTES = 1 << 18
+# Rows read by csv.reader are converted this many at a time, which bounds the
 # memory their field strings take.
 _CHUNK_ROWS = 16384
 _INT64 = range(-(1 << 63), 1 << 63)
 # Stands in for a row too short to hold the required fields; it fails every column.
 _SHORT_ROW = ("",) * len(REQUIRED_COLUMNS)
+_BOM = "\ufeff".encode()
+# 10**17 .. 10**0; every power of ten an int64 can scale a digit by.
+_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+_QUOTE, _COMMA, _CR, _LF, _MINUS, _POINT, _ZERO = b'",\r\n-.0'
 
 # The strict timestamp layouts the column pass converts, as templates: every
 # letter is one ASCII digit of that field, anything else a literal separator.
@@ -71,6 +79,7 @@ class ParseAudit:
     rows: int = 0
     accepted: int = 0
     skipped: Counter = field(default_factory=Counter)
+    csv_rows: int = 0      # the rows csv.reader read, where the block tokenizer could not
 
     def total_skipped(self):
         return sum(self.skipped.values())
@@ -99,99 +108,271 @@ def _parse_row(fields):
             float(slat), float(slon), float(elat), float(elon))
 
 
-def _layout_epochs(buf, layout):
-    """The rows of ``buf`` (uint8, one timestamp per row) that match ``layout``
-    and name a real time, and their epoch seconds."""
-    is_digit = np.array([c.isalpha() for c in layout])
-    digits = buf - np.uint8(ord("0"))          # wraps below "0", so one test suffices
-    rows = np.flatnonzero(
-        np.where(is_digit, digits <= 9, buf == np.frombuffer(layout.encode(), np.uint8)).all(1))
-    digits = digits[rows]
-    part = {}
-    for letter in "YmdHMS":
-        number = np.zeros(len(rows), np.int64)
-        for pos in (i for i, c in enumerate(layout) if c == letter):
-            number = number * 10 + digits[:, pos]
-        part[letter] = number
-    year, month, day = part["Y"], part["m"], part["d"]
+# ---------------------------------------------------------------------------
+# byte blocks and the block tokenizer
+
+
+class _FileBlocks:
+    """A trip file opened in binary as blocks for ``_tokenize``: its header line,
+    then whole lines of about ``_BLOCK_BYTES`` at a time.  A leading BOM is
+    dropped, and a last line without a line break is given one, which changes no
+    field csv reads from it.  ``rest()`` reads the file as text from the start
+    of the last block yielded, as ``open`` with ``newline=""`` does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.start = 0
+
+    def __iter__(self):
+        fh = self.fh
+        if fh.read(len(_BOM)) != _BOM:
+            fh.seek(0)
+        self.start = fh.tell()
+        yield fh.readline(_BLOCK_BYTES)
+        self.start = fh.tell()
+        while block := fh.read(_BLOCK_BYTES):
+            block += fh.readline()
+            yield block if block.endswith(b"\n") else block + b"\n"
+            self.start += len(block)
+
+    def rest(self):
+        self.fh.seek(self.start)
+        return io.TextIOWrapper(self.fh, encoding="utf-8", newline="")
+
+
+class _TextBlocks:
+    """A text stream as blocks for ``_tokenize``: its first line, then whole lines
+    of about ``_BLOCK_BYTES`` characters at a time, encoded as UTF-8.  csv reads
+    a stream line by line, so a block whose lines do not each end at its one
+    "\\n" is handed over empty, which ``_tokenize`` never proves.  ``rest()`` is
+    the stream from the last block's lines on."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.lines = []
+
+    def __iter__(self):
+        self.lines = [self.stream.readline()]
+        while self.lines:
+            text = "".join(self.lines)
+            whole = text.count("\n") == len(self.lines)
+            yield text.encode("utf-8", "surrogatepass") if whole else b""
+            self.lines = self.stream.readlines(_BLOCK_BYTES)
+
+    def rest(self):
+        return chain(self.lines, self.stream)
+
+
+def _tokenize(block, n_fields=0):
+    """The quote offsets of ``block`` as an int32 (rows, 2 * n_fields) array, with
+    the block as a uint8 array, or None unless the block can be proven to be
+    rows that csv.reader reads field for field from those offsets.
+
+    That holds when the block is UTF-8 with no NUL, and each row is
+    ``"f1","f2",...,"fN"`` with no quote inside a field, ended by LF or CRLF and
+    followed straight by the next row.  Field k of row r is then the bytes
+    [q[r, 2k] + 1, q[r, 2k + 1]).  With ``n_fields`` 0 the block is one row, the
+    header, whose quotes give its width.
+    """
+    if not block.endswith(b"\n") or b"\0" in block or not _is_utf8(block):
+        return None
+    buf = np.frombuffer(block, np.uint8)
+    quotes = np.flatnonzero(buf == _QUOTE).astype(np.int32)
+    width = 2 * n_fields or len(quotes)
+    if not len(quotes) or width % 2 or len(quotes) % width:
+        return None
+    quotes = quotes.reshape(-1, width)
+    opens, closes = quotes[:, 0::2], quotes[:, 1::2]
+    # The block ends in LF, so the byte after a row's last quote, and the one
+    # after that if the first is CR, lie inside it.
+    after = buf[closes[:, -1] + 1]
+    crlf = after == _CR
+    ends = closes[:, -1] + 1 + crlf
+    proven = (((after == _LF) | (crlf & (buf[ends] == _LF))).all()
+              and opens[0, 0] == 0 and ends[-1] == len(buf) - 1
+              and (opens[1:, 0] == ends[:-1] + 1).all()
+              and (opens[:, 1:] == closes[:, :-1] + 2).all()
+              and (buf[closes[:, :-1] + 1] == _COMMA).all()
+              # csv.reader raises on a field longer than its limit.
+              and (closes - opens).max() - 1 <= csv.field_size_limit())
+    return (buf, quotes) if proven else None
+
+
+def _is_utf8(block):
+    if block.isascii():
+        return True
+    try:
+        block.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# byte-level column conversion
+
+
+def _length_groups(buf, starts, ends, sizes):
+    """For each length in ``sizes`` that some span [starts, ends) of ``buf`` has:
+    the spans of that length, and their bytes as a (length, spans) uint8 array,
+    one row per position, so that each position is one contiguous vector."""
+    lengths = ends - starts
+    present = np.bincount(np.minimum(lengths, sizes.stop), minlength=sizes.stop + 1)
+    for size in sizes:
+        if present[size]:
+            rows = np.flatnonzero(lengths == size)
+            windows = np.lib.stride_tricks.as_strided(buf, (len(buf) - size + 1, size), (1, 1))
+            yield rows, np.ascontiguousarray(windows[starts[rows]].T)
+
+
+def _number(digits, positions):
+    """The int64 number that the digit values at ``positions`` (rows of ``digits``) spell."""
+    number = np.zeros(digits.shape[1], np.int64)
+    for position in positions:
+        number = number * 10 + digits[position]
+    return number
+
+
+def _time_column(buf, starts, ends):
+    """Epoch seconds of a column of timestamp spans, and the mask of those converted.
+
+    Spans of one length are checked together against each layout of that length
+    in ``_COLUMN_LAYOUTS``; every other shape is left to the per-row path.
+    """
+    epochs, ok = np.zeros(len(starts), np.int64), np.zeros(len(starts), bool)
+    for rows, stamps in _length_groups(buf, starts, ends, range(17, 20)):
+        for table in _LAYOUT_TABLES[len(stamps)]:
+            matched, values, rest = _layout_epochs(stamps, *table)
+            epochs[rows[matched]] = values
+            ok[rows[matched]] = True
+            rows, stamps = rows[rest], stamps[:, rest]
+            if not len(rows):
+                break
+    return epochs, ok
+
+
+def _layout_table(layout):
+    """``lowest``, ``span`` and ``letters`` of one layout for ``_layout_epochs``."""
+    lowest = np.frombuffer(bytes(_ZERO if c.isalpha() else ord(c) for c in layout), np.uint8)
+    span = np.array([9 if c.isalpha() else 0 for c in layout], np.uint8)
+    letters = [[i for i, c in enumerate(layout) if c == letter] for letter in "YmdHMS"]
+    return lowest[:, None], span[:, None], letters
+
+
+# The tables of _COLUMN_LAYOUTS by timestamp length.
+_LAYOUT_TABLES = {size: [_layout_table(layout) for layout in _COLUMN_LAYOUTS if len(layout) == size]
+                  for size in range(17, 20)}
+
+
+def _layout_epochs(stamps, lowest, span, letters):
+    """The timestamps of ``stamps`` ((length, n) uint8, one column per timestamp)
+    that match a layout and name a real time, their epoch seconds, and the
+    timestamps that do not match the layout.
+
+    A byte matches where it lies in [lowest, lowest + span] of its position:
+    an ASCII digit, or the separator itself.  Less ``lowest`` it wraps below
+    it, so one comparison checks that.  ``letters`` holds the positions of
+    each of "YmdHMS".
+    """
+    matches = (stamps - lowest <= span).all(0)
+    rows = np.flatnonzero(matches)
+    digits = stamps[:, rows] - lowest
+    year, month, day, hour, minute, second = (_number(digits, positions) for positions in letters)
     months = (year - 1970) * 12 + month - 1
     first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
     length = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) - first
     real = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= length)
-            & (part["H"] < 24) & (part["M"] < 60) & (part["S"] < 60))
-    epochs = (first + day - 1) * 86400 + part["H"] * 3600 + part["M"] * 60 + part["S"]
-    return rows[real], epochs[real]
+            & (hour < 24) & (minute < 60) & (second < 60))
+    epochs = (first + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+    return rows[real], epochs[real], np.flatnonzero(~matches)
 
 
-def _time_column(texts):
-    """Epoch seconds of a column of timestamps, and the mask of those converted.
-
-    Timestamps of one length are checked together against each layout of that
-    length in ``_COLUMN_LAYOUTS``; every other shape is left to the per-row path.
-    """
-    n = len(texts)
-    epochs, ok = np.zeros(n, np.int64), np.zeros(n, bool)
-    lengths = np.fromiter(map(len, texts), np.int64, n)
-    for size in sorted({len(layout) for layout in _COLUMN_LAYOUTS}):
-        in_group = lengths == size
-        if not in_group.any():
-            continue
-        # A character outside ASCII becomes one "?", which no layout accepts.
-        joined = "".join(compress(texts, in_group.tolist())).encode("ascii", "replace")
-        buf = np.frombuffer(joined, np.uint8).reshape(-1, size)
-        group = np.flatnonzero(in_group)
-        for layout in (layout for layout in _COLUMN_LAYOUTS if len(layout) == size):
-            rows, values = _layout_epochs(buf, layout)
-            epochs[group[rows]] = values
-            ok[group[rows]] = True
-    return epochs, ok
-
-
-def _number_column(texts, kind, dtype):
-    """``kind`` (int or float) of each text as ``dtype``, and the mask of those
-    converted; an int beyond ``dtype`` fails like an unparsable one."""
-    n = len(texts)
-    try:
-        return np.fromiter(map(kind, texts), dtype, n), np.ones(n, bool)
-    except (ValueError, OverflowError):
-        pass
-    values, ok = np.zeros(n, dtype), np.ones(n, bool)
-    for i, text in enumerate(texts):
-        try:
-            values[i] = kind(text)
-        except (ValueError, OverflowError):
-            ok[i] = False
+def _id_column(buf, starts, ends):
+    """Station ids of 1 to 18 plain ASCII digits as int64, and the mask of those converted."""
+    values, ok = np.zeros(len(starts), np.int64), np.zeros(len(starts), bool)
+    for rows, spans in _length_groups(buf, starts, ends, range(1, 19)):
+        digits = spans - np.uint8(_ZERO)       # wraps below "0", so one test suffices
+        ok[rows] = (digits <= 9).all(0)
+        values[rows] = _number(digits, range(len(digits)))
     return values, ok
 
 
-def _convert(rows, audit):
-    """The screened TRIP_DTYPE array of one chunk of required-field tuples.
+def _decimal_column(buf, starts, ends):
+    """Decimals ``[-]digits[.digits]`` of 1 to 15 digits as float64, and the mask
+    of those converted.
+
+    The integer M of the digits and 10**k, for k digits after the point, are
+    exact doubles, so M / 10**k is one correctly rounded division: the double
+    nearest the decimal, which is what ``float`` returns (Clinger 1990).
+    """
+    values, ok = np.zeros(len(starts), np.float64), np.zeros(len(starts), bool)
+    for rows, spans in _length_groups(buf, starts, ends, range(1, 18)):
+        size = len(spans)
+        negative = spans[0] == _MINUS
+        point = spans == _POINT
+        points = point.sum(0)
+        n_digits = size - negative - points
+        # A leading minus and the point read as 0 digits; the one the point
+        # adds is then taken out of the number they spell.
+        digits = spans - np.uint8(_ZERO)
+        digits[0, negative] = 0
+        digits[point] = 0
+        ok[rows] = (digits <= 9).all(0) & (points <= 1) & (n_digits >= 1) & (n_digits <= 15)
+        has_point = points > 0
+        spread = _number(digits, range(size))
+        scale = _POW10[17 - np.where(has_point, size - 1 - point.argmax(0), 0)]
+        tail = spread % scale
+        mantissa = np.where(has_point, (spread - tail) // 10 + tail, spread)
+        quotient = mantissa / scale.astype(np.float64)
+        values[rows] = np.where(negative, -quotient, quotient)
+    return values, ok
+
+
+# The converter of each run of TRIP_DTYPE fields; the fields of a run are
+# converted as one column.
+_CONVERTERS = ((slice(0, 2), _time_column), (slice(2, 4), _id_column),
+               (slice(4, 8), _decimal_column))
+
+
+def _convert(buf, starts, ends, audit):
+    """The screened TRIP_DTYPE array of one block of rows, given the byte spans
+    [starts, ends) of each row's required fields in ``buf`` ((rows, 8) arrays).
 
     Each column is converted at once; a row that fails any column goes through
-    ``_parse_row`` and, if it parses there, keeps its place in the chunk.
+    ``_parse_row`` on its decoded fields and, if it parses there, keeps its place.
     """
-    audit.rows += len(rows)
-    chunk = np.empty(len(rows), dtype=TRIP_DTYPE)
-    ok = np.ones(len(rows), bool)
-    for name, texts in zip(TRIP_DTYPE.names, zip(*rows)):
-        if name in ("start", "stop"):
-            chunk[name], column_ok = _time_column(texts)
-        else:
-            kind = int if TRIP_DTYPE[name] == np.int64 else float
-            chunk[name], column_ok = _number_column(texts, kind, TRIP_DTYPE[name])
-        ok &= column_ok
+    audit.rows += len(starts)
+    chunk = np.empty(len(starts), dtype=TRIP_DTYPE)
+    ok = np.ones(len(starts), bool)
+    for fields, convert in _CONVERTERS:
+        values, column_ok = convert(buf, starts[:, fields].ravel(), ends[:, fields].ravel())
+        values = values.reshape(len(starts), -1)
+        for j, name in enumerate(TRIP_DTYPE.names[fields]):
+            chunk[name] = values[:, j]
+        ok &= column_ok.reshape(len(starts), -1).all(1)
     for i in np.flatnonzero(~ok).tolist():
+        texts = [buf[s:e].tobytes().decode("utf-8", "surrogatepass")
+                 for s, e in zip(starts[i].tolist(), ends[i].tolist())]
         try:
-            chunk[i] = _parse_row(rows[i])
+            chunk[i] = _parse_row(texts)
         except ValueError:
             continue
         ok[i] = True
-    unparsable = len(rows) - int(np.count_nonzero(ok))
+    unparsable = len(starts) - int(np.count_nonzero(ok))
     if unparsable:
         audit.skipped["unparsable"] += unparsable
     trips = _screen(chunk[ok], audit.skipped)
     audit.accepted += len(trips)
     return trips
+
+
+def _convert_texts(rows, audit):
+    """``_convert`` of csv rows of required-field strings, joined into one UTF-8 buffer."""
+    audit.csv_rows += len(rows)
+    encoded = [text.encode("utf-8", "surrogatepass") for row in rows for text in row]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded)).reshape(len(rows), -1)
+    ends = lengths.cumsum().reshape(lengths.shape)
+    return _convert(np.frombuffer(b"".join(encoded), np.uint8), ends - lengths, ends, audit)
 
 
 def _screen(chunk, skipped):
@@ -208,46 +389,79 @@ def _screen(chunk, skipped):
     return chunk[keep]
 
 
-def _trip_chunks(stream, audit):
-    """Screened TRIP_DTYPE chunks of one CSV stream, in file order; the header
-    is checked before the first chunk."""
-    reader = csv.reader(stream)
+def _required_positions(header):
+    """The header index of each of REQUIRED_COLUMNS; a missing one is fatal."""
     # Tolerate stray whitespace in header cells; of repeated names the last wins.
-    index = {name.strip(): i for i, name in enumerate(next(reader, []))}
+    index = {name.strip(): i for i, name in enumerate(header)}
     for col in REQUIRED_COLUMNS:
         if col not in index:
             raise SchemaError(f"trip CSV is missing required column {col!r}")
-    positions = [index[col] for col in REQUIRED_COLUMNS]
-    fields, width = itemgetter(*positions), max(positions) + 1
+    return np.array([index[col] for col in REQUIRED_COLUMNS])
 
+
+def _trip_chunks(source, audit):
+    """Screened TRIP_DTYPE chunks of a ``_FileBlocks`` or ``_TextBlocks`` source, in
+    file order; the header is checked before the first chunk.
+
+    Blocks are tokenized by their quotes while ``_tokenize`` proves them; from
+    the first it cannot prove, the header included, csv.reader reads the rest.
+    """
+    blocks = iter(source)
+    header = _tokenize(next(blocks))
+    if header is None:
+        reader = csv.reader(source.rest())
+        names = next(reader, [])
+    else:
+        buf, quotes = header
+        names = [buf[s + 1:e].tobytes().decode() for s, e in quotes.reshape(-1, 2).tolist()]
+    positions = _required_positions(names)
+    if header is not None:
+        for block in blocks:
+            tokens = _tokenize(block, len(names))
+            if tokens is None:
+                break
+            buf, quotes = tokens
+            yield _convert(buf, quotes[:, 2 * positions] + 1, quotes[:, 2 * positions + 1], audit)
+        else:
+            return
+        reader = csv.reader(source.rest())
+
+    fields, width = itemgetter(*positions.tolist()), int(positions.max()) + 1
     rows = []
     for row in reader:
         if not row:
             continue
         rows.append(fields(row) if len(row) >= width else _SHORT_ROW)
         if len(rows) == _CHUNK_ROWS:
-            yield _convert(rows, audit)
+            yield _convert_texts(rows, audit)
             rows = []
     if rows:
-        yield _convert(rows, audit)
+        yield _convert_texts(rows, audit)
 
 
 def parse_trips(stream):
-    """Parse one CSV stream into a TRIP_DTYPE array; bad rows are counted, not fatal.
+    """Parse one CSV text stream into a TRIP_DTYPE array; bad rows are counted, not fatal.
 
     A missing required column is fatal and names the column.  Rows are skipped (with a
     reason counter) when a field is missing or fails to parse, the stop precedes the
     start, or coordinates fall outside the NYC bounding box; blank lines are not rows.
 
-    Rows are read in chunks of ``_CHUNK_ROWS`` and converted a column at a time:
-    timestamps in the strict layouts of ``_COLUMN_LAYOUTS`` by array arithmetic,
-    station ids by ``int`` and coordinates by ``float``.  A row that any column
+    The stream is read in blocks of whole lines of about ``_BLOCK_BYTES``, so the
+    memory a block takes does not grow with the stream.  A block in which every
+    field is quoted (``"f1",...,"fN"`` rows with LF or CRLF ends, no quote inside
+    a field, UTF-8 without NUL; ``_tokenize``) is split at its quote offsets.
+    From the first block that is not, the header included, ``csv.reader`` reads
+    the rest of the stream and its fields are joined into the same kind of byte
+    buffer; ``audit.csv_rows`` counts those rows.  Either way each column is then
+    converted from bytes at once: timestamps in the strict layouts of
+    ``_COLUMN_LAYOUTS``, station ids of up to 18 ASCII digits, and decimal
+    coordinates of up to 15 digits, exactly as ``float``.  A row that any column
     rejects is converted again on its own (``_parse_row``: ``strptime`` over
     ``TIME_FORMATS``, ``int``, ``float``), so the accepted rows and the audit are
     those of the per-row conversion.
     """
     audit = ParseAudit()
-    chunks = list(_trip_chunks(stream, audit))
+    chunks = list(_trip_chunks(_TextBlocks(stream), audit))
     return np.concatenate([np.empty(0, dtype=TRIP_DTYPE)] + chunks), audit
 
 
@@ -256,7 +470,7 @@ def _row_bound(path):
     CRLF) plus one; a pair split across two reads counts twice."""
     breaks = 1
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
             returns = block.count(b"\r")
             breaks += block.count(b"\n") + returns - (returns and block.count(b"\r\n"))
     return breaks
@@ -265,15 +479,20 @@ def _row_bound(path):
 def parse_trip_files(paths):
     """Parse several CSV files into one TRIP_DTYPE array with a merged audit.
 
-    The array is allocated once, sized by the files' line breaks, filled chunk
+    Each file is parsed as ``parse_trips`` parses a stream, from its bytes: a
+    leading BOM is dropped, blocks are tokenized while ``_tokenize`` proves
+    them, and ``csv.reader`` reads the rest of a file as UTF-8 text, as
+    ``open(path, newline="", encoding="utf-8-sig")`` would give it, from the
+    first block it cannot prove.  Only the trip table grows with the files.
+    The table is allocated once, sized by the files' line breaks, filled chunk
     by chunk and shrunk to the accepted trips, so no second copy of it is made.
     """
     audit = ParseAudit()
     trips = np.empty(sum(_row_bound(path) for path in paths), dtype=TRIP_DTYPE)
     n = 0
     for path in paths:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for chunk in _trip_chunks(fh, audit):
+        with open(path, "rb") as fh:
+            for chunk in _trip_chunks(_FileBlocks(fh), audit):
                 trips[n:n + len(chunk)] = chunk
                 n += len(chunk)
     trips.resize(n, refcheck=False)

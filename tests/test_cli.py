@@ -111,6 +111,24 @@ class TestIngest:
         assert config["parse_s"] > 0
         assert config["trips_per_s"] == pytest.approx(config["rows"] / config["parse_s"], rel=1e-3)
 
+    def test_manifest_counts_rows_read_by_csv_reader(self, tmp_path):
+        """The fixture is all quoted fields, so no row reaches csv.reader; a
+        doubled quote sends the rest of the file there."""
+        fixture = Path(__file__).parent / "data" / "trips_small.csv"
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_bytes(fixture.read_bytes().replace(
+            b'"Broadway & W 49 St"', b'"Broadway & ""W"" 49 St"', 1))
+        csv_rows = []
+        for trips in (fixture, doubled):
+            out = tmp_path / f"{trips.stem}.stdm"
+            assert main(["ingest", "--trips", str(trips), "--out", str(out),
+                         "--stations", "2", "--grid", "1x2"]) == 0
+            config = json.loads(out.with_name(out.name + ".manifest.json").read_text())["config"]
+            assert (config["rows"], config["accepted"], config["skipped"]) == \
+                (3, 2, {"stop_before_start": 1})
+            csv_rows.append(config["csv_rows"])
+        assert csv_rows[0] == 0 and csv_rows[1] > 0
+
     def test_schema_error_exit_code(self, tmp_path):
         trips = tmp_path / "bad.csv"
         trips.write_text("starttime,stoptime\n")

@@ -3,8 +3,10 @@
 import calendar
 import csv
 import io
+import re
 import tempfile
 import time
+import tracemalloc
 from collections import Counter, namedtuple
 from datetime import datetime
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stdinet import DataError, SchemaError, UsageError
+from stdinet import DataError, SchemaError, UsageError, data
 from stdinet.data import (
     LAT_RANGE,
     LON_RANGE,
@@ -279,12 +281,12 @@ LAT_CASES = ["40.7", "40.75", " 40.8 ", "+40.7", "4.07e1", "40_7.0", "nan", "inf
 LON_CASES = ["-74.0", "-73.99", "-73.950001", "-1e999", "nan", "", "-74_0"]
 
 
-def junk_trips_csv(seed, n):
+def junk_trips_csv(seed, n, quoting=csv.QUOTE_MINIMAL, ragged=True):
     """A trip CSV of ``n`` rows, most of them valid in either layout, the rest
-    carrying every case above, short rows and blank lines."""
+    carrying every case above; ``ragged`` adds short rows and blank lines."""
     rng = np.random.default_rng(seed)
     out = io.StringIO()
-    writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer = csv.writer(out, quoting=quoting, lineterminator="\n")
     columns = ["tripduration", *REQUIRED_COLUMNS, "bikeid"]
     writer.writerow(columns)
     for _ in range(n):
@@ -307,46 +309,255 @@ def junk_trips_csv(seed, n):
                                  ("end station longitude", LON_CASES, f"{rng.uniform(-74.1, -73.9):.6f}")):
             row[col] = str(rng.choice(cases)) if rng.random() < 0.03 else good
         fields = [row[c] for c in columns]
-        if rng.random() < 0.02:
+        if rng.random() < 0.02 and ragged:
             fields = fields[:int(rng.integers(0, len(fields)))]
         writer.writerow(fields)
-        if rng.random() < 0.02:
+        if rng.random() < 0.02 and ragged:
             out.write("\n")
     return out.getvalue()
 
 
 class TestColumnParseMatchesRowParse:
-    @pytest.mark.parametrize("chunk_rows", [None, 7, 1])
-    def test_junk_csv(self, monkeypatch, chunk_rows):
+    @pytest.mark.parametrize("chunk_rows, quoting, ragged", [
+        pytest.param(None, csv.QUOTE_MINIMAL, True, id="None"),
+        pytest.param(7, csv.QUOTE_MINIMAL, True, id="7"),
+        pytest.param(1, csv.QUOTE_MINIMAL, True, id="1"),
+        pytest.param(None, csv.QUOTE_ALL, False, id="quoted"),
+        pytest.param(7, csv.QUOTE_ALL, True, id="quoted-ragged-7"),
+    ])
+    def test_junk_csv(self, monkeypatch, chunk_rows, quoting, ragged):
+        """Every junk field through the byte converters: quoted files go through
+        the block tokenizer (up to a short row or blank line), the others
+        through csv.reader."""
         if chunk_rows:
             monkeypatch.setattr("stdinet.data._CHUNK_ROWS", chunk_rows)
-        text = junk_trips_csv(0, 600)
+        monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 1024)
+        text = junk_trips_csv(0, 600, quoting, ragged)
         got = parse_trips(io.StringIO(text, newline=""))
         assert_same_parse(got, reference_parse_trips(io.StringIO(text, newline="")))
         trips, audit = got
         assert len(trips) > 300
         assert set(audit.skipped) == {"unparsable", "stop_before_start", "out_of_bounds"}
+        if quoting == csv.QUOTE_MINIMAL:
+            assert audit.csv_rows == audit.rows
+        elif ragged:
+            assert 0 < audit.csv_rows < audit.rows
+        else:
+            assert audit.csv_rows == 0
 
     @pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r", "mixed"])
     def test_files_with_any_line_break(self, tmp_path, monkeypatch, line_break):
         """parse_trip_files sizes its table by line breaks: LF, CRLF, CR-only, a
-        mix of lone CR and LF, and no final break must all fit."""
+        mix of lone CR and LF, and no final break must all fit, quoted or not."""
         monkeypatch.setattr("stdinet.data._CHUNK_ROWS", 50)
-        texts = [junk_trips_csv(seed, n) for seed, n in ((1, 200), (2, 3), (3, 120))]
-        if line_break == "mixed":
-            files = ["".join(line + "\n\r"[k % 2] for k, line in enumerate(text.splitlines()))
-                     for text in texts]
-        else:
-            files = [text.replace("\n", line_break) for text in texts]
-        paths = []
-        for k, text in enumerate(files):
-            path = tmp_path / f"trips-{k}.csv"
-            path.write_bytes(text.rstrip("\r\n").encode("utf-8"))
-            paths.append(path)
-        trips, audit = parse_trip_files(paths)
-        ref = [reference_parse_trips(io.StringIO(text, newline="")) for text in texts]
-        assert_same_parse((trips, audit), (np.concatenate([r[0] for r in ref]),
-                                           sum(r[1] for r in ref), sum((r[2] for r in ref), Counter())))
+        monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 4096)
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            texts = [junk_trips_csv(seed, n, quoting, ragged=quoting == csv.QUOTE_MINIMAL)
+                     for seed, n in ((1, 200), (2, 3), (3, 120))]
+            if line_break == "mixed":
+                files = ["".join(line + "\n\r"[k % 2] for k, line in enumerate(text.splitlines()))
+                         for text in texts]
+            else:
+                files = [text.replace("\n", line_break) for text in texts]
+            paths = []
+            for k, text in enumerate(files):
+                path = tmp_path / f"trips-{quoting}-{k}.csv"
+                path.write_bytes(text.rstrip("\r\n").encode("utf-8"))
+                paths.append(path)
+            trips, audit = parse_trip_files(paths)
+            ref = [reference_parse_trips(io.StringIO(text, newline="")) for text in texts]
+            assert_same_parse((trips, audit), (np.concatenate([r[0] for r in ref]),
+                                               sum(r[1] for r in ref), sum((r[2] for r in ref), Counter())))
+            tokenized = quoting == csv.QUOTE_ALL and line_break in ("\n", "\r\n")
+            assert (audit.csv_rows == 0) == tokenized
+
+
+def quoted_trips_text(copies=40):
+    """The fixture's header and ``copies`` copies of its three rows: every field quoted."""
+    header, *rows = FIXTURE.read_text().splitlines(keepends=True)
+    return header + "".join(rows) * copies
+
+
+def assert_same_outcome(parse, reference):
+    """``parse()`` returns what ``reference()`` does, or raises the same exception
+    type; the parse's result, or None if it raised."""
+    try:
+        expected = reference()
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            parse()
+        return None
+    got = parse()
+    assert_same_parse(got, expected)
+    return got
+
+
+def reference_parse_file(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return reference_parse_trips(fh)
+
+
+def replace_nth(text, old, new, n=50):
+    """``text`` with only the ``n``-th occurrence of ``old`` replaced by ``new``."""
+    at = -1
+    for _ in range(n):
+        at = text.index(old, at + 1)
+    return text[:at] + new + text[at + len(old):]
+
+
+# Edits of the quoted fixture text, each at one place in the middle, and
+# whether the block tokenizer still reads the whole file (else csv.reader reads
+# on from the block the edit lies in).
+NAME, ID = '"Broadway & W 49 St"', '"173"'
+FALLBACK_CASES = {
+    "doubled quote": (lambda t: replace_nth(t, NAME, '"Broadway & ""W"" 49 St"'), False),
+    "quoted comma": (lambda t: replace_nth(t, NAME, '"Broadway, W 49 St"'), True),
+    "quoted newline": (lambda t: replace_nth(t, NAME, '"Broadway\nW 49 St"'), True),
+    "quoted CRLF": (lambda t: replace_nth(t, NAME, '"Broadway\r\nW 49 St"'), True),
+    "blank line": (lambda t: replace_nth(t, "\n", "\n\n"), False),
+    "whitespace line": (lambda t: replace_nth(t, "\n", "\n  \n"), False),
+    "lone CR": (lambda t: replace_nth(t, "\n", "\r"), False),
+    "lone CR and a space": (lambda t: replace_nth(t, "\n", "\r "), False),
+    "semicolon between fields": (lambda t: replace_nth(t, '","173","', '";"173","'), False),
+    "space after a comma": (lambda t: replace_nth(t, ',"173",', ', "173",'), False),
+    "CRLF": (lambda t: t.replace("\n", "\r\n"), True),
+    "BOM": (lambda t: "\ufeff" + t, True),
+    "no final line break": (lambda t: t.rstrip("\n"), True),
+    "unquoted field": (lambda t: replace_nth(t, ID, "173"), False),
+    "NUL in a name": (lambda t: replace_nth(t, NAME, '"Broadway\x00W 49 St"'), False),
+    "NUL in an id": (lambda t: replace_nth(t, ID, '"17\x003"'), False),
+    "field longer than csv's limit": (lambda t: replace_nth(t, NAME, f'"{"x" * 140000}"'), False),
+}
+
+
+class TestBlockTokenizer:
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_same_rows_and_audit_as_the_row_parse(self, tmp_path, monkeypatch, case):
+        """Files and streams, in blocks of a few rows so that rows meet block
+        boundaries: the same trips and audit as csv.reader and the row parse."""
+        monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
+        edit, tokenized = FALLBACK_CASES[case]
+        text = edit(quoted_trips_text())
+        path = tmp_path / "trips.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = assert_same_outcome(lambda: parse_trip_files([path]),
+                                  lambda: reference_parse_file(path))
+        assert_same_outcome(lambda: parse_trips(io.StringIO(text, newline="")),
+                            lambda: reference_parse_trips(io.StringIO(text, newline="")))
+        if got is not None:
+            audit = got[1]
+            assert (audit.csv_rows == 0) == tokenized
+            assert audit.csv_rows < audit.rows
+
+    @pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+    def test_stream_in_any_newline_mode(self, monkeypatch, newline):
+        """csv.reader reads a stream line by line as the stream splits it, so a
+        block is tokenized only where each of its lines ends at its one LF."""
+        monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
+        lf = quoted_trips_text()
+        for text in (lf, lf.replace("\n", "\r\n"), lf.replace("\n", "\r\n", 1)):
+            def stream():
+                return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+
+            assert_same_outcome(lambda: parse_trips(stream()), lambda: reference_parse_trips(stream()))
+
+    def test_record_across_a_block_boundary(self, tmp_path, monkeypatch):
+        """A quoted line break lets a record run on past the line a block ends
+        with: csv.reader then reads from that block on, to the same rows."""
+        text = replace_nth(quoted_trips_text(copies=10), NAME, '"Broadway\nW 49 St"', n=10)
+        path = tmp_path / "trips.csv"
+        path.write_text(text)
+        expected = reference_parse_file(path)
+        split = set()
+        for block_bytes in range(50, 800, 25):
+            monkeypatch.setattr("stdinet.data._BLOCK_BYTES", block_bytes)
+            got = parse_trip_files([path])
+            assert_same_parse(got, expected)
+            assert_same_parse(parse_trips(io.StringIO(text, newline="")), expected)
+            split.add(got[1].csv_rows > 0)
+        assert split == {False, True}
+
+    def test_invalid_utf8_raises_as_the_text_reader_does(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
+        path = tmp_path / "trips.csv"
+        path.write_bytes(replace_nth(quoted_trips_text(), "Broadway", "Broad\udcffway").encode(
+            "utf-8", "surrogateescape"))
+        with pytest.raises(UnicodeDecodeError):
+            reference_parse_file(path)
+        with pytest.raises(UnicodeDecodeError):
+            parse_trip_files([path])
+
+    def test_clean_file_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called on a clean file")
+
+        monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
+        text = quoted_trips_text()
+        path = tmp_path / "trips.csv"
+        path.write_text(text)
+        expected = reference_parse_file(path)
+        monkeypatch.setattr("stdinet.data.csv.reader", no_reader)
+        for got in (parse_trip_files([path]), parse_trips(io.StringIO(text, newline=""))):
+            assert_same_parse(got, expected)
+            assert got[1].csv_rows == 0
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        """A clean file of 8 blocks peaks at most twice as high as one of 1 block:
+        only the trip table grows with the file."""
+        header, *rows = FIXTURE.read_text().splitlines(keepends=True)
+        peaks = []
+        for blocks in (1, 8):
+            path = tmp_path / f"trips-{blocks}.csv"
+            copies = blocks * data._BLOCK_BYTES // len("".join(rows)) + 1
+            path.write_text(header + "".join(rows) * copies)
+            tracemalloc.start()
+            try:
+                trips, audit = parse_trip_files([path])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert audit.rows == 3 * copies and audit.csv_rows == 0
+        assert peaks[1] <= 2 * peaks[0]
+
+
+def spans_of(texts):
+    """``texts`` joined into one UTF-8 buffer, and each text's [start, end) in it."""
+    encoded = [text.encode() for text in texts]
+    lengths = np.array([len(e) for e in encoded], np.int64)
+    ends = np.cumsum(lengths)
+    return np.frombuffer(b"".join(encoded), np.uint8), ends - lengths, ends
+
+
+class TestByteConverters:
+    def test_decimals_are_float_bit_for_bit(self):
+        """Plain decimals of up to 15 digits convert, to the double ``float``
+        gives; every other text is left to ``float`` on its own."""
+        rng = np.random.default_rng(5)
+        texts = ["-0", "0.", ".5", "-.5", ".", "-", "", "+1", " 1", "1..2", "--1", "1e3", "nan",
+                 "\u0661.5", "9007199254740993", "0.9007199254740993", "-73.99392888"]
+        for _ in range(4000):
+            digits = "".join(rng.choice(list("0123456789"), int(rng.integers(1, 18))))
+            point = int(rng.integers(0, len(digits) + 1))
+            text = digits[:point] + "." + digits[point:] if rng.random() < 0.8 else digits
+            texts.append("-" * int(rng.integers(0, 2)) + text)
+        values, ok = data._decimal_column(*spans_of(texts))
+        for text, value, converted in zip(texts, values.tolist(), ok.tolist()):
+            plain = re.fullmatch(r"-?(\d+\.?\d*|\.\d+)", text, re.ASCII)
+            assert converted == (plain is not None and sum(map(str.isdigit, text)) <= 15), text
+            if converted:
+                assert np.float64(value).tobytes() == np.float64(float(text)).tobytes(), text
+
+    def test_ids_are_int(self):
+        """Ids of 1 to 18 ASCII digits convert, as ``int``; the rest are left to ``int``."""
+        rng = np.random.default_rng(6)
+        texts = ["0", "007", "", "-5", "+5", "1_0", "\u0661", " 1", "1 ", "9" * 18, "9" * 19,
+                 "9223372036854775808", "18446744073709551617"]
+        texts += [str(v) for v in rng.integers(0, 10 ** 18, 500) // 10 ** rng.integers(0, 18, 500)]
+        values, ok = data._id_column(*spans_of(texts))
+        for text, value, converted in zip(texts, values.tolist(), ok.tolist()):
+            assert converted == (re.fullmatch(r"\d{1,18}", text, re.ASCII) is not None), text
+            if converted:
+                assert value == int(text), text
 
 
 class TestSelectStations:
