@@ -26,7 +26,6 @@ from .data import (
     generate_hour_embeddings,
     load_hour_embeddings,
     make_windows,
-    parse_trips,
     read_demand_series,
     regime_demand_series,
     select_stations,
@@ -54,7 +53,7 @@ __all__ = [
     "load_checkpoint", "save_checkpoint",
     "DemandSeries", "StationGrid", "Windows", "assign_grid",
     "build_demand_series", "generate_hour_embeddings", "load_hour_embeddings",
-    "make_windows", "parse_trips", "read_demand_series", "regime_demand_series",
+    "make_windows", "read_demand_series", "regime_demand_series",
     "select_stations", "split_dataset", "write_demand_series",
     "Adam", "TrainConfig", "TrainHistory", "fit", "mse_loss", "predict_windows",
     "BenchConfig", "MetricPair", "MlpModel", "REFERENCE_RESULTS", "SUITES", "baseline_ha",

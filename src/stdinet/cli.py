@@ -140,6 +140,8 @@ def cmd_ingest(args):
     rows, cols = parse_grid(args.grid)
     if args.interval < 1:
         raise UsageError(f"bad --interval {args.interval}; expected a positive number of seconds")
+    if args.stations != rows * cols:
+        raise UsageError(f"bad --stations {args.stations}; grid {args.grid} needs {rows * cols}")
     trip_paths = [resolve_path(p) for p in args.trips]
     parse_started = time.perf_counter()
     trips, audit = D.parse_trip_files(trip_paths)

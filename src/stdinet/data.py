@@ -20,7 +20,6 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -109,58 +108,7 @@ def _parse_row(fields):
 
 
 # ---------------------------------------------------------------------------
-# byte blocks and the block tokenizer
-
-
-class _FileBlocks:
-    """A trip file opened in binary as blocks for ``_tokenize``: its header line,
-    then whole lines of about ``_BLOCK_BYTES`` at a time.  A leading BOM is
-    dropped, and a last line without a line break is given one, which changes no
-    field csv reads from it.  ``rest()`` reads the file as text from the start
-    of the last block yielded, as ``open`` with ``newline=""`` does."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.start = 0
-
-    def __iter__(self):
-        fh = self.fh
-        if fh.read(len(_BOM)) != _BOM:
-            fh.seek(0)
-        self.start = fh.tell()
-        yield fh.readline(_BLOCK_BYTES)
-        self.start = fh.tell()
-        while block := fh.read(_BLOCK_BYTES):
-            block += fh.readline()
-            yield block if block.endswith(b"\n") else block + b"\n"
-            self.start += len(block)
-
-    def rest(self):
-        self.fh.seek(self.start)
-        return io.TextIOWrapper(self.fh, encoding="utf-8", newline="")
-
-
-class _TextBlocks:
-    """A text stream as blocks for ``_tokenize``: its first line, then whole lines
-    of about ``_BLOCK_BYTES`` characters at a time, encoded as UTF-8.  csv reads
-    a stream line by line, so a block whose lines do not each end at its one
-    "\\n" is handed over empty, which ``_tokenize`` never proves.  ``rest()`` is
-    the stream from the last block's lines on."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.lines = []
-
-    def __iter__(self):
-        self.lines = [self.stream.readline()]
-        while self.lines:
-            text = "".join(self.lines)
-            whole = text.count("\n") == len(self.lines)
-            yield text.encode("utf-8", "surrogatepass") if whole else b""
-            self.lines = self.stream.readlines(_BLOCK_BYTES)
-
-    def rest(self):
-        return chain(self.lines, self.stream)
+# the block tokenizer
 
 
 def _tokenize(block, n_fields=0):
@@ -399,32 +347,34 @@ def _required_positions(header):
     return np.array([index[col] for col in REQUIRED_COLUMNS])
 
 
-def _trip_chunks(source, audit):
-    """Screened TRIP_DTYPE chunks of a ``_FileBlocks`` or ``_TextBlocks`` source, in
-    file order; the header is checked before the first chunk.
-
-    Blocks are tokenized by their quotes while ``_tokenize`` proves them; from
-    the first it cannot prove, the header included, csv.reader reads the rest.
-    """
-    blocks = iter(source)
-    header = _tokenize(next(blocks))
-    if header is None:
-        reader = csv.reader(source.rest())
-        names = next(reader, [])
-    else:
+def _trip_chunks(fh, audit):
+    """Screened TRIP_DTYPE chunks of a trip file opened in binary, in file order,
+    read as ``parse_trip_files`` describes; the header is checked before the
+    first chunk.  A last line without a line break is given one, which changes
+    no field csv reads from it."""
+    if fh.read(len(_BOM)) != _BOM:
+        fh.seek(0)
+    start = fh.tell()
+    header = _tokenize(fh.readline(_BLOCK_BYTES))
+    if header is not None:
         buf, quotes = header
         names = [buf[s + 1:e].tobytes().decode() for s, e in quotes.reshape(-1, 2).tolist()]
-    positions = _required_positions(names)
-    if header is not None:
-        for block in blocks:
-            tokens = _tokenize(block, len(names))
+        positions = _required_positions(names)
+        start = fh.tell()
+        while block := fh.read(_BLOCK_BYTES):
+            block += fh.readline()
+            tokens = _tokenize(block if block.endswith(b"\n") else block + b"\n", len(names))
             if tokens is None:
                 break
             buf, quotes = tokens
             yield _convert(buf, quotes[:, 2 * positions] + 1, quotes[:, 2 * positions + 1], audit)
+            start += len(block)
         else:
             return
-        reader = csv.reader(source.rest())
+    fh.seek(start)
+    reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+    if header is None:
+        positions = _required_positions(next(reader, []))
 
     fields, width = itemgetter(*positions.tolist()), int(positions.max()) + 1
     rows = []
@@ -439,32 +389,6 @@ def _trip_chunks(source, audit):
         yield _convert_texts(rows, audit)
 
 
-def parse_trips(stream):
-    """Parse one CSV text stream into a TRIP_DTYPE array; bad rows are counted, not fatal.
-
-    A missing required column is fatal and names the column.  Rows are skipped (with a
-    reason counter) when a field is missing or fails to parse, the stop precedes the
-    start, or coordinates fall outside the NYC bounding box; blank lines are not rows.
-
-    The stream is read in blocks of whole lines of about ``_BLOCK_BYTES``, so the
-    memory a block takes does not grow with the stream.  A block in which every
-    field is quoted (``"f1",...,"fN"`` rows with LF or CRLF ends, no quote inside
-    a field, UTF-8 without NUL; ``_tokenize``) is split at its quote offsets.
-    From the first block that is not, the header included, ``csv.reader`` reads
-    the rest of the stream and its fields are joined into the same kind of byte
-    buffer; ``audit.csv_rows`` counts those rows.  Either way each column is then
-    converted from bytes at once: timestamps in the strict layouts of
-    ``_COLUMN_LAYOUTS``, station ids of up to 18 ASCII digits, and decimal
-    coordinates of up to 15 digits, exactly as ``float``.  A row that any column
-    rejects is converted again on its own (``_parse_row``: ``strptime`` over
-    ``TIME_FORMATS``, ``int``, ``float``), so the accepted rows and the audit are
-    those of the per-row conversion.
-    """
-    audit = ParseAudit()
-    chunks = list(_trip_chunks(_TextBlocks(stream), audit))
-    return np.concatenate([np.empty(0, dtype=TRIP_DTYPE)] + chunks), audit
-
-
 def _row_bound(path):
     """An upper bound on the CSV rows of a file: its line breaks (LF, CR or
     CRLF) plus one; a pair split across two reads counts twice."""
@@ -477,22 +401,41 @@ def _row_bound(path):
 
 
 def parse_trip_files(paths):
-    """Parse several CSV files into one TRIP_DTYPE array with a merged audit.
+    """Parse several trip CSV files into one TRIP_DTYPE array with a merged
+    audit; bad rows are counted, not fatal.
 
-    Each file is parsed as ``parse_trips`` parses a stream, from its bytes: a
-    leading BOM is dropped, blocks are tokenized while ``_tokenize`` proves
-    them, and ``csv.reader`` reads the rest of a file as UTF-8 text, as
-    ``open(path, newline="", encoding="utf-8-sig")`` would give it, from the
-    first block it cannot prove.  Only the trip table grows with the files.
-    The table is allocated once, sized by the files' line breaks, filled chunk
-    by chunk and shrunk to the accepted trips, so no second copy of it is made.
+    A missing required column is fatal and names the column.  Rows are skipped
+    (with a reason counter) when a field is missing or fails to parse
+    (``unparsable``), the stop precedes the start (``stop_before_start``, which
+    wins), or coordinates fall outside the NYC bounding box (``out_of_bounds``);
+    blank lines are not rows.
+
+    Each file is read from its bytes in blocks of whole lines of about
+    ``_BLOCK_BYTES``, after a leading BOM is dropped.  A block in which every
+    field is quoted (``"f1",...,"fN"`` rows with LF or CRLF ends, no quote
+    inside a field, UTF-8 without NUL; ``_tokenize``) is split at its quote
+    offsets.  From the first block that is not, the header included,
+    ``csv.reader`` reads the rest of the file as UTF-8 text, as
+    ``open(path, newline="", encoding="utf-8-sig")`` would give it, and its
+    fields are joined into the same kind of byte buffer; ``audit.csv_rows``
+    counts those rows.  Either way each column is then converted from bytes at
+    once: timestamps in the strict layouts of ``_COLUMN_LAYOUTS``, station ids
+    of up to 18 ASCII digits, and decimal coordinates of up to 15 digits,
+    exactly as ``float``.  A row that any column rejects is converted again on
+    its own (``_parse_row``: ``strptime`` over ``TIME_FORMATS``, ``int``,
+    ``float``), so the accepted rows and the audit are those of the per-row
+    conversion.
+
+    Only the trip table grows with the files.  It is allocated once, sized by
+    the files' line breaks, filled chunk by chunk and shrunk to the accepted
+    trips, so no second copy of it is made.
     """
     audit = ParseAudit()
     trips = np.empty(sum(_row_bound(path) for path in paths), dtype=TRIP_DTYPE)
     n = 0
     for path in paths:
         with open(path, "rb") as fh:
-            for chunk in _trip_chunks(_FileBlocks(fh), audit):
+            for chunk in _trip_chunks(fh, audit):
                 trips[n:n + len(chunk)] = chunk
                 n += len(chunk)
     trips.resize(n, refcheck=False)
@@ -724,7 +667,7 @@ def windows_to_arrays(windows):
 def load_hour_embeddings(path, dim):
     """Read a 24 x dim table from a text embedding file.
 
-    Each line is a token followed by ``dim`` floats; the tokens "0".."23"
+    Each line is a token followed by ``dim`` finite floats; the tokens "0".."23"
     must all be present (other tokens are ignored).
     """
     table = {}
@@ -735,7 +678,12 @@ def load_hour_embeddings(path, dim):
                 continue
             token = parts[0]
             if token.isdigit() and 0 <= int(token) <= 23:
-                vec = [float(x) for x in parts[1:]]
+                try:
+                    vec = [float(x) for x in parts[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}: token {token!r}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise DataError(f"{path}: token {token!r} has a non-finite value")
                 if len(vec) != dim:
                     raise DataError(
                         f"{path}: token {token!r} has {len(vec)} values, expected {dim}"

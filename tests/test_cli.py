@@ -144,6 +144,20 @@ class TestIngest:
         assert "--grid" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("stations, grid", [("-1", "1x1"), ("0", "1x1"), ("3", "1x2")])
+    def test_stations_that_do_not_fill_the_grid_are_a_usage_error(self, tmp_path, monkeypatch,
+                                                                   caplog, stations, grid):
+        """--stations must equal the grid's cells; that is checked before any trip is read."""
+        def no_parse(paths):
+            raise AssertionError("trip files parsed before --stations was checked")
+
+        monkeypatch.setattr(stdinet.cli.D, "parse_trip_files", no_parse)
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(Path(__file__).parent / "data" / "trips_small.csv"),
+                     "--out", str(out), "--stations", stations, "--grid", grid]) == 2
+        assert "--stations" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("interval", ["0", "-3600"])
     def test_nonpositive_interval_is_a_usage_error(self, tmp_path, interval, caplog):
         trips = tmp_path / "trips.csv"
@@ -191,6 +205,21 @@ class TestTrain:
                    "--config", FAST + ",channels=4,lstm_hidden=8,rank=4,embed_dim=6",
                    "--seed", "0", "--out", str(ckpt)])
         assert rc == 0
+
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    def test_embedding_value_not_a_finite_number_is_a_data_error(self, toy_series_path, tmp_path,
+                                                                 capsys, caplog, value):
+        table = tmp_path / "hours.txt"
+        table.write_text("".join(f"{h} {value if h == 3 else 0.1} 0.2 0.3 0.4 0.5 0.6\n"
+                                 for h in range(24)))
+        ckpt = tmp_path / "x.ckpt"
+        rc = main(["train", "--data", str(toy_series_path), "--model", "STDI",
+                   "--config", FAST + ",channels=4,lstm_hidden=8,rank=4,embed_dim=6",
+                   "--embeddings", str(table), "--out", str(ckpt)])
+        assert rc == 3
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert f"{table}: token '3'" in caplog.text
+        assert not ckpt.exists()
 
     def test_unknown_kind_rejected_with_list(self, toy_series_path, tmp_path, caplog):
         rc = main(["train", "--data", str(toy_series_path), "--model", "NotAModel",

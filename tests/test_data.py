@@ -8,6 +8,7 @@ import tempfile
 import time
 import tracemalloc
 from collections import Counter, namedtuple
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from stdinet.data import (
     load_hour_embeddings,
     make_windows,
     parse_trip_files,
-    parse_trips,
     random_demand_series,
     read_demand_series,
     regime_demand_series,
@@ -58,10 +58,24 @@ def table(trips):
     return np.array(trips, dtype=TRIP_DTYPE)
 
 
+@contextmanager
+def trips_file(text):
+    """A temporary trip file holding ``text`` as UTF-8."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "trips.csv"
+        path.write_bytes(text.encode("utf-8"))
+        yield path
+
+
+def parse_text(text):
+    """``parse_trip_files`` of ``text`` written to a file."""
+    with trips_file(text) as path:
+        return parse_trip_files([path])
+
+
 class TestParseTrips:
     def test_fixture_yields_two_valid_records_in_order(self):
-        with open(FIXTURE) as fh:
-            records, audit = parse_trips(fh)
+        records, audit = parse_trip_files([FIXTURE])
         assert records.dtype == TRIP_DTYPE
         assert len(records) == 2
         assert audit.rows == 3
@@ -72,9 +86,8 @@ class TestParseTrips:
         assert records["start_station"][1] == 72
 
     def test_missing_column_is_fatal_and_named(self):
-        stream = io.StringIO("starttime,stoptime,start station id\n")
         with pytest.raises(SchemaError, match="end station id"):
-            parse_trips(stream)
+            parse_text("starttime,stoptime,start station id\n")
 
     def test_malformed_rows_counted_not_fatal(self):
         header = ",".join(f'"{c}"' for c in (
@@ -86,7 +99,7 @@ class TestParseTrips:
             '"not a time","2014-04-01 10:10:00","1","2","40.7","-74.0","40.7","-74.0"',
             '"2014-04-01 10:00:00","2014-04-01 10:10:00","1","2","0.0","0.0","40.7","-74.0"',
         ]
-        records, audit = parse_trips(io.StringIO("\n".join([header] + rows)))
+        records, audit = parse_text("\n".join([header] + rows))
         assert len(records) == 1
         assert audit.skipped["unparsable"] == 1
         assert audit.skipped["out_of_bounds"] == 1
@@ -97,7 +110,7 @@ class TestParseTrips:
             "start station latitude", "start station longitude",
             "end station latitude", "end station longitude"))
         row = '9/1/2014 00:00:25,9/1/2014 00:10:25,1,2,40.7,-74.0,40.7,-74.0'
-        records, audit = parse_trips(io.StringIO(header + "\n" + row))
+        records, audit = parse_text(header + "\n" + row)
         assert len(records) == 1 and audit.accepted == 1
 
     @pytest.mark.parametrize("bad", ["100", "100,2014-04-01 00:00:00",
@@ -105,7 +118,7 @@ class TestParseTrips:
     def test_short_row_is_unparsable(self, bad):
         with open(FIXTURE) as fh:
             header, first = fh.readline(), fh.readline()
-        records, audit = parse_trips(io.StringIO(header + bad + "\n" + first))
+        records, audit = parse_text(header + bad + "\n" + first)
         assert len(records) == 1
         assert (audit.rows, audit.accepted) == (2, 1)
         assert dict(audit.skipped) == {"unparsable": 1}
@@ -115,14 +128,14 @@ class TestParseTrips:
         header = ",".join(REQUIRED_COLUMNS)
         good = "2014-04-01 10:00:00,2014-04-01 10:10:00,1,9223372036854775807,40.7,-74.0,40.7,-74.0"
         bad = f"2014-04-01 10:00:00,2014-04-01 10:10:00,{station},2,40.7,-74.0,40.7,-74.0"
-        records, audit = parse_trips(io.StringIO("\n".join([header, good, bad])))
+        records, audit = parse_text("\n".join([header, good, bad]))
         assert records["end_station"].tolist() == [2 ** 63 - 1]
         assert dict(audit.skipped) == {"unparsable": 1}
 
     def test_blank_lines_are_not_rows(self):
         with open(FIXTURE) as fh:
             lines = fh.read().splitlines()
-        records, audit = parse_trips(io.StringIO("\n\n".join(lines) + "\n\n"))
+        records, audit = parse_text("\n\n".join(lines) + "\n\n")
         assert (len(records), audit.rows) == (2, 3)
 
     def test_stop_before_start_wins_and_nan_is_out_of_bounds(self):
@@ -130,7 +143,7 @@ class TestParseTrips:
         rows = ["2014-04-01 10:00:00,2014-04-01 09:00:00,1,2,0.0,0.0,40.7,-74.0",
                 "2014-04-01 10:00:00,2014-04-01 10:10:00,1,2,nan,-74.0,40.7,-74.0",
                 "2014-04-01 10:00:00,2014-04-01 10:10:00,1,2,40.7,-74.0,40.7,-inf"]
-        records, audit = parse_trips(io.StringIO("\n".join([header] + rows)))
+        records, audit = parse_text("\n".join([header] + rows))
         assert len(records) == 0
         assert dict(audit.skipped) == {"stop_before_start": 1, "out_of_bounds": 2}
 
@@ -146,7 +159,7 @@ class TestParseTrips:
         fields = dict(starttime="2014-01-01 00:00:00", stoptime="2014-12-31 00:00:00")
         fields[column] = when
         row = f"{fields['starttime']},{fields['stoptime']},1,2,40.7,-74.0,40.7,-74.0"
-        records, audit = parse_trips(io.StringIO(header + "\n" + row))
+        records, audit = parse_text(header + "\n" + row)
         assert len(records) == 0
         assert dict(audit.skipped) == {"unparsable": 1}
 
@@ -201,16 +214,16 @@ def test_parse_counts_every_garbage_row_and_never_raises(data):
                     row[data.draw(st.integers(0, len(row) - 1))] = data.draw(GARBAGE)
         writer.writerow(row)
         written += bool(row)
-    stream = io.StringIO(out.getvalue(), newline="")
-    if missing is not None:
-        with pytest.raises(SchemaError, match=missing):
-            parse_trips(stream)
-        return
-    trips, audit = parse_trips(stream)
+    with trips_file(out.getvalue()) as path:
+        if missing is not None:
+            with pytest.raises(SchemaError, match=missing):
+                parse_trip_files([path])
+            return
+        trips, audit = parse_trip_files([path])
+        assert_same_parse((trips, audit), reference_parse_file(path))
     assert audit.accepted + audit.total_skipped() == audit.rows == written
     assert len(trips) == audit.accepted
     assert all(type(count) is int and count > 0 for count in audit.skipped.values())
-    assert_same_parse((trips, audit), reference_parse_trips(io.StringIO(out.getvalue(), newline="")))
 
 
 # The per-row parse that the column pass replaced, kept as the reference: every
@@ -332,10 +345,9 @@ class TestColumnParseMatchesRowParse:
         if chunk_rows:
             monkeypatch.setattr("stdinet.data._CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 1024)
-        text = junk_trips_csv(0, 600, quoting, ragged)
-        got = parse_trips(io.StringIO(text, newline=""))
-        assert_same_parse(got, reference_parse_trips(io.StringIO(text, newline="")))
-        trips, audit = got
+        with trips_file(junk_trips_csv(0, 600, quoting, ragged)) as path:
+            trips, audit = parse_trip_files([path])
+            assert_same_parse((trips, audit), reference_parse_file(path))
         assert len(trips) > 300
         assert set(audit.skipped) == {"unparsable", "stop_before_start", "out_of_bounds"}
         if quoting == csv.QUOTE_MINIMAL:
@@ -432,49 +444,31 @@ FALLBACK_CASES = {
 
 class TestBlockTokenizer:
     @pytest.mark.parametrize("case", FALLBACK_CASES)
-    def test_same_rows_and_audit_as_the_row_parse(self, tmp_path, monkeypatch, case):
-        """Files and streams, in blocks of a few rows so that rows meet block
-        boundaries: the same trips and audit as csv.reader and the row parse."""
+    def test_same_rows_and_audit_as_the_row_parse(self, monkeypatch, case):
+        """Blocks of a few rows, so that rows meet block boundaries: the same
+        trips and audit as csv.reader and the row parse."""
         monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
         edit, tokenized = FALLBACK_CASES[case]
-        text = edit(quoted_trips_text())
-        path = tmp_path / "trips.csv"
-        path.write_bytes(text.encode("utf-8"))
-        got = assert_same_outcome(lambda: parse_trip_files([path]),
-                                  lambda: reference_parse_file(path))
-        assert_same_outcome(lambda: parse_trips(io.StringIO(text, newline="")),
-                            lambda: reference_parse_trips(io.StringIO(text, newline="")))
+        with trips_file(edit(quoted_trips_text())) as path:
+            got = assert_same_outcome(lambda: parse_trip_files([path]),
+                                      lambda: reference_parse_file(path))
         if got is not None:
             audit = got[1]
             assert (audit.csv_rows == 0) == tokenized
             assert audit.csv_rows < audit.rows
 
-    @pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
-    def test_stream_in_any_newline_mode(self, monkeypatch, newline):
-        """csv.reader reads a stream line by line as the stream splits it, so a
-        block is tokenized only where each of its lines ends at its one LF."""
-        monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
-        lf = quoted_trips_text()
-        for text in (lf, lf.replace("\n", "\r\n"), lf.replace("\n", "\r\n", 1)):
-            def stream():
-                return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
-
-            assert_same_outcome(lambda: parse_trips(stream()), lambda: reference_parse_trips(stream()))
-
-    def test_record_across_a_block_boundary(self, tmp_path, monkeypatch):
+    def test_record_across_a_block_boundary(self, monkeypatch):
         """A quoted line break lets a record run on past the line a block ends
         with: csv.reader then reads from that block on, to the same rows."""
-        text = replace_nth(quoted_trips_text(copies=10), NAME, '"Broadway\nW 49 St"', n=10)
-        path = tmp_path / "trips.csv"
-        path.write_text(text)
-        expected = reference_parse_file(path)
         split = set()
-        for block_bytes in range(50, 800, 25):
-            monkeypatch.setattr("stdinet.data._BLOCK_BYTES", block_bytes)
-            got = parse_trip_files([path])
-            assert_same_parse(got, expected)
-            assert_same_parse(parse_trips(io.StringIO(text, newline="")), expected)
-            split.add(got[1].csv_rows > 0)
+        with trips_file(replace_nth(quoted_trips_text(copies=10), NAME, '"Broadway\nW 49 St"',
+                                    n=10)) as path:
+            expected = reference_parse_file(path)
+            for block_bytes in range(50, 800, 25):
+                monkeypatch.setattr("stdinet.data._BLOCK_BYTES", block_bytes)
+                got = parse_trip_files([path])
+                assert_same_parse(got, expected)
+                split.add(got[1].csv_rows > 0)
         assert split == {False, True}
 
     def test_invalid_utf8_raises_as_the_text_reader_does(self, tmp_path, monkeypatch):
@@ -487,19 +481,17 @@ class TestBlockTokenizer:
         with pytest.raises(UnicodeDecodeError):
             parse_trip_files([path])
 
-    def test_clean_file_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+    def test_clean_file_never_reaches_csv_reader(self, monkeypatch):
         def no_reader(*args, **kwargs):
             raise AssertionError("csv.reader called on a clean file")
 
         monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
-        text = quoted_trips_text()
-        path = tmp_path / "trips.csv"
-        path.write_text(text)
-        expected = reference_parse_file(path)
-        monkeypatch.setattr("stdinet.data.csv.reader", no_reader)
-        for got in (parse_trip_files([path]), parse_trips(io.StringIO(text, newline=""))):
-            assert_same_parse(got, expected)
-            assert got[1].csv_rows == 0
+        with trips_file(quoted_trips_text()) as path:
+            expected = reference_parse_file(path)
+            monkeypatch.setattr("stdinet.data.csv.reader", no_reader)
+            got = parse_trip_files([path])
+        assert_same_parse(got, expected)
+        assert got[1].csv_rows == 0
 
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         """A clean file of 8 blocks peaks at most twice as high as one of 1 block:
@@ -935,6 +927,16 @@ class TestEmbeddings:
         self.write_table(path, dim=4)
         with pytest.raises(DataError, match="expected 6"):
             load_hour_embeddings(path, dim=6)
+
+    @pytest.mark.parametrize("value", ["abc", "1,5", "nan", "-inf", "1e999"])
+    def test_value_not_a_finite_number_is_fatal_and_named(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        self.write_table(path, dim=3)
+        lines = path.read_text().splitlines()
+        lines[3] = f"3 0.1 {value} 0.2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: token '3'")):
+            load_hour_embeddings(path, dim=3)
 
     def test_extra_tokens_ignored(self, tmp_path):
         path = tmp_path / "emb.txt"
