@@ -237,11 +237,8 @@ class MlpModel(ModelBase):
             h = T.relu(layer.forward(h))
         return T.reshape(h, (batch, 2, self.dims.rows, self.dims.cols))
 
-    def named_tensors(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend((f"mlp{i}.{n}", p) for n, p in layer.params())
-        return out
+    def parts(self):
+        return [(f"mlp{i}", layer) for i, layer in enumerate(self.layers)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +289,16 @@ def _method_predictions(method, series, splits, config, table):
         model = baseline_linear(train, val, method.lower())
         preds = model.predict(test)
         detail["lambda"] = model.lam
-    elif method == "MLP":
-        model = MlpModel(config.dims, seed, dtype=resolve_dtype(config.train.precision))
-        model, history = fit(model, train, val, config.train)
-        preds = predict_windows(model, test)
-        detail["epochs_run"] = history.epochs_run
-    elif method in MODEL_KINDS:
-        model = build_model(method, config.dims, seed=seed, embedding=table,
-                            dtype=resolve_dtype(config.train.precision))
-        model, history = fit(model, train, val, config.train)
-        preds = predict_windows(model, test)
-        detail["epochs_run"] = history.epochs_run
     else:
-        raise UsageError(
-            f"unknown method {method!r}; valid methods: {', '.join(ALL_METHODS)}"
-        )
+        # run_benchmark has checked the method: the MLP or a model kind.
+        dtype = resolve_dtype(config.train.precision)
+        if method == "MLP":
+            model = MlpModel(config.dims, seed, dtype=dtype)
+        else:
+            model = build_model(method, config.dims, seed=seed, embedding=table, dtype=dtype)
+        model, history = fit(model, train, val, config.train)
+        preds = predict_windows(model, test)
+        detail["epochs_run"] = history.epochs_run
     return preds, detail
 
 

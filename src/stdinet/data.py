@@ -355,12 +355,13 @@ def _trip_chunks(fh, audit):
     if fh.read(len(_BOM)) != _BOM:
         fh.seek(0)
     start = fh.tell()
+    lines = 0   # the lines before ``start``; a tokenized block has no blank line
     header = _tokenize(fh.readline(_BLOCK_BYTES))
     if header is not None:
         buf, quotes = header
         names = [buf[s + 1:e].tobytes().decode() for s, e in quotes.reshape(-1, 2).tolist()]
         positions = _required_positions(names)
-        start = fh.tell()
+        start, lines = fh.tell(), 1
         while block := fh.read(_BLOCK_BYTES):
             block += fh.readline()
             tokens = _tokenize(block if block.endswith(b"\n") else block + b"\n", len(names))
@@ -369,22 +370,26 @@ def _trip_chunks(fh, audit):
             buf, quotes = tokens
             yield _convert(buf, quotes[:, 2 * positions] + 1, quotes[:, 2 * positions + 1], audit)
             start += len(block)
+            lines += len(quotes)
         else:
             return
     fh.seek(start)
     reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
-    if header is None:
-        positions = _required_positions(next(reader, []))
+    try:
+        if header is None:
+            positions = _required_positions(next(reader, []))
 
-    fields, width = itemgetter(*positions.tolist()), int(positions.max()) + 1
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        rows.append(fields(row) if len(row) >= width else _SHORT_ROW)
-        if len(rows) == _CHUNK_ROWS:
-            yield _convert_texts(rows, audit)
-            rows = []
+        fields, width = itemgetter(*positions.tolist()), int(positions.max()) + 1
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            rows.append(fields(row) if len(row) >= width else _SHORT_ROW)
+            if len(rows) == _CHUNK_ROWS:
+                yield _convert_texts(rows, audit)
+                rows = []
+    except csv.Error as exc:
+        raise DataError(f"{fh.name}: line {lines + reader.line_num}: {exc}") from None
     if rows:
         yield _convert_texts(rows, audit)
 
@@ -404,7 +409,9 @@ def parse_trip_files(paths):
     """Parse several trip CSV files into one TRIP_DTYPE array with a merged
     audit; bad rows are counted, not fatal.
 
-    A missing required column is fatal and names the column.  Rows are skipped
+    A missing required column is fatal and names the column, and so is a line
+    csv.reader rejects (a field longer than ``csv.field_size_limit()``), as a
+    DataError naming the file and line.  Rows are skipped
     (with a reason counter) when a field is missing or fails to parse
     (``unparsable``), the stop precedes the start (``stop_before_start``, which
     wins), or coordinates fall outside the NYC bounding box (``out_of_bounds``);

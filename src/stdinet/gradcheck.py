@@ -133,8 +133,7 @@ OPS = ("add", "sub", "hadamard", "relu", "leaky_relu", "sigmoid", "tanh",
 def _check_composed(name, rng, tape, dims):
     if name == "res_unit":
         unit = ResUnit(2, rng, dtype=F64)
-        for _, p in unit.params():
-            p.tape = tape
+        unit.attach_tape(tape)
         x = _t(rng, (1, 2, 3, 3), tape)
         w = _t(rng, (1, 2, 3, 3), tape, requires_grad=False)
         err = finite_diff_check(lambda v: _weighted_sum(unit.forward(x, "eval"), w), x)
@@ -143,8 +142,7 @@ def _check_composed(name, rng, tape, dims):
             lambda v: _weighted_sum(unit.forward(x, "eval"), w), unit.conv1.kernels))
     if name == "conv_block":
         block = ConvBlock(3, rng, dtype=F64)
-        for _, p in block.params():
-            p.tape = tape
+        block.attach_tape(tape)
         x = _t(rng, (1, 2, 3, 3), tape)
         w = _t(rng, (1, 3, 3, 3), tape, requires_grad=False)
         return finite_diff_check(lambda v: _weighted_sum(block.forward(x, "eval"), w), x)
@@ -153,9 +151,9 @@ def _check_composed(name, rng, tape, dims):
         # input and one parameter of each of the four kinds, the kinds spread
         # over the four gates.
         p = LstmParams(3, 4, rng, dtype=F64)
+        p.attach_tape(tape)
         for _, t in p.params():
             t.data[...] = rng.normal(size=t.data.shape)
-            t.tape = tape
         xs = _t(rng, (3, 2, 3), tape)
         w = _t(rng, (2, 4), tape, requires_grad=False)
 

@@ -42,7 +42,40 @@ def zeros_param(shape, dtype):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
-class LinearLayer:
+class Layer:
+    """A node of the parameter tree.
+
+    A subclass defines only ``parts()``: its (name, part) pairs in checkpoint
+    order, where a part is a parameter Tensor, a BnState or another Layer.
+    Every other view of the tree is one walk of it, the names joined with
+    dots (an empty name adds nothing to its owner's path).
+    """
+
+    def parts(self):
+        raise NotImplementedError
+
+    def _leaves(self, prefix=""):
+        for name, part in self.parts():
+            path = ".".join(filter(None, (prefix, name)))
+            if isinstance(part, Layer):
+                yield from part._leaves(path)
+            else:
+                yield path, part
+
+    def params(self):
+        """Every parameter tensor as (name, tensor), frozen ones included."""
+        return [(n, p) for n, p in self._leaves() if isinstance(p, Tensor)]
+
+    def states(self):
+        """Every batchnorm's running statistics as (name, BnState)."""
+        return [(n, s) for n, s in self._leaves() if isinstance(s, BnState)]
+
+    def attach_tape(self, tape):
+        for _, p in self.params():
+            p.tape = tape
+
+
+class LinearLayer(Layer):
     """weight (out, in) and bias (out,); forward is weight @ x + bias."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=T.STANDARD):
@@ -52,11 +85,11 @@ class LinearLayer:
     def forward(self, x):
         return T.affine(x, self.weight, self.bias)
 
-    def params(self):
+    def parts(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel batchnorm parameters plus running statistics."""
 
     def __init__(self, channels, dtype=T.STANDARD):
@@ -67,11 +100,11 @@ class BatchNorm:
     def forward(self, x, mode):
         return T.batchnorm(x, self.gamma, self.beta, self.state, mode)
 
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
+    def parts(self):
+        return [("gamma", self.gamma), ("beta", self.beta), ("", self.state)]
 
 
-class Conv3x3:
+class Conv3x3(Layer):
     """One 3x3 convolution layer with bias."""
 
     def __init__(self, in_channels, out_channels, rng, dtype=T.STANDARD):
@@ -82,11 +115,11 @@ class Conv3x3:
     def forward(self, x):
         return T.conv2d(x, self.kernels, self.bias)
 
-    def params(self):
+    def parts(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
 
 
-class ResUnit:
+class ResUnit(Layer):
     """Two conv+BN layers whose outputs are summed and passed through ReLU.
 
     The residual sum is X1 + X2 where X1 is the first conv's (normalized)
@@ -105,18 +138,11 @@ class ResUnit:
         x2 = self.bn2.forward(self.conv2.forward(x1), mode)
         return T.relu(T.add(x1, x2))
 
-    def params(self):
-        out = []
-        for prefix, part in (("conv1", self.conv1), ("bn1", self.bn1),
-                             ("conv2", self.conv2), ("bn2", self.bn2)):
-            out.extend((f"{prefix}.{n}", p) for n, p in part.params())
-        return out
-
-    def states(self):
-        return [("bn1", self.bn1.state), ("bn2", self.bn2.state)]
+    def parts(self):
+        return [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2)]
 
 
-class ConvBlock:
+class ConvBlock(Layer):
     """Entry conv (2 -> c channels, ReLU, no BN) followed by two ResUnits."""
 
     def __init__(self, channels, rng, dtype=T.STANDARD):
@@ -131,20 +157,11 @@ class ConvBlock:
             h = unit.forward(h, mode)
         return h
 
-    def params(self):
-        out = [(f"entry.{n}", p) for n, p in self.entry.params()]
-        for i, unit in enumerate(self.resunits):
-            out.extend((f"res{i}.{n}", p) for n, p in unit.params())
-        return out
-
-    def states(self):
-        out = []
-        for i, unit in enumerate(self.resunits):
-            out.extend((f"res{i}.{n}", s) for n, s in unit.states())
-        return out
+    def parts(self):
+        return [("entry", self.entry), *((f"res{i}", u) for i, u in enumerate(self.resunits))]
 
 
-class LstmParams:
+class LstmParams(Layer):
     """LSTM parameters, each kind stacked over the gates in order i, f, g, o.
 
     ``w_in`` (4d, in), ``b_in`` (4d,), ``w_rec`` (4d, d) and ``b_rec`` (4d,)
@@ -178,14 +195,10 @@ class LstmParams:
             self.w_hx[gate] = Tensor(self.w_rec[rows], requires_grad=True)
             self.b_hx[gate] = Tensor(self.b_rec[rows], requires_grad=True)
 
-    def params(self):
-        out = []
-        for gate in LSTM_GATES:
-            out.append((f"w_i{gate}", self.w_ix[gate]))
-            out.append((f"b_i{gate}", self.b_ix[gate]))
-            out.append((f"w_h{gate}", self.w_hx[gate]))
-            out.append((f"b_h{gate}", self.b_hx[gate]))
-        return out
+    def parts(self):
+        return [(f"{kind}{gate}", views[gate]) for gate in LSTM_GATES
+                for kind, views in (("w_i", self.w_ix), ("b_i", self.b_ix),
+                                    ("w_h", self.w_hx), ("b_h", self.b_hx))]
 
 
 def lstm_step(p, x_t, h_prev, c_prev):

@@ -36,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .data import generate_hour_embeddings
 from .errors import DataError, DomainError, ShapeError, UsageError
-from .layers import ConvBlock, LinearLayer, LstmParams, drawn_param, lstm_sequence_batch
+from .layers import ConvBlock, Layer, LinearLayer, LstmParams, drawn_param, lstm_sequence_batch
 from .tensor import Tensor
 
 HOURS = 24
@@ -94,7 +94,7 @@ TOY_DIMS = ModelDims(rows=2, cols=2, seq_len=3, channels=4, lstm_hidden=8,
                      rank=4, embed_dim=6, fusion_dim=8)
 
 
-class SpatialModule:
+class SpatialModule(Layer):
     """L convolutional blocks, one per sequence index (or one shared)."""
 
     def __init__(self, dims, rng, dtype=T.STANDARD, shared=False):
@@ -119,22 +119,13 @@ class SpatialModule:
             feats.append(T.reshape(conv, (batch, self.dims.spatial_dim)))
         return feats
 
-    def params(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            tag = "shared" if self.shared else f"block{i}"
-            out.extend((f"{tag}.{n}", p) for n, p in block.params())
-        return out
-
-    def states(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            tag = "shared" if self.shared else f"block{i}"
-            out.extend((f"{tag}.{n}", s) for n, s in block.states())
-        return out
+    def parts(self):
+        if self.shared:
+            return [("shared", self.blocks[0])]
+        return [(f"block{i}", block) for i, block in enumerate(self.blocks)]
 
 
-class IntervalNet:
+class IntervalNet(Layer):
     """Generates the prediction layer's weights and biases from the hour.
 
     The 24 x h hour table is frozen unless ``trainable_embedding`` is set;
@@ -187,26 +178,26 @@ class IntervalNet:
         u = T.matmul(feats, T.transpose(self.o_mat))
         return T.add(T.matmul(T.hadamard(u, w), T.transpose(self.o_prime)), b_fc)
 
-    def params(self):
-        out = [("embedding", self.embedding)]
-        out.extend((f"lin_w.{n}", p) for n, p in self.lin_w.params())
-        out.extend((f"lin_b.{n}", p) for n, p in self.lin_b.params())
-        out.append(("o", self.o_mat))
-        out.append(("o_prime", self.o_prime))
-        return out
+    def parts(self):
+        return [("embedding", self.embedding), ("lin_w", self.lin_w), ("lin_b", self.lin_b),
+                ("o", self.o_mat), ("o_prime", self.o_prime)]
 
 
-class ModelBase:
+class ModelBase(Layer):
     """The model protocol that fit(), predict_windows and checkpoints drive.
 
-    A subclass defines ``forward_batch`` and ``named_tensors()``, every
-    parameter as (name, tensor) with frozen ones included, plus
-    ``named_states()`` if it holds batchnorm statistics; the rest of the
-    protocol is derived from those.
+    A subclass defines ``forward_batch`` and ``parts()``, its layers and
+    tensors as (name, part) pairs in checkpoint order; the rest of the
+    protocol comes from one walk of that tree.  ``named_tensors()`` (every
+    parameter, frozen ones included) and ``named_states()`` (every batchnorm
+    statistic) are the model's names for ``params()`` and ``states()``.
     """
 
+    def named_tensors(self):
+        return self.params()
+
     def named_states(self):
-        return []
+        return self.states()
 
     def named_arrays(self):
         """Every array a checkpoint holds, by checkpoint name: the parameters,
@@ -219,10 +210,6 @@ class ModelBase:
     def parameters(self):
         """Trainable tensors only (frozen hour tables are excluded)."""
         return [p for _, p in self.named_tensors() if p.requires_grad]
-
-    def attach_tape(self, tape):
-        for _, p in self.named_tensors():
-            p.tape = tape
 
     def parameter_count(self):
         return sum(p.data.size for p in self.parameters())
@@ -321,28 +308,11 @@ class DemandModel(ModelBase):
             raise UsageError(f"model kind {self.kind} needs the target hour")
         return hour
 
-    # -- parameter registry ----------------------------------------------
-
-    def named_tensors(self):
-        """All parameter tensors as (name, tensor); frozen ones included."""
-        out = []
-        if self.spatial is not None:
-            out.extend((f"spatial.{n}", p) for n, p in self.spatial.params())
-        if self.lstm is not None:
-            out.extend((f"lstm.{n}", p) for n, p in self.lstm.params())
-        if self.interval is not None:
-            out.extend((f"interval.{n}", p) for n, p in self.interval.params())
-        if self.fusion_embedding is not None:
-            out.append(("fusion.embedding", self.fusion_embedding))
-            out.extend((f"fusion.lin.{n}", p) for n, p in self.fusion_linear.params())
-        if self.head_linear is not None:
-            out.extend((f"head.{n}", p) for n, p in self.head_linear.params())
-        return out
-
-    def named_states(self):
-        if self.spatial is None:
-            return []
-        return [(f"spatial.{n}", s) for n, s in self.spatial.states()]
+    def parts(self):
+        named = (("spatial", self.spatial), ("lstm", self.lstm), ("interval", self.interval),
+                 ("fusion.embedding", self.fusion_embedding), ("fusion.lin", self.fusion_linear),
+                 ("head", self.head_linear))
+        return [(n, part) for n, part in named if part is not None]
 
 
 def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD):

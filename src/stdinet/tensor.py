@@ -353,7 +353,6 @@ def take(x, index, axis=0):
     index = int(index)
     if not (0 <= index < x.data.shape[axis]):
         raise ShapeError(f"take: index {index} out of range for axis {axis} of {x.data.shape}")
-    out = np.take(x.data, index, axis=axis)
     shape = x.data.shape
     sel = (slice(None),) * axis + (index,)
 
@@ -362,7 +361,8 @@ def take(x, index, axis=0):
         z[sel] = g
         return (z,)
 
-    return _record("take", (x,), out.copy(), backward)
+    # np.take returns a new C-contiguous array, so the output owns its data.
+    return _record("take", (x,), np.take(x.data, index, axis=axis), backward)
 
 
 def take_rows(x, indices):

@@ -135,6 +135,20 @@ class TestIngest:
         out = tmp_path / "series.stdm"
         assert main(["ingest", "--trips", str(trips), "--out", str(out)]) == 3
 
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys, caplog):
+        """csv.reader refuses a field longer than its limit; ingest exits 3 naming
+        the file and line, with no traceback and no series written."""
+        fixture = Path(__file__).parent / "data" / "trips_small.csv"
+        trips = tmp_path / "long.csv"
+        trips.write_bytes(fixture.read_bytes().replace(
+            b'"Broadway & W 49 St"', b'"' + b"x" * (csv.field_size_limit() + 1) + b'"', 1))
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(trips), "--out", str(out),
+                     "--stations", "2", "--grid", "1x2"]) == 3
+        assert "long.csv: line 2: field larger than field limit" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["8by16", "8x", "0x16", "8x16x2"])
     def test_bad_grid_is_a_usage_error(self, tmp_path, grid, caplog):
         trips = tmp_path / "trips.csv"

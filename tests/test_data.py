@@ -449,7 +449,16 @@ class TestBlockTokenizer:
         trips and audit as csv.reader and the row parse."""
         monkeypatch.setattr("stdinet.data._BLOCK_BYTES", 700)
         edit, tokenized = FALLBACK_CASES[case]
-        with trips_file(edit(quoted_trips_text())) as path:
+        text = edit(quoted_trips_text())
+        with trips_file(text) as path:
+            if case == "field longer than csv's limit":
+                # csv.reader raises csv.Error; the parse names the file and line.
+                line = text[:text.index("x" * 1000)].count("\n") + 1
+                with pytest.raises(csv.Error):
+                    reference_parse_file(path)
+                with pytest.raises(DataError, match=rf"trips\.csv: line {line}: field larger"):
+                    parse_trip_files([path])
+                return
             got = assert_same_outcome(lambda: parse_trip_files([path]),
                                       lambda: reference_parse_file(path))
         if got is not None:

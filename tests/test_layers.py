@@ -33,11 +33,6 @@ from stdinet.layers import (
 F64 = np.float64
 
 
-def attach(parts, tape):
-    for _, p in parts.params():
-        p.tape = tape
-
-
 def t64(data, requires_grad=False, tape=None):
     return Tensor(np.asarray(data, dtype=F64), requires_grad=requires_grad, tape=tape)
 
@@ -117,7 +112,7 @@ class TestResUnit:
         rng = np.random.default_rng(5)
         tape = Tape()
         unit = ResUnit(2, rng, dtype=F64)
-        attach(unit, tape)
+        unit.attach_tape(tape)
         x = t64(rng.normal(size=(1, 2, 3, 3)), requires_grad=True, tape=tape)
         w = t64(np.random.default_rng(55).normal(size=(1, 2, 3, 3)))
 
@@ -189,6 +184,25 @@ class TestConvBlock:
         block = ConvBlock(4, np.random.default_rng(9), dtype=F64)
         with pytest.raises(ShapeError):
             block.forward(t64(np.ones((1, 3, 2, 2))), "eval")
+
+
+class TestLayerTree:
+    def test_one_walk_names_params_states_and_tape(self):
+        """Paths join with dots, a batchnorm's statistics take its own path,
+        and attach_tape reaches every parameter the walk lists."""
+        block = ConvBlock(2, np.random.default_rng(0), dtype=F64)
+        unit = [f"{layer}.{p}" for layer, ps in (("conv1", ("kernels", "bias")),
+                                                 ("bn1", ("gamma", "beta")),
+                                                 ("conv2", ("kernels", "bias")),
+                                                 ("bn2", ("gamma", "beta"))) for p in ps]
+        assert [n for n, _ in block.params()] == (
+            ["entry.kernels", "entry.bias"] + [f"res{i}.{n}" for i in (0, 1) for n in unit])
+        states = block.states()
+        assert [n for n, _ in states] == ["res0.bn1", "res0.bn2", "res1.bn1", "res1.bn2"]
+        assert states[3][1] is block.resunits[1].bn2.state
+        tape = Tape()
+        block.attach_tape(tape)
+        assert all(p.tape is tape for _, p in block.params())
 
 
 class TestLstm:

@@ -58,6 +58,20 @@ CKPT_CHECKSUMS = {
     "STDIEmbedding": "fce922642c5d0d45",
 }
 
+# The same two pins for MlpModel(TOY_DIMS, seed=5) in float32, taken while
+# each model still listed its tensor names by hand.
+MLP_INIT_CHECKSUM = "0a29f889763a8e21"
+MLP_CKPT_CHECKSUM = "ed289538b1e3ce0e"
+
+
+def tensors_digest(model):
+    """sha256 prefix of every named tensor: the name, then its raw bytes."""
+    h = hashlib.sha256()
+    for name, p in model.named_tensors():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()[:16]
+
 
 def assert_lstm_views(model):
     """Every per-gate LSTM tensor is still a row block of its stacked array."""
@@ -353,11 +367,7 @@ class TestBuildModel:
 class TestStackedLstm:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_initialization_matches_per_gate_draws(self, kind):
-        h = hashlib.sha256()
-        for name, p in build_model(kind, TOY_DIMS, seed=5).named_tensors():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(p.data).tobytes())
-        assert h.hexdigest()[:16] == INIT_CHECKSUMS[kind]
+        assert tensors_digest(build_model(kind, TOY_DIMS, seed=5)) == INIT_CHECKSUMS[kind]
 
     def test_views_survive_restore(self):
         model = build_model("STDI", TOY_DIMS, seed=6, dtype=np.float32)
@@ -415,6 +425,13 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, build_model(kind, TOY_DIMS, seed=5))
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CKPT_CHECKSUMS[kind]
+
+    def test_mlp_tensors_and_checkpoint_bytes_are_pinned(self, tmp_path):
+        model = MlpModel(TOY_DIMS, seed=5)
+        assert tensors_digest(model) == MLP_INIT_CHECKSUM
+        path = tmp_path / "mlp.ckpt"
+        save_checkpoint(path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == MLP_CKPT_CHECKSUM
 
     @pytest.mark.parametrize("kind", ["STDI", "SpatialFC", "STDIFusion", "STDIEmbedding"])
     def test_round_trip_preserves_predictions(self, kind, tmp_path):
