@@ -31,8 +31,17 @@ audits lf unquoted all \
     || { echo "ingest: the unquoted copy's audit differs, or the block tokenizer read a row of it"; exit 1; }
 cmp "$tmp/lf.stdm" "$tmp/unquoted.stdm" || { echo "ingest: the unquoted copy gives another series"; exit 1; }
 
-# Checkpoint round trip: `train` saves a checkpoint and `eval` loads it back.
+# Checkpoint round trip of the hour-generated head (STDI) and the hour
+# feature head (STDIFusion): `train` saves a checkpoint and `eval` loads it
+# back.  Each kind is trained twice with the same seed, and the two
+# checkpoints must be the same bytes.
 python -c 'import sys; from stdinet.data import random_demand_series, write_demand_series; write_demand_series(sys.argv[1], random_demand_series(250, seed=8, start_epoch=1396310400))' "$tmp/toy.stdm"
-"$@" train --model STDI --data "$tmp/toy.stdm" --out "$tmp/stdi.ckpt" \
-    --config "channels=4,lstm_hidden=8,rank=4,embed_dim=6,epochs=1,patience=1,batch_size=32,test_days=2"
-"$@" eval --ckpt "$tmp/stdi.ckpt" --data "$tmp/toy.stdm"
+for kind in STDI STDIFusion; do
+    for run in 1 2; do
+        "$@" train --model "$kind" --data "$tmp/toy.stdm" --out "$tmp/$kind.$run.ckpt" --seed 5 \
+            --config "channels=4,lstm_hidden=8,rank=4,embed_dim=6,epochs=1,patience=1,batch_size=32,test_days=2"
+    done
+    cmp "$tmp/$kind.1.ckpt" "$tmp/$kind.2.ckpt" \
+        || { echo "train: two $kind runs with the same seed wrote different checkpoints"; exit 1; }
+    "$@" eval --ckpt "$tmp/$kind.1.ckpt" --data "$tmp/toy.stdm"
+done

@@ -40,7 +40,6 @@ from .layers import ConvBlock, Layer, LinearLayer, LstmParams, drawn_param, lstm
 from .tensor import Tensor
 
 HOURS = 24
-LEAKY_SLOPE = 0.01
 
 # kind -> (feature path, prediction head); the order is MODEL_KINDS's.
 _KINDS = {
@@ -92,6 +91,17 @@ class ModelDims:
 
 TOY_DIMS = ModelDims(rows=2, cols=2, seq_len=3, channels=4, lstm_hidden=8,
                      rank=4, embed_dim=6, fusion_dim=8)
+
+
+def hour_index(hours):
+    """The hour labels as int64 row indices into a 24-row hour table."""
+    if hours is None:
+        raise UsageError("this model kind needs the target hour of each window")
+    idx = np.asarray(hours, dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= HOURS)]
+    if bad.size:
+        raise DomainError(f"hour must be in 0..{HOURS - 1}, got {bad[0]}")
+    return idx
 
 
 class SpatialModule(Layer):
@@ -152,31 +162,28 @@ class IntervalNet(Layer):
             rng, (dims.output_dim, dims.rank), dtype,
             lambda: rng.uniform(-1, 1, size=(dims.output_dim, dims.rank)) / np.sqrt(dims.rank))
 
-    def generate(self, hour):
-        """Weights (k, feat) and bias (k,) for one hour, kept on the tape."""
-        hour = int(hour)
-        if not 0 <= hour < HOURS:
-            raise DomainError(f"hour must be in 0..{HOURS - 1}, got {hour}")
-        v = T.take(self.embedding, hour)
-        w = T.leaky_relu(self.lin_w.forward(v), LEAKY_SLOPE)
-        w_fc = T.matmul(self.o_prime, T.scale_rows(self.o_mat, w))
-        b_fc = T.leaky_relu(self.lin_b.forward(v), LEAKY_SLOPE)
-        return w_fc, b_fc
+    def _hour_terms(self, hours):
+        """w(V) (B, rank) and b(V) (B, output) for each row's hour label."""
+        v = T.take_rows(self.embedding, hour_index(hours))
+        return T.leaky_relu(self.lin_w.forward(v)), T.leaky_relu(self.lin_b.forward(v))
+
+    def _weigh(self, feats, w):
+        """Row b of (B, feat) feats through W_b = O' diag(w_b) O, as
+        O' @ (w_b * (O @ f_b)), so no per-sample W is materialized."""
+        u = T.matmul(feats, T.transpose(self.o_mat))
+        return T.matmul(T.hadamard(u, w), T.transpose(self.o_prime))
 
     def apply_batch(self, feats, hours):
-        """Per-sample generated prediction without materializing each W.
+        """W_h f + b(V_h) for each row of feats and its hour h."""
+        w, b_fc = self._hour_terms(hours)
+        return T.add(self._weigh(feats, w), b_fc)
 
-        Uses (O' diag(w) O) f == O' @ (w * (O @ f)) to batch over samples
-        with different hours.
-        """
-        hours = np.asarray(hours, dtype=np.int64)
-        if (hours < 0).any() or (hours >= HOURS).any():
-            raise DomainError("hours must be in 0..23")
-        v = T.take_rows(self.embedding, hours)
-        w = T.leaky_relu(self.lin_w.forward(v), LEAKY_SLOPE)
-        b_fc = T.leaky_relu(self.lin_b.forward(v), LEAKY_SLOPE)
-        u = T.matmul(feats, T.transpose(self.o_mat))
-        return T.add(T.matmul(T.hadamard(u, w), T.transpose(self.o_prime)), b_fc)
+    def generate(self, hour):
+        """Weights (k, feat) and bias (k,) for one hour, kept on the tape:
+        the batched head applied to the identity, one row per feature."""
+        w, b_rows = self._hour_terms(np.full(self.feat_dim, hour))
+        eye = Tensor(np.eye(self.feat_dim, dtype=self.o_mat.data.dtype))
+        return T.transpose(self._weigh(eye, w)), T.take(b_rows, 0)
 
     def parts(self):
         return [("embedding", self.embedding), ("lin_w", self.lin_w), ("lin_b", self.lin_b),
@@ -294,19 +301,14 @@ class DemandModel(ModelBase):
         batch = seqs.data.shape[0]
         feat = self._features(seqs, mode)
         if self.head == "hyper":
-            out = T.relu(self.interval.apply_batch(feat, self._need_hour(hours)))
+            out = T.relu(self.interval.apply_batch(feat, hours))
         elif self.head == "fusion":
-            v = T.take_rows(self.fusion_embedding, np.asarray(self._need_hour(hours), dtype=np.int64))
-            e = T.leaky_relu(self.fusion_linear.forward(v), LEAKY_SLOPE)
+            v = T.take_rows(self.fusion_embedding, hour_index(hours))
+            e = T.leaky_relu(self.fusion_linear.forward(v))
             out = T.relu(self.head_linear.forward(T.hconcat([feat, e])))
         else:
             out = T.relu(self.head_linear.forward(feat))
         return T.reshape(out, (batch, 2, d.rows, d.cols))
-
-    def _need_hour(self, hour):
-        if hour is None:
-            raise UsageError(f"model kind {self.kind} needs the target hour")
-        return hour
 
     def parts(self):
         named = (("spatial", self.spatial), ("lstm", self.lstm), ("interval", self.interval),
@@ -344,21 +346,23 @@ def save_checkpoint(path, model, extra=None):
     dtype_name = np.dtype(model.dtype).name
     stored = _CKPT_DTYPES[dtype_name]
     entries = []
-    blobs = []
+    # The arrays already are contiguous at the stored precision, so each
+    # "as stored" array is a view and nothing is copied before the writes.
+    views = []
     offset = 0
     trainable = {n for n, p in model.named_tensors() if p.requires_grad}
     for name, arr in model.named_arrays():
-        raw = np.ascontiguousarray(arr, dtype=stored).tobytes()
+        view = np.ascontiguousarray(arr, dtype=stored)
         entries.append({
             "name": name,
             "shape": list(arr.shape),
             "dtype": stored,
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": view.nbytes,
             "trainable": name in trainable,
         })
-        blobs.append(raw)
-        offset += len(raw)
+        views.append(view)
+        offset += view.nbytes
     manifest = {
         "kind": model.kind,
         "dims": asdict(model.dims),
@@ -371,8 +375,8 @@ def save_checkpoint(path, model, extra=None):
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(payload)))
         fh.write(payload)
-        for raw in blobs:
-            fh.write(raw)
+        for view in views:
+            fh.write(view)
 
 
 def load_checkpoint(path):

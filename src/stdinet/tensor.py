@@ -30,6 +30,8 @@ CONV_PAD = 1
 # buffer (rows, 3*C_in) and its product stay in the L2 cache.  At the paper's
 # 8x16 map and 32 channels that is 16 images of (8+2)*16 rows.
 CONV_TILE_ROWS = 2560
+# leaky_relu's slope below zero, the one the hour-conditioned heads use.
+LEAKY_SLOPE = 0.01
 
 
 def resolve_dtype(precision):
@@ -231,8 +233,8 @@ def relu(x):
     return _record("relu", (x,), np.where(mask, x.data, x.data.dtype.type(0)), lambda g: (g * mask,))
 
 
-def leaky_relu(x, slope=0.01):
-    s = x.data.dtype.type(slope)
+def leaky_relu(x):
+    s = x.data.dtype.type(LEAKY_SLOPE)
     pos = x.data >= 0
     out = np.where(pos, x.data, s * x.data)
     return _record("leaky_relu", (x,), out, lambda g: (g * np.where(pos, x.data.dtype.type(1), s),))
@@ -303,20 +305,6 @@ def affine(x, w, b):
         return g @ wd, g2.T @ x2, g2.sum(axis=0)
 
     return _record("affine", (x, w, b), out, backward)
-
-
-def scale_rows(m, w):
-    """Multiply row r of a 2-d tensor by w[r]; equals diag(w) @ m."""
-    if m.data.ndim != 2 or w.data.ndim != 1 or m.data.shape[0] != w.data.shape[0]:
-        raise ShapeError(f"scale_rows: got matrix {m.data.shape}, weights {w.data.shape}")
-    _common_dtype((m, w), "scale_rows")
-    md, wd = m.data, w.data
-    return _record(
-        "scale_rows",
-        (m, w),
-        md * wd[:, None],
-        lambda g: (g * wd[:, None], (g * md).sum(axis=1)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,23 @@ class TestIntervalNet:
             oracle = triple_loop_weights(net.o_prime.data, w_vec, net.o_mat.data)
             np.testing.assert_allclose(w_fc.data, oracle, atol=1e-12)
 
+    def test_batched_head_matches_triple_loop_oracle(self):
+        """Row b of the head that trains is W(h_b) f_b + b(V_{h_b}), W by the oracle."""
+        rng = np.random.default_rng(22)
+        dims = ModelDims(rows=2, cols=2, seq_len=2, channels=2, lstm_hidden=8,
+                         rank=3, embed_dim=5)
+        net = IntervalNet(8, dims, rng, rng.standard_normal((24, 5)), dtype=F64)
+        hours = np.array([0, 5, 5, 23, 11, 17])
+        feats = rng.standard_normal((len(hours), 8))
+        out = net.apply_batch(Tensor(feats, dtype=F64), hours).data
+        for b, hour in enumerate(hours):
+            v = net.embedding.data[hour]
+            w_vec = net.lin_w.weight.data @ v + net.lin_w.bias.data
+            b_vec = net.lin_b.weight.data @ v + net.lin_b.bias.data
+            w_vec, b_vec = (np.where(x >= 0, x, 0.01 * x) for x in (w_vec, b_vec))
+            oracle = triple_loop_weights(net.o_prime.data, w_vec, net.o_mat.data)
+            np.testing.assert_allclose(out[b], oracle @ feats[b] + b_vec, rtol=0, atol=1e-12)
+
     def test_pure_function_of_hour(self):
         net = toy_model().interval
         a1, b1 = net.generate(7)
@@ -315,6 +332,17 @@ class TestForward:
         assert finite_diff_check(f, seq) < 1e-4
         tape.reset()
         assert finite_diff_check(f, model.interval.o_mat) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["STDI", "SpatialDI", "TemporalDI", "STDIFusion",
+                                      "STDIEmbedding"])
+    def test_every_hour_head_checks_its_hours(self, kind):
+        model = toy_model(kind)
+        seqs = Tensor(np.zeros((1, 3, 2, 2, 2)), dtype=F64)
+        for hours in ([24], [-1]):
+            with pytest.raises(DomainError, match=str(hours[0])):
+                model.forward_batch(seqs, hours, mode="eval")
+        with pytest.raises(UsageError, match="hour"):
+            model.forward_batch(seqs, None, mode="eval")
 
     def test_missing_hour_rejected(self):
         model = toy_model()
@@ -543,6 +571,20 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert weights > 2_000_000
         assert peak <= 1.5 * weights, f"peak {peak} bytes for {weights} bytes of weights"
+
+    def test_save_peak_memory_is_a_fraction_of_the_weights(self, tmp_path):
+        """A save writes each array as it is: no second copy of the weights."""
+        dims = ModelDims(rows=4, cols=8, channels=8, lstm_hidden=256, rank=16, embed_dim=10)
+        model = build_model("STDI", dims, seed=21, dtype=np.float32)
+        weights = sum(a.nbytes for _, a in model.named_arrays())
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "m.ckpt", model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights > 2_000_000
+        assert peak <= 0.25 * weights, f"peak {peak} bytes for {weights} bytes of weights"
 
 
 class TestGradcheckCoverage:

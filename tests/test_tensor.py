@@ -29,7 +29,6 @@ from stdinet.tensor import (
     mean_all,
     relu,
     reshape,
-    scale_rows,
     sigmoid,
     sub,
     sum_all,
@@ -119,7 +118,7 @@ class TestElementwise:
         assert got.tobytes() == want.tobytes()
 
     def test_leaky_relu_definition(self):
-        out = leaky_relu(t64([-2.0, 3.0]), slope=0.01)
+        out = leaky_relu(t64([-2.0, 3.0]))
         np.testing.assert_allclose(out.data, [-0.02, 3.0], rtol=0, atol=1e-15)
 
     def test_binary_shape_mismatch(self):
@@ -489,13 +488,6 @@ class TestShapeOps:
         np.testing.assert_array_equal(a.grad, [[2.0, 4.0], [-2.0, 1.0]])
         np.testing.assert_array_equal(b.grad, [[6.0], [-8.0]])
 
-    def test_scale_rows_equals_diag_product(self):
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=(4, 5))
-        w = rng.normal(size=4)
-        out = scale_rows(t64(m), t64(w))
-        np.testing.assert_allclose(out.data, np.diag(w) @ m, atol=1e-15)
-
     def test_transpose_affine_smul(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(3, 4))
@@ -562,7 +554,7 @@ class TestFiniteDiff:
 
         cases = [
             lambda v: sum_all(hadamard(relu(v), y)),
-            lambda v: sum_all(hadamard(leaky_relu(v, 0.01), y)),
+            lambda v: sum_all(hadamard(leaky_relu(v), y)),
             lambda v: sum_all(hadamard(sigmoid(v), y)),
             lambda v: sum_all(hadamard(tanh(v), y)),
             lambda v: sum_all(matmul(v, w)),
