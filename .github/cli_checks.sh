@@ -11,7 +11,7 @@ fixture=tests/data/trips_small.csv
 # Ingest: the fixture is all quoted fields, so LF and CRLF copies give the
 # same audit and the block tokenizer reads every row (csv_rows 0).  An
 # unquoted copy goes through the csv.reader fallback to the same audit and
-# series.
+# series.  The LF run leaves --stations to its default, the grid's 2 cells.
 audits() {
     python -c 'import json, os, sys
 t, a, b, rows = sys.argv[1:]
@@ -22,7 +22,7 @@ sys.exit(0 if same and x["csv_rows"] == 0 and csv_rows else 1)' "$tmp" "$@"
 }
 sed 's/$/\r/' "$fixture" > "$tmp/trips_crlf.csv"
 sed 's/"//g' "$fixture" > "$tmp/trips_unquoted.csv"
-"$@" ingest --trips "$fixture" --out "$tmp/lf.stdm" --stations 2 --grid 1x2
+"$@" ingest --trips "$fixture" --out "$tmp/lf.stdm" --grid 1x2
 "$@" ingest --trips "$tmp/trips_crlf.csv" --out "$tmp/crlf.stdm" --stations 2 --grid 1x2
 "$@" ingest --trips "$tmp/trips_unquoted.csv" --out "$tmp/unquoted.stdm" --stations 2 --grid 1x2
 audits lf crlf none \

@@ -140,7 +140,7 @@ def cmd_ingest(args):
     rows, cols = parse_grid(args.grid)
     if args.interval < 1:
         raise UsageError(f"bad --interval {args.interval}; expected a positive number of seconds")
-    if args.stations != rows * cols:
+    if args.stations not in (None, rows * cols):
         raise UsageError(f"bad --stations {args.stations}; grid {args.grid} needs {rows * cols}")
     trip_paths = [resolve_path(p) for p in args.trips]
     parse_started = time.perf_counter()
@@ -148,7 +148,7 @@ def cmd_ingest(args):
     parse_s = time.perf_counter() - parse_started
     log.info("parsed %d rows, accepted %d, skipped %d",
              audit.rows, audit.accepted, audit.total_skipped())
-    stations = D.select_stations(trips, n=args.stations)
+    stations = D.select_stations(trips, n=rows * cols)
     coords = D.station_coordinates(trips)
     grid = D.assign_grid([(sid, *coords[sid]) for sid in stations], rows, cols)
     t0, t1 = D.derive_time_range(trips, args.interval)
@@ -160,7 +160,7 @@ def cmd_ingest(args):
     D.write_station_map(map_path, grid)
     manifest_path = out.with_name(out.name + ".manifest.json")
     write_manifest(manifest_path, "ingest",
-                   {"stations": args.stations, "grid": args.grid,
+                   {"stations": rows * cols, "grid": args.grid,
                     "interval": args.interval, "rows": audit.rows, "accepted": audit.accepted,
                     "skipped": dict(audit.skipped), "csv_rows": audit.csv_rows,
                     "parse_s": round(parse_s, 6),
@@ -328,7 +328,7 @@ def build_parser():
     p = sub.add_parser("ingest", help="turn trip CSVs into a demand series file")
     p.add_argument("--trips", nargs="+", required=True, help="trip CSV paths")
     p.add_argument("--out", required=True, help="output series file")
-    p.add_argument("--stations", type=int, default=128)
+    p.add_argument("--stations", type=int, help="stations to keep; default: the grid's cells")
     p.add_argument("--grid", default="8x16", help="rows x cols, e.g. 8x16")
     p.add_argument("--interval", type=int, default=3600, help="interval length in seconds")
     p.set_defaults(func=cmd_ingest)

@@ -684,7 +684,7 @@ def load_hour_embeddings(path, dim):
             if not parts:
                 continue
             token = parts[0]
-            if token.isdigit() and 0 <= int(token) <= 23:
+            if token.isdecimal() and 0 <= int(token) <= 23:
                 try:
                     vec = [float(x) for x in parts[1:]]
                 except ValueError as exc:
@@ -745,6 +745,8 @@ def read_demand_series(path):
             raise DataError(f"{path}: not a demand series file (magic {magic!r})")
         if version != SERIES_VERSION:
             raise DataError(f"{path}: unsupported series version {version}")
+        if rows < 1 or cols < 1:
+            raise DataError(f"{path}: the series grid is {rows}x{cols}, which has no cells")
         blob = fh.read()
     expected = length * 2 * rows * cols * 4
     if len(blob) != expected:

@@ -139,21 +139,22 @@ def _check_composed(name, rng, tape, dims):
         w = _t(rng, (1, 3, 3, 3), tape, requires_grad=False)
         return finite_diff_check(lambda v: _weighted_sum(block.forward(x, "eval"), w), x)
     if name == "lstm":
-        # A batch of 2 through the fused sequence op, differenced against the
-        # input and one parameter of each of the four kinds, the kinds spread
-        # over the four gates.
+        # A batch of 2 through the fused sequence op, its 3 steps drawn
+        # time-major and side by side in a (2, 9) matrix, differenced against
+        # the input and one parameter of each of the four kinds, the kinds
+        # spread over the four gates.
         p = LstmParams(3, 4, rng, dtype=F64)
         p.attach_tape(tape)
         for _, t in p.params():
             t.data[...] = rng.normal(size=t.data.shape)
-        xs = _t(rng, (3, 2, 3), tape)
+        x = Tensor(rng.normal(size=(3, 2, 3)).swapaxes(0, 1).reshape(2, 9), dtype=F64,
+                   requires_grad=True, tape=tape)
         w = _t(rng, (2, 4), tape, requires_grad=False)
 
         def f(v):
-            steps = [T.take(xs, l) for l in range(xs.data.shape[0])]
-            return _weighted_sum(lstm_sequence_batch(p, steps), w)
+            return _weighted_sum(lstm_sequence_batch(p, x), w)
 
-        err = finite_diff_check(f, xs)
+        err = finite_diff_check(f, x)
         for kind, gate in zip((p.w_ix, p.w_hx, p.b_ix, p.b_hx), LSTM_GATES):
             tape.reset()
             err = max(err, finite_diff_check(f, kind[gate]))

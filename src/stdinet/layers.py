@@ -229,7 +229,8 @@ def lstm_step(p, x_t, h_prev, c_prev):
     return h_t, c_t
 
 
-def lstm_sequence_batch(p, xs):
-    """h_L of an LSTM run from zero state over a list of L (batch, input_dim) tensors."""
+def lstm_sequence_batch(p, x):
+    """h_L of an LSTM run from zero state over the L steps of a (batch, L*input_dim)
+    tensor, step l in columns l*input_dim to (l+1)*input_dim."""
     blocks = tuple(tuple(kind[g] for g in LSTM_GATES) for kind in (p.w_ix, p.b_ix, p.w_hx, p.b_hx))
-    return T.lstm(xs, (p.w_in, p.b_in, p.w_rec, p.b_rec), blocks)
+    return T.lstm(x, (p.w_in, p.b_in, p.w_rec, p.b_rec), blocks)

@@ -1,9 +1,11 @@
 """Model assembly: spatial blocks, temporal encoder, prediction heads.
 
-Nine model kinds share three feature paths and three heads:
+Nine model kinds differ only in their layers.  In every kind the L steps
+of a window reach the temporal stage as one (B, L*w) matrix, step l in
+columns l*w to (l+1)*w: the L conv block outputs side by side, or the frames.
 
 ==================  =========================  =======================
-kind                feature path               prediction head
+kind                layers                     prediction head
 ==================  =========================  =======================
 STDI                per-index conv -> LSTM     hour-generated weights
 SpatialFC           per-index conv -> concat   static linear
@@ -41,17 +43,18 @@ from .tensor import Tensor
 
 HOURS = 24
 
-# kind -> (feature path, prediction head); the order is MODEL_KINDS's.
+# kind -> (conv blocks: "index" one per sequence index, "shared" or None;
+# LSTM or not; prediction head).  The order is MODEL_KINDS's.
 _KINDS = {
-    "STDI": ("spatial_lstm", "hyper"),
-    "SpatialFC": ("spatial_concat", "static"),
-    "TemporalFC": ("raw_lstm", "static"),
-    "SpatialTemporalFC": ("spatial_lstm", "static"),
-    "SpatialDI": ("spatial_concat", "hyper"),
-    "TemporalDI": ("raw_lstm", "hyper"),
-    "STDIFusion": ("spatial_lstm", "fusion"),
-    "UnifiedSpatial": ("shared_concat", "static"),
-    "STDIEmbedding": ("spatial_lstm", "hyper"),
+    "STDI": ("index", True, "hyper"),
+    "SpatialFC": ("index", False, "static"),
+    "TemporalFC": (None, True, "static"),
+    "SpatialTemporalFC": ("index", True, "static"),
+    "SpatialDI": ("index", False, "hyper"),
+    "TemporalDI": (None, True, "hyper"),
+    "STDIFusion": ("index", True, "fusion"),
+    "UnifiedSpatial": ("shared", False, "static"),
+    "STDIEmbedding": ("index", True, "hyper"),
 }
 MODEL_KINDS = tuple(_KINDS)
 
@@ -113,21 +116,16 @@ class SpatialModule(Layer):
         count = 1 if shared else dims.seq_len
         self.blocks = [ConvBlock(dims.channels, rng, dtype) for _ in range(count)]
 
-    def block_for(self, index):
-        return self.blocks[0] if self.shared else self.blocks[index]
-
     def forward(self, seqs, mode):
         """(B, L, 2, i, j) -> list of L tensors (B, channels*i*j), block l on frame l."""
         if seqs.data.ndim != 5 or seqs.data.shape[1] != self.dims.seq_len:
             raise ShapeError(
                 f"spatial module expects (B, {self.dims.seq_len}, 2, i, j), got {seqs.data.shape}"
             )
-        batch = seqs.data.shape[0]
-        feats = []
-        for l in range(self.dims.seq_len):
-            conv = self.block_for(l).forward(T.take(seqs, l, axis=1), mode)
-            feats.append(T.reshape(conv, (batch, self.dims.spatial_dim)))
-        return feats
+        shape = (seqs.data.shape[0], self.dims.spatial_dim)
+        blocks = self.blocks * self.dims.seq_len if self.shared else self.blocks
+        return [T.reshape(block.forward(T.take(seqs, l, axis=1), mode), shape)
+                for l, block in enumerate(blocks)]
 
     def parts(self):
         if self.shared:
@@ -230,7 +228,7 @@ class ModelBase(Layer):
 
 
 class DemandModel(ModelBase):
-    """One built model: feature path plus head, with checkpoint support.
+    """One built model: the layers its kind names, with checkpoint support.
 
     The weights are drawn from ``rng`` in a fixed order.  With ``rng=None``
     nothing is drawn and the weights and hour table are ``np.empty``: the
@@ -243,26 +241,17 @@ class DemandModel(ModelBase):
         self.kind = kind
         self.dims = dims
         self.dtype = dtype
-        self.feature_path, self.head = _KINDS[kind]
+        convs, has_lstm, self.head = _KINDS[kind]
 
-        self.spatial = None
-        self.lstm = None
         self.head_linear = None
         self.interval = None
         self.fusion_embedding = None
         self.fusion_linear = None
 
-        if self.feature_path in ("spatial_lstm", "spatial_concat"):
-            self.spatial = SpatialModule(dims, rng, dtype)
-        elif self.feature_path == "shared_concat":
-            self.spatial = SpatialModule(dims, rng, dtype, shared=True)
-
-        if self.feature_path in ("spatial_lstm", "raw_lstm"):
-            lstm_in = dims.spatial_dim if self.feature_path == "spatial_lstm" else dims.frame_dim
-            self.lstm = LstmParams(lstm_in, dims.lstm_hidden, rng, dtype)
-            feat_dim = dims.lstm_hidden
-        else:
-            feat_dim = dims.seq_len * dims.spatial_dim
+        self.spatial = SpatialModule(dims, rng, dtype, shared=convs == "shared") if convs else None
+        step_dim = dims.spatial_dim if convs else dims.frame_dim
+        self.lstm = LstmParams(step_dim, dims.lstm_hidden, rng, dtype) if has_lstm else None
+        feat_dim = dims.lstm_hidden if has_lstm else dims.seq_len * step_dim
         self.feat_dim = feat_dim
 
         if self.head != "static" and embedding is None:
@@ -283,17 +272,12 @@ class DemandModel(ModelBase):
     # -- forward ---------------------------------------------------------
 
     def _features(self, seqs, mode):
-        batch = seqs.data.shape[0]
-        if self.feature_path in ("spatial_lstm", "spatial_concat", "shared_concat"):
-            feats = self.spatial.forward(seqs, mode)
-            if self.feature_path == "spatial_lstm":
-                return lstm_sequence_batch(self.lstm, feats)
-            return T.hconcat(feats)
-        frames = [
-            T.reshape(T.take(seqs, l, axis=1), (batch, self.dims.frame_dim))
-            for l in range(self.dims.seq_len)
-        ]
-        return lstm_sequence_batch(self.lstm, frames)
+        """The (B, L*w) step matrix of the windows, through the LSTM if the kind has one."""
+        if self.spatial is None:
+            x = T.reshape(seqs, (seqs.data.shape[0], self.dims.seq_len * self.dims.frame_dim))
+        else:
+            x = T.hconcat(self.spatial.forward(seqs, mode))
+        return x if self.lstm is None else lstm_sequence_batch(self.lstm, x)
 
     def forward_batch(self, seqs, hours=None, mode="train"):
         """Predict (B, 2, i, j) from windows (B, L, 2, i, j) and hour labels."""
@@ -456,7 +440,10 @@ def _checked_skeleton(path, manifest, data_size):
                             f"for shape {shape} of {dtype}")
         index[name] = (start, nbytes, np.dtype(dtype), tuple(shape))
 
-    model = DemandModel(kind, dims, None, dtype=np.dtype(dtype_name).type)
+    try:
+        model = DemandModel(kind, dims, None, dtype=np.dtype(dtype_name).type)
+    except MemoryError:
+        raise DataError(f"{path}: the checkpoint's model dims are too large to allocate") from None
     targets = []
     for name, arr in model.named_arrays():
         if name not in index:

@@ -391,24 +391,21 @@ def mean_all(x):
 # recurrence
 
 
-def lstm(steps, stacked, blocks):
+def lstm(x, stacked, blocks):
     """Final hidden state of an LSTM run from zero state over a sequence.
 
-    ``steps`` is the list of the L input tensors, each (B, in), in time
-    order.  ``stacked`` holds the parameters as numpy arrays with the gates
-    stacked in order i, f, g, o: input weights (4d, in), input biases (4d,),
-    recurrent weights (4d, d), recurrent biases (4d,).  ``blocks`` gives,
-    for each of the four arrays, the four per-gate Tensors whose data are
-    its row blocks.  The steps are concatenated into one (L*B, in) buffer,
-    so the input projection of all L steps is one GEMM; each step adds one
-    (B, d) @ (d, 4d) GEMM.  One node is recorded, whose backward pass
-    through time returns a gradient for every step and for every per-gate
-    Tensor.  The cell is the one of ``layers.lstm_step``:
+    ``x`` is the (B, L*in) feature matrix: step l of each row is in columns
+    l*in to (l+1)*in.  ``stacked`` holds the parameters as numpy arrays with
+    the gates stacked in order i, f, g, o: input weights (4d, in), input
+    biases (4d,), recurrent weights (4d, d), recurrent biases (4d,).
+    ``blocks`` gives, for each of the four arrays, the four per-gate Tensors
+    whose data are its row blocks.  The steps are gathered time-major into
+    one (L*B, in) buffer, so the input projection of all L steps is one
+    GEMM; each step adds one (B, d) @ (d, 4d) GEMM.  One node is recorded,
+    whose backward pass through time returns a gradient for ``x`` and for
+    every per-gate Tensor.  The cell is the one of ``layers.lstm_step``:
     c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
     """
-    steps = tuple(steps)
-    if not steps:
-        raise UsageError("lstm: empty sequence")
     w_in, b_in, w_rec, b_rec = stacked
     d = w_rec.shape[1]
     for array, group in zip(stacked, blocks):
@@ -416,16 +413,15 @@ def lstm(steps, stacked, blocks):
             if t.data.shape != (d,) + array.shape[1:] or \
                     not np.may_share_memory(t.data, array[k * d:(k + 1) * d]):
                 raise UsageError("lstm: a per-gate tensor is not a row block of its stacked array")
-    shape = steps[0].data.shape
-    if len(shape) != 2 or shape[1] != w_in.shape[1]:
-        raise ShapeError(f"lstm: step {shape} is not (B, {w_in.shape[1]})")
-    for s in steps:
-        if s.data.shape != shape:
-            raise ShapeError(f"lstm: mixed step shapes {shape} and {s.data.shape}")
+    n_in = w_in.shape[1]
+    shape = x.data.shape
+    if len(shape) != 2 or shape[1] == 0 or shape[1] % n_in:
+        raise ShapeError(f"lstm: input {shape} is not (B, L*{n_in}) with L >= 1")
     params = tuple(t for group in blocks for t in group)
-    _common_dtype(steps + params, "lstm")
-    length, (batch, n_in) = len(steps), shape
-    x_flat = np.concatenate([s.data for s in steps])
+    _common_dtype((x,) + params, "lstm")
+    batch, length = shape[0], shape[1] // n_in
+    x_flat = np.array(x.data.reshape(batch, length, n_in).swapaxes(0, 1), order="C")
+    x_flat = x_flat.reshape(length * batch, n_in)
     x_proj = (x_flat @ w_in.T + b_in).reshape(length, batch, 4 * d)
 
     h = np.zeros((batch, d), dtype=x_flat.dtype)
@@ -471,15 +467,13 @@ def lstm(steps, stacked, blocks):
             dw_rec = dz_flat[batch:].T @ h_prev
         else:
             dw_rec = np.zeros_like(w_rec)
-        if any(s.requires_grad for s in steps):
-            grads = list((dz_flat @ w_in).reshape(length, batch, n_in))
-        else:
-            grads = [None] * length
-        for full in (dw_in, db, dw_rec, db):
-            grads.extend(full[k * d:(k + 1) * d] for k in range(4))
-        return tuple(grads)
+        dx = None
+        if x.requires_grad:
+            dx = (dz_flat @ w_in).reshape(length, batch, n_in).swapaxes(0, 1).reshape(shape)
+        return (dx,) + tuple(full[k * d:(k + 1) * d] for full in (dw_in, db, dw_rec, db)
+                             for k in range(4))
 
-    return _record("lstm", steps + params, h, backward)
+    return _record("lstm", (x,) + params, h, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import time
@@ -121,14 +120,10 @@ def predict_windows(model, windows, batch_size=256):
     inputs, hours, _ = windows_to_arrays(windows)
     inputs = inputs.astype(model.dtype)
     preds = []
-    tapes = {p.tape for _, p in model.named_tensors() if p.tape is not None}
-    tape = tapes.pop() if tapes else None
-    ctx = tape.paused() if tape is not None else contextlib.nullcontext()
-    with ctx:
-        for lo in range(0, len(windows), batch_size):
-            x = Tensor(inputs[lo:lo + batch_size])
-            out = model.forward_batch(x, hours[lo:lo + batch_size], mode="eval")
-            preds.append(out.data.astype(np.float64))
+    for lo in range(0, len(windows), batch_size):
+        x = Tensor(inputs[lo:lo + batch_size])
+        out = model.forward_batch(x, hours[lo:lo + batch_size], mode="eval")
+        preds.append(out.data.astype(np.float64))
     return np.concatenate(preds, axis=0)
 
 
@@ -184,8 +179,6 @@ def fit(model, train_windows, val_windows, config, log_path=None):
     targets = targets.astype(dtype)
     _, _, val_targets = windows_to_arrays(val_windows)
 
-    tape = Tape()
-    model.attach_tape(tape)
     adam = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
@@ -194,6 +187,9 @@ def fit(model, train_windows, val_windows, config, log_path=None):
     since_best = 0
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
 
+    # The tape is fit's alone: every exit detaches it and frees what it holds.
+    tape = Tape()
+    model.attach_tape(tape)
     try:
         for epoch in range(config.epochs):
             perm = rng.permutation(len(train_windows))
@@ -227,7 +223,8 @@ def fit(model, train_windows, val_windows, config, log_path=None):
             if not all(np.isfinite(p.data).all() for p in adam.params):
                 raise DivergenceError(f"non-finite parameter after epoch {epoch + 1}")
 
-            val = compute_metrics(predict_windows(model, val_windows), val_targets)
+            with tape.paused():
+                val = compute_metrics(predict_windows(model, val_windows), val_targets)
             rmse, mae = val.rmse, val.mae
             history.train_loss.append(float(np.mean(losses)))
             history.val_rmse.append(rmse)
@@ -255,6 +252,8 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 if since_best >= config.patience:
                     break
     finally:
+        model.attach_tape(None)
+        tape.reset()
         if log_fh:
             log_fh.close()
 

@@ -158,6 +158,19 @@ class TestIngest:
         assert "--grid" in caplog.text
         assert not out.exists()
 
+    def test_grid_alone_sets_the_stations(self, tmp_path):
+        """--stations defaults to the grid's cell count, its only valid value."""
+        fixture = str(Path(__file__).parent / "data" / "trips_small.csv")
+        outs = []
+        for name, stations in (("default.stdm", []), ("explicit.stdm", ["--stations", "2"])):
+            out = tmp_path / name
+            assert main(["ingest", "--trips", fixture, "--out", str(out), "--grid", "1x2",
+                         *stations]) == 0
+            config = json.loads(out.with_name(out.name + ".manifest.json").read_text())["config"]
+            assert config["stations"] == 2
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("stations, grid", [("-1", "1x1"), ("0", "1x1"), ("3", "1x2")])
     def test_stations_that_do_not_fill_the_grid_are_a_usage_error(self, tmp_path, monkeypatch,
                                                                    caplog, stations, grid):
@@ -347,6 +360,26 @@ class TestEval:
         _, _, targets = windows_to_arrays(test)
         assert payload["rmse"] == pytest.approx(float(np.sqrt(np.mean(targets ** 2))), rel=1e-6)
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("field", [8, 12], ids=["rows", "cols"])
+    def test_series_with_an_empty_grid_is_a_data_error(self, toy_series_path, tmp_path, caplog,
+                                                      capsys, command, field):
+        """A header with 0 rows or cols (and so no data) is the series file's fault."""
+        from stdinet.model import TOY_DIMS, build_model, save_checkpoint
+
+        header = bytearray(toy_series_path.read_bytes()[:32])
+        header[field:field + 4] = bytes(4)
+        data = tmp_path / "empty.stdm"
+        data.write_bytes(bytes(header))
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, build_model("STDI", TOY_DIMS, seed=0), extra={"test_days": 2})
+        argv = {"train": ["train", "--model", "STDI", "--out", str(tmp_path / "t.ckpt"),
+                          "--config", FAST + ",channels=4,lstm_hidden=8,rank=4,embed_dim=6"],
+                "eval": ["eval", "--ckpt", str(ckpt)]}[command]
+        assert main(argv + ["--data", str(data)]) == 3
+        assert "empty.stdm: the series grid is" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+
     def test_dim_mismatch_diagnostic(self, tmp_path, caplog):
         from stdinet.model import TOY_DIMS, build_model, save_checkpoint
 
@@ -489,6 +522,14 @@ class TestCheckpointFaults:
         rewrite_manifest(ckpt, edit)
         assert self.eval_rc(ckpt, toy_series_path) == 3
         assert "dims" in caplog.text
+
+    def test_dims_too_large_to_allocate_are_a_data_error(self, ckpt, toy_series_path, caplog,
+                                                         capsys):
+        """The skeleton of a 10^6-wide LSTM would need terabytes; the load is refused."""
+        rewrite_manifest(ckpt, lambda manifest: manifest["dims"].update(lstm_hidden=1000000))
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert str(ckpt) in caplog.text
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
 
     @pytest.mark.parametrize("edit", [
         lambda manifest: manifest.update(kind="Bogus"),

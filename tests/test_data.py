@@ -955,6 +955,15 @@ class TestEmbeddings:
         table = load_hour_embeddings(path, dim=3)
         assert table.shape == (24, 3)
 
+    def test_digit_token_that_is_not_an_int_is_ignored(self, tmp_path):
+        """'²' passes str.isdigit but int() refuses it: it is one of the other tokens."""
+        path = tmp_path / "emb.txt"
+        self.write_table(path, dim=3)
+        table = load_hour_embeddings(path, dim=3)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\u00b2 0.1 0.2 0.3\n1\u00b2 0.4 0.5 0.6\n")
+        np.testing.assert_array_equal(load_hour_embeddings(path, dim=3), table)
+
     def test_generated_table_deterministic_and_unit_variance(self):
         a = generate_hour_embeddings(50, seed=13)
         b = generate_hour_embeddings(50, seed=13)

@@ -13,11 +13,11 @@ from stdinet.tensor import (
     conv2d,
     finite_diff_check,
     hadamard,
+    hconcat,
     mean_all,
     relu,
     sub,
     sum_all,
-    take,
 )
 from stdinet.layers import (
     BatchNorm,
@@ -35,6 +35,11 @@ F64 = np.float64
 
 def t64(data, requires_grad=False, tape=None):
     return Tensor(np.asarray(data, dtype=F64), requires_grad=requires_grad, tape=tape)
+
+
+def side_by_side(steps):
+    """(L, B, in) steps as the (B, L*in) matrix the fused LSTM takes."""
+    return steps.swapaxes(0, 1).reshape(steps.shape[1], -1)
 
 
 def reference_lstm_step(weights, x, h, c):
@@ -263,7 +268,7 @@ class TestLstm:
         rng = np.random.default_rng(14)
         p = self.make_params(rng)
         x = rng.normal(size=(1, 3))
-        h_seq = lstm_sequence_batch(p, [t64(x)])
+        h_seq = lstm_sequence_batch(p, t64(x))
         h_step, _ = lstm_step(p, t64(x[0]), t64(np.zeros(4)), t64(np.zeros(4)))
         np.testing.assert_array_equal(h_seq.data[0], h_step.data)
 
@@ -271,14 +276,14 @@ class TestLstm:
         p = self.make_params(np.random.default_rng(15), randomize=False)
         for _, t in p.params():
             t.data[...] = 0.0
-        h = lstm_sequence_batch(p, [t64(np.ones((1, 3)))] * 5)
+        h = lstm_sequence_batch(p, t64(np.ones((1, 15))))
         np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_three_step_unrolled_oracle(self):
         rng = np.random.default_rng(16)
         p = self.make_params(rng)
         xs = rng.normal(size=(3, 3))
-        h = lstm_sequence_batch(p, [t64(x[None]) for x in xs])
+        h = lstm_sequence_batch(p, t64(xs.reshape(1, 9)))
         hh = np.zeros(4)
         cc = np.zeros(4)
         for l in range(3):
@@ -289,20 +294,20 @@ class TestLstm:
         rng = np.random.default_rng(17)
         p = self.make_params(rng)
         xs = rng.normal(size=(3, 2, 3))  # L=3, batch 2
-        hb = lstm_sequence_batch(p, [t64(xs[l]) for l in range(3)])
+        hb = lstm_sequence_batch(p, t64(side_by_side(xs)))
         for b in range(2):
-            hs = lstm_sequence_batch(p, [t64(xs[l, b:b + 1]) for l in range(3)])
+            hs = lstm_sequence_batch(p, t64(side_by_side(xs[:, b:b + 1])))
             np.testing.assert_allclose(hb.data[b], hs.data[0], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         p = self.make_params(np.random.default_rng(18))
-        with pytest.raises(UsageError):
-            lstm_sequence_batch(p, [])
+        with pytest.raises(ShapeError, match="L >= 1"):
+            lstm_sequence_batch(p, t64(np.ones((2, 0))))
 
-    def test_steps_of_different_shapes_rejected(self):
+    def test_width_not_a_multiple_of_input_dim_rejected(self):
         p = self.make_params(np.random.default_rng(18))
-        with pytest.raises(ShapeError, match="mixed step shapes"):
-            lstm_sequence_batch(p, [t64(np.ones((2, 3))), t64(np.ones((1, 3)))])
+        with pytest.raises(ShapeError, match=r"\(B, L\*3\)"):
+            lstm_sequence_batch(p, t64(np.ones((2, 8))))
 
     def test_dim_mismatch(self):
         p = self.make_params(np.random.default_rng(19))
@@ -315,13 +320,13 @@ class TestLstm:
         p = self.make_params(rng)
         for _, t in p.params():
             t.tape = tape
-        xs = t64(rng.normal(size=(3, 1, 3)), requires_grad=True, tape=tape)
+        x = t64(side_by_side(rng.normal(size=(3, 1, 3))), requires_grad=True, tape=tape)
         w = t64(rng.normal(size=(1, 4)))
 
         def f(_):
-            return sum_all(hadamard(lstm_sequence_batch(p, [take(xs, l) for l in range(3)]), w))
+            return sum_all(hadamard(lstm_sequence_batch(p, x), w))
 
-        assert finite_diff_check(f, xs) < 1e-4
+        assert finite_diff_check(f, x) < 1e-4
         tape.reset()
         assert finite_diff_check(f, p.w_ix["f"]) < 1e-4
 
@@ -355,7 +360,7 @@ class TestFusedSequence:
             t.data[...] = rng.normal(size=t.data.shape)
         x_data = rng.normal(size=(length, batch, 5))
         w = rng.normal(size=(batch, 4))
-        h, dxs, dps = self.run(lstm_sequence_batch, p, x_data, w)
+        h, dxs, dps = self.run(lambda p, xs: lstm_sequence_batch(p, hconcat(xs)), p, x_data, w)
         h_ref, dxs_ref, dps_ref = self.run(self.fold, p, x_data, w)
         np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
         for dx, dx_ref in zip(dxs, dxs_ref):
@@ -370,16 +375,18 @@ class TestFusedSequence:
         tape = Tape()
         for _, t in p.params():
             t.tape = tape
-        xs = [t64(rng.normal(size=(2, 5)), requires_grad=True, tape=tape) for _ in range(3)]
-        lstm_sequence_batch(p, xs)
+        x = t64(rng.normal(size=(2, 15)), requires_grad=True, tape=tape)
+        lstm_sequence_batch(p, x)
         assert [node.op for node in tape.nodes] == ["lstm"]
+        gates = [views[g] for views in (p.w_ix, p.b_ix, p.w_hx, p.b_hx) for g in "ifgo"]
+        assert list(map(id, tape.nodes[0].inputs)) == list(map(id, [x, *gates]))
 
     def test_rebound_gate_tensor_rejected(self):
         rng = np.random.default_rng(41)
         p = LstmParams(5, 4, rng, dtype=F64)
         p.w_hx["g"].data = p.w_hx["g"].data.copy()
         with pytest.raises(UsageError, match="row block"):
-            lstm_sequence_batch(p, [t64(rng.normal(size=(2, 5)))])
+            lstm_sequence_batch(p, t64(rng.normal(size=(2, 5))))
 
 
 class TestLinear:

@@ -195,6 +195,28 @@ class TestFit:
         with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
             fit(model, train, val, config)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e-3, 1e30], ids=["returns", "diverges"])
+    def test_fit_leaves_no_tape_on_the_model(self, monkeypatch, lr):
+        """Whether fit returns or raises, no parameter keeps its tape, and a
+        later forward records nothing on it."""
+        tapes = []
+        monkeypatch.setattr(training, "Tape", lambda: tapes.append(Tape()) or tapes[-1])
+        train, val, _ = self.small_dataset(seed=7)
+        model = build_model("TemporalFC", TOY_DIMS, seed=7, dtype=np.float32)
+        config = TrainConfig(lr=lr, epochs=2, batch_size=32, patience=2, seed=3)
+        if lr > 1:
+            with pytest.raises(DivergenceError):
+                fit(model, train, val, config)
+        else:
+            fit(model, train, val, config)
+        assert len(tapes) == 1
+        assert all(p.tape is None for _, p in model.named_tensors())
+        inputs, hours, _ = windows_to_arrays(val)
+        model.forward_batch(Tensor(inputs.astype(np.float32)), hours, mode="eval")
+        assert tapes[0].nodes == []
+
     @pytest.mark.parametrize("n_train,batch_size", [(40, 1), (1, 32)])
     def test_configuration_that_trains_nothing_is_refused(self, n_train, batch_size):
         # Batch size 1 drops every batch; one training window makes one
