@@ -31,12 +31,13 @@ audits lf unquoted all \
     || { echo "ingest: the unquoted copy's audit differs, or the block tokenizer read a row of it"; exit 1; }
 cmp "$tmp/lf.stdm" "$tmp/unquoted.stdm" || { echo "ingest: the unquoted copy gives another series"; exit 1; }
 
-# Checkpoint round trip of the hour-generated head (STDI) and the hour
-# feature head (STDIFusion): `train` saves a checkpoint and `eval` loads it
-# back.  Each kind is trained twice with the same seed, and the two
+# Checkpoint round trip of each head `train` fits: the hour-generated head
+# (STDI), the hour feature head (STDIFusion) and the static head, here on the
+# shared conv block (UnifiedSpatial).  `train` saves a checkpoint and `eval`
+# loads it back.  Each kind is trained twice with the same seed, and the two
 # checkpoints must be the same bytes.
 python -c 'import sys; from stdinet.data import random_demand_series, write_demand_series; write_demand_series(sys.argv[1], random_demand_series(250, seed=8, start_epoch=1396310400))' "$tmp/toy.stdm"
-for kind in STDI STDIFusion; do
+for kind in STDI STDIFusion UnifiedSpatial; do
     for run in 1 2; do
         "$@" train --model "$kind" --data "$tmp/toy.stdm" --out "$tmp/$kind.$run.ckpt" --seed 5 \
             --config "channels=4,lstm_hidden=8,rank=4,embed_dim=6,epochs=1,patience=1,batch_size=32,test_days=2"

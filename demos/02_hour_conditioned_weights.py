@@ -14,7 +14,7 @@ from stdinet import ModelDims, Tensor, build_model
 dims = ModelDims(rows=2, cols=2, seq_len=3, channels=4, lstm_hidden=16,
                  rank=4, embed_dim=8)
 model = build_model("STDI", dims, seed=7)
-net = model.interval
+net = model.head
 
 print(f"feature dim d={net.feat_dim}, outputs k={dims.output_dim}, rank a={dims.rank}")
 print(f"hour table: {net.embedding.data.shape}, frozen={not net.embedding.requires_grad}")

@@ -22,8 +22,7 @@ import numpy as np
 from . import tensor as T
 from .data import TEST_DAYS, VAL_FRAC, hour_table, make_windows, split_dataset, windows_to_arrays
 from .errors import DataError, UsageError
-from .layers import LinearLayer
-from .model import MODEL_KINDS, ModelBase, ModelDims, build_model
+from .model import MODEL_KINDS, ModelDims, build_model
 from .tensor import resolve_dtype
 from .training import MetricPair, TrainConfig, compute_metrics, fit, predict_windows
 
@@ -211,34 +210,10 @@ def baseline_linear(train_windows, val_windows, kind):
 # ---------------------------------------------------------------------------
 # MLP baseline
 
-MLP_HIDDEN = (256, 256, 128, 128)
 
-
-class MlpModel(ModelBase):
-    """Four ReLU hidden layers over the flattened window; ReLU output.
-
-    Implements the same protocol fit() drives, ignoring the hour label.
-    """
-
-    kind = "MLP"
-
-    def __init__(self, dims, seed, dtype=T.STANDARD):
-        self.dims = dims
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        widths = [dims.seq_len * 2 * dims.rows * dims.cols, *MLP_HIDDEN, dims.output_dim]
-        self.layers = [LinearLayer(widths[i], widths[i + 1], rng, dtype)
-                       for i in range(len(widths) - 1)]
-
-    def forward_batch(self, seqs, hours=None, mode="train"):
-        batch = seqs.data.shape[0]
-        h = T.reshape(seqs, (batch, self.layers[0].weight.data.shape[1]))
-        for layer in self.layers:
-            h = T.relu(layer.forward(h))
-        return T.reshape(h, (batch, 2, self.dims.rows, self.dims.cols))
-
-    def parts(self):
-        return [(f"mlp{i}", layer) for i, layer in enumerate(self.layers)]
+def MlpModel(dims, seed, dtype=T.STANDARD):
+    """The MLP baseline: the model kind "MLP", which ignores the hour label."""
+    return build_model("MLP", dims, seed=seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +266,8 @@ def _method_predictions(method, series, splits, config, table):
         detail["lambda"] = model.lam
     else:
         # run_benchmark has checked the method: the MLP or a model kind.
-        dtype = resolve_dtype(config.train.precision)
-        if method == "MLP":
-            model = MlpModel(config.dims, seed, dtype=dtype)
-        else:
-            model = build_model(method, config.dims, seed=seed, embedding=table, dtype=dtype)
+        model = build_model(method, config.dims, seed=seed, embedding=table,
+                            dtype=resolve_dtype(config.train.precision))
         model, history = fit(model, train, val, config.train)
         preds = predict_windows(model, test)
         detail["epochs_run"] = history.epochs_run

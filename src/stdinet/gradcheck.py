@@ -92,9 +92,10 @@ def _check_op(name, rng, tape):
         return finite_diff_check(lambda v: _weighted_sum(op(x), w), x)
     if name == "hconcat":
         # Parts of distinct values, each differenced in turn, so that a
-        # gradient routed to the wrong part fails it.
-        parts = [_t(rng, (3, width), tape) for width in (1, 2, 3)]
-        w = _t(rng, (3, 6), tape, requires_grad=False)
+        # gradient routed to the wrong part fails it; the last part is
+        # flattened to its 4 columns.
+        parts = [_t(rng, shape, tape) for shape in ((3, 1), (3, 2), (3, 3), (3, 2, 2))]
+        w = _t(rng, (3, 10), tape, requires_grad=False)
         err = 0.0
         for target in parts:
             tape.reset()
@@ -162,7 +163,7 @@ def _check_composed(name, rng, tape, dims):
     if name == "interval_net":
         model = build_model("STDI", dims, seed=int(rng.integers(1 << 30)), dtype=F64)
         model.attach_tape(tape)
-        net = model.interval
+        net = model.head
         beta = _t(rng, (dims.lstm_hidden,), tape)
 
         def f(v):
@@ -187,7 +188,7 @@ def _check_composed(name, rng, tape, dims):
 
         err = finite_diff_check(f, seq)
         tape.reset()
-        return max(err, finite_diff_check(f, model.interval.o_prime))
+        return max(err, finite_diff_check(f, model.head.o_prime))
     if name == "model_train_batch":
         model = build_model("STDI", dims, seed=int(rng.integers(1 << 30)), dtype=F64)
         model.attach_tape(tape)

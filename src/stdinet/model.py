@@ -1,8 +1,9 @@
 """Model assembly: spatial blocks, temporal encoder, prediction heads.
 
-Nine model kinds differ only in their layers.  In every kind the L steps
-of a window reach the temporal stage as one (B, L*w) matrix, step l in
-columns l*w to (l+1)*w: the L conv block outputs side by side, or the frames.
+Ten model kinds, the nine STDI-Net kinds and the MLP baseline, differ only
+in their layers.  In every kind the L steps of a window reach the temporal
+stage as one (B, L*w) matrix, step l in columns l*w to (l+1)*w: the L conv
+block outputs side by side, or the frames.
 
 ==================  =========================  =======================
 kind                layers                     prediction head
@@ -17,16 +18,23 @@ STDIFusion          per-index conv -> LSTM     hour feature concat + FC
 UnifiedSpatial      shared conv -> concat      static linear
 STDIEmbedding       per-index conv -> LSTM     hour-generated weights,
                                                trainable hour table
+MLP                 raw frames -> concat       four ReLU hidden layers
+                                               + linear
 ==================  =========================  =======================
 
-The hour-generated head builds its weight matrix as
-``W = O' @ diag(w(V)) @ O`` from the hour embedding V, so the per-hour
-parameters stay low-rank, and the generated bias is a second small linear
-map of V.  Every head finishes with ReLU, so predictions are nonnegative.
+Each head is a layer built as ``head(feat_dim, dims, rng, embedding,
+dtype=...)``; its ``apply_batch(feats, hours)`` maps (B, feat_dim) features
+and B hour labels to (B, output_dim), and its ``name`` is its place in the
+model's parameter tree ("" puts its parts at the top level).  The
+hour-generated head builds its weight matrix as ``W = O' @ diag(w(V)) @ O``
+from the hour embedding V, so the per-hour parameters stay low-rank, and
+the generated bias is a second small linear map of V.  Every model finishes
+with ReLU, so predictions are nonnegative.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -42,21 +50,7 @@ from .layers import ConvBlock, Layer, LinearLayer, LstmParams, drawn_param, lstm
 from .tensor import Tensor
 
 HOURS = 24
-
-# kind -> (conv blocks: "index" one per sequence index, "shared" or None;
-# LSTM or not; prediction head).  The order is MODEL_KINDS's.
-_KINDS = {
-    "STDI": ("index", True, "hyper"),
-    "SpatialFC": ("index", False, "static"),
-    "TemporalFC": (None, True, "static"),
-    "SpatialTemporalFC": ("index", True, "static"),
-    "SpatialDI": ("index", False, "hyper"),
-    "TemporalDI": (None, True, "hyper"),
-    "STDIFusion": ("index", True, "fusion"),
-    "UnifiedSpatial": ("shared", False, "static"),
-    "STDIEmbedding": ("index", True, "hyper"),
-}
-MODEL_KINDS = tuple(_KINDS)
+MLP_HIDDEN = (256, 256, 128, 128)
 
 
 @dataclass(frozen=True)
@@ -107,6 +101,15 @@ def hour_index(hours):
     return idx
 
 
+def _hour_table(embedding, dims, dtype, trainable=False):
+    """A copy of the 24 x embed_dim hour table as a tensor; ``np.empty`` for a skeleton."""
+    shape = (HOURS, dims.embed_dim)
+    if embedding is not None and embedding.shape != shape:
+        raise ShapeError(f"hour table must be {shape}, got {embedding.shape}")
+    table = np.empty(shape, dtype) if embedding is None else np.array(embedding, dtype, order="C")
+    return Tensor(table, requires_grad=trainable)
+
+
 class SpatialModule(Layer):
     """L convolutional blocks, one per sequence index (or one shared)."""
 
@@ -117,20 +120,30 @@ class SpatialModule(Layer):
         self.blocks = [ConvBlock(dims.channels, rng, dtype) for _ in range(count)]
 
     def forward(self, seqs, mode):
-        """(B, L, 2, i, j) -> list of L tensors (B, channels*i*j), block l on frame l."""
+        """(B, L, 2, i, j) -> list of L tensors (B, channels, i, j), block l on frame l."""
         if seqs.data.ndim != 5 or seqs.data.shape[1] != self.dims.seq_len:
             raise ShapeError(
                 f"spatial module expects (B, {self.dims.seq_len}, 2, i, j), got {seqs.data.shape}"
             )
-        shape = (seqs.data.shape[0], self.dims.spatial_dim)
         blocks = self.blocks * self.dims.seq_len if self.shared else self.blocks
-        return [T.reshape(block.forward(T.take(seqs, l, axis=1), mode), shape)
-                for l, block in enumerate(blocks)]
+        return [block.forward(T.take(seqs, l, axis=1), mode) for l, block in enumerate(blocks)]
 
     def parts(self):
         if self.shared:
             return [("shared", self.blocks[0])]
         return [(f"block{i}", block) for i, block in enumerate(self.blocks)]
+
+
+class LinearHead(LinearLayer):
+    """The static head: one linear map of the features; the hour is unused."""
+
+    name = "head"
+
+    def __init__(self, feat_dim, dims, rng, embedding=None, dtype=T.STANDARD):
+        super().__init__(feat_dim, dims.output_dim, rng, dtype)
+
+    def apply_batch(self, feats, hours=None):
+        return self.forward(feats)
 
 
 class IntervalNet(Layer):
@@ -141,16 +154,12 @@ class IntervalNet(Layer):
     matrices O (rank x feature) and O' (output x rank) are always trainable.
     """
 
+    name = "interval"
+
     def __init__(self, feat_dim, dims, rng, embedding, trainable_embedding=False,
                  dtype=T.STANDARD):
-        if embedding.shape != (HOURS, dims.embed_dim):
-            raise ShapeError(
-                f"hour table must be ({HOURS}, {dims.embed_dim}), got {embedding.shape}"
-            )
         self.feat_dim = feat_dim
-        self.dims = dims
-        self.embedding = Tensor(np.asarray(embedding, dtype=dtype).copy(),
-                                requires_grad=trainable_embedding)
+        self.embedding = _hour_table(embedding, dims, dtype, trainable_embedding)
         self.lin_w = LinearLayer(dims.embed_dim, dims.rank, rng, dtype)
         self.lin_b = LinearLayer(dims.embed_dim, dims.output_dim, rng, dtype)
         self.o_mat = drawn_param(
@@ -188,15 +197,102 @@ class IntervalNet(Layer):
                 ("o", self.o_mat), ("o_prime", self.o_prime)]
 
 
-class ModelBase(Layer):
-    """The model protocol that fit(), predict_windows and checkpoints drive.
+class FusionHead(Layer):
+    """The hour feature head: one linear map of the features beside leaky_relu(lin(V_h))."""
 
-    A subclass defines ``forward_batch`` and ``parts()``, its layers and
-    tensors as (name, part) pairs in checkpoint order; the rest of the
-    protocol comes from one walk of that tree.  ``named_tensors()`` (every
-    parameter, frozen ones included) and ``named_states()`` (every batchnorm
-    statistic) are the model's names for ``params()`` and ``states()``.
+    name = ""
+
+    def __init__(self, feat_dim, dims, rng, embedding, dtype=T.STANDARD):
+        self.embedding = _hour_table(embedding, dims, dtype)
+        self.lin = LinearLayer(dims.embed_dim, dims.fusion_dim, rng, dtype)
+        self.out = LinearLayer(feat_dim + dims.fusion_dim, dims.output_dim, rng, dtype)
+
+    def apply_batch(self, feats, hours):
+        e = T.leaky_relu(self.lin.forward(T.take_rows(self.embedding, hour_index(hours))))
+        return self.out.forward(T.hconcat([feats, e]))
+
+    def parts(self):
+        return [("fusion.embedding", self.embedding), ("fusion.lin", self.lin),
+                ("head", self.out)]
+
+
+class MlpHead(Layer):
+    """The MLP baseline's head: four ReLU hidden layers, then a linear output."""
+
+    name = ""
+
+    def __init__(self, feat_dim, dims, rng, embedding=None, dtype=T.STANDARD):
+        widths = [feat_dim, *MLP_HIDDEN, dims.output_dim]
+        self.layers = [LinearLayer(a, b, rng, dtype) for a, b in zip(widths, widths[1:])]
+
+    def apply_batch(self, feats, hours=None):
+        for layer in self.layers[:-1]:
+            feats = T.relu(layer.forward(feats))
+        return self.layers[-1].forward(feats)
+
+    def parts(self):
+        return [(f"mlp{i}", layer) for i, layer in enumerate(self.layers)]
+
+
+# kind -> (conv blocks: "index" one per sequence index, "shared" or None;
+# LSTM or not; prediction head).  The STDI-Net kinds come first, in
+# MODEL_KINDS's order; the MLP baseline is the last row.
+_KINDS = {
+    "STDI": ("index", True, IntervalNet),
+    "SpatialFC": ("index", False, LinearHead),
+    "TemporalFC": (None, True, LinearHead),
+    "SpatialTemporalFC": ("index", True, LinearHead),
+    "SpatialDI": ("index", False, IntervalNet),
+    "TemporalDI": (None, True, IntervalNet),
+    "STDIFusion": ("index", True, FusionHead),
+    "UnifiedSpatial": ("shared", False, LinearHead),
+    "STDIEmbedding": ("index", True, functools.partial(IntervalNet, trainable_embedding=True)),
+    "MLP": (None, False, MlpHead),
+}
+MODEL_KINDS = tuple(_KINDS)[:-1]
+
+
+class DemandModel(Layer):
+    """One built model: the layers its kind names, driven by fit(),
+    predict_windows and checkpoints.
+
+    The weights are drawn from ``rng`` in a fixed order: spatial blocks,
+    LSTM, head.  With ``rng=None`` nothing is drawn and the weights and hour
+    table are ``np.empty``: the skeleton that load_checkpoint reads a
+    checkpoint into.  ``named_tensors()`` and ``named_states()`` are the
+    model's names for ``params()`` and ``states()``.
     """
+
+    def __init__(self, kind, dims, rng, embedding=None, dtype=T.STANDARD):
+        if kind not in _KINDS:
+            raise UsageError(f"unknown model kind {kind!r}; valid kinds: {', '.join(_KINDS)}")
+        self.kind, self.dims, self.dtype = kind, dims, dtype
+        convs, has_lstm, head = _KINDS[kind]
+        self.spatial = SpatialModule(dims, rng, dtype, shared=convs == "shared") if convs else None
+        step_dim = dims.spatial_dim if convs else dims.frame_dim
+        self.lstm = LstmParams(step_dim, dims.lstm_hidden, rng, dtype) if has_lstm else None
+        feat_dim = dims.lstm_hidden if has_lstm else dims.seq_len * step_dim
+        self.head = head(feat_dim, dims, rng, embedding, dtype=dtype)
+
+    # -- forward ---------------------------------------------------------
+
+    def _features(self, seqs, mode):
+        """The (B, L*w) step matrix of the windows, through the LSTM if the kind has one."""
+        if self.spatial is None:
+            x = T.reshape(seqs, (seqs.data.shape[0], self.dims.seq_len * self.dims.frame_dim))
+        else:
+            x = T.hconcat(self.spatial.forward(seqs, mode))
+        return x if self.lstm is None else lstm_sequence_batch(self.lstm, x)
+
+    def forward_batch(self, seqs, hours=None, mode="train"):
+        """Predict (B, 2, i, j) from windows (B, L, 2, i, j) and hour labels."""
+        d = self.dims
+        out = T.relu(self.head.apply_batch(self._features(seqs, mode), hours))
+        return T.reshape(out, (seqs.data.shape[0], 2, d.rows, d.cols))
+
+    def parts(self):
+        named = (("spatial", self.spatial), ("lstm", self.lstm), (self.head.name, self.head))
+        return [(n, part) for n, part in named if part is not None]
 
     def named_tensors(self):
         return self.params()
@@ -227,82 +323,8 @@ class ModelBase(Layer):
             a[...] = snap[n]
 
 
-class DemandModel(ModelBase):
-    """One built model: the layers its kind names, with checkpoint support.
-
-    The weights are drawn from ``rng`` in a fixed order.  With ``rng=None``
-    nothing is drawn and the weights and hour table are ``np.empty``: the
-    skeleton that load_checkpoint reads a checkpoint into.
-    """
-
-    def __init__(self, kind, dims, rng, embedding=None, dtype=T.STANDARD):
-        if kind not in _KINDS:
-            raise UsageError(f"unknown model kind {kind!r}; valid kinds: {', '.join(MODEL_KINDS)}")
-        self.kind = kind
-        self.dims = dims
-        self.dtype = dtype
-        convs, has_lstm, self.head = _KINDS[kind]
-
-        self.head_linear = None
-        self.interval = None
-        self.fusion_embedding = None
-        self.fusion_linear = None
-
-        self.spatial = SpatialModule(dims, rng, dtype, shared=convs == "shared") if convs else None
-        step_dim = dims.spatial_dim if convs else dims.frame_dim
-        self.lstm = LstmParams(step_dim, dims.lstm_hidden, rng, dtype) if has_lstm else None
-        feat_dim = dims.lstm_hidden if has_lstm else dims.seq_len * step_dim
-        self.feat_dim = feat_dim
-
-        if self.head != "static" and embedding is None:
-            embedding = np.empty((HOURS, dims.embed_dim), dtype=dtype)
-        if self.head == "hyper":
-            self.interval = IntervalNet(
-                feat_dim, dims, rng, embedding,
-                trainable_embedding=(kind == "STDIEmbedding"), dtype=dtype,
-            )
-        elif self.head == "fusion":
-            self.fusion_embedding = Tensor(np.asarray(embedding, dtype=dtype).copy(),
-                                           requires_grad=False)
-            self.fusion_linear = LinearLayer(dims.embed_dim, dims.fusion_dim, rng, dtype)
-            self.head_linear = LinearLayer(feat_dim + dims.fusion_dim, dims.output_dim, rng, dtype)
-        else:
-            self.head_linear = LinearLayer(feat_dim, dims.output_dim, rng, dtype)
-
-    # -- forward ---------------------------------------------------------
-
-    def _features(self, seqs, mode):
-        """The (B, L*w) step matrix of the windows, through the LSTM if the kind has one."""
-        if self.spatial is None:
-            x = T.reshape(seqs, (seqs.data.shape[0], self.dims.seq_len * self.dims.frame_dim))
-        else:
-            x = T.hconcat(self.spatial.forward(seqs, mode))
-        return x if self.lstm is None else lstm_sequence_batch(self.lstm, x)
-
-    def forward_batch(self, seqs, hours=None, mode="train"):
-        """Predict (B, 2, i, j) from windows (B, L, 2, i, j) and hour labels."""
-        d = self.dims
-        batch = seqs.data.shape[0]
-        feat = self._features(seqs, mode)
-        if self.head == "hyper":
-            out = T.relu(self.interval.apply_batch(feat, hours))
-        elif self.head == "fusion":
-            v = T.take_rows(self.fusion_embedding, hour_index(hours))
-            e = T.leaky_relu(self.fusion_linear.forward(v))
-            out = T.relu(self.head_linear.forward(T.hconcat([feat, e])))
-        else:
-            out = T.relu(self.head_linear.forward(feat))
-        return T.reshape(out, (batch, 2, d.rows, d.cols))
-
-    def parts(self):
-        named = (("spatial", self.spatial), ("lstm", self.lstm), ("interval", self.interval),
-                 ("fusion.embedding", self.fusion_embedding), ("fusion.lin", self.fusion_linear),
-                 ("head", self.head_linear))
-        return [(n, part) for n, part in named if part is not None]
-
-
 def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD):
-    """Construct any model kind; see the module table for the mapping."""
+    """Construct any of the ten model kinds; see the module table for the mapping."""
     dims = dims or ModelDims()
     if embedding is None:
         embedding = generate_hour_embeddings(dims.embed_dim, seed)

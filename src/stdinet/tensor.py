@@ -10,6 +10,7 @@ bit-reproducible against naive reference loops.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -320,20 +321,22 @@ def reshape(x, shape):
 
 
 def hconcat(parts):
-    """Concatenate 2-d tensors with equal row counts along columns."""
+    """Concatenate tensors with equal leading dims along columns, each part
+    flattened to (rows, -1)."""
     parts = tuple(parts)
     rows = parts[0].data.shape[0]
     for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != rows:
-            raise ShapeError(f"hconcat: expected 2-d parts with {rows} rows, got {p.data.shape}")
+        if p.data.ndim < 2 or p.data.shape[0] != rows:
+            raise ShapeError(f"hconcat: parts need rank >= 2 and {rows} rows, got {p.data.shape}")
     _common_dtype(parts, "hconcat")
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    flat = [p.data.reshape(rows, math.prod(p.data.shape[1:])) for p in parts]
+    offsets = np.cumsum([0] + [f.shape[1] for f in flat])
 
     def backward(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[:, a:b].reshape(p.data.shape)
+                     for p, a, b in zip(parts, offsets, offsets[1:]))
 
-    return _record("hconcat", parts, np.concatenate([p.data for p in parts], axis=1), backward)
+    return _record("hconcat", parts, np.concatenate(flat, axis=1), backward)
 
 
 def take(x, index, axis=0):

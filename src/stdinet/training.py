@@ -34,6 +34,7 @@ class TrainConfig:
             raise UsageError("epochs, batch_size and patience must be positive, seed nonnegative")
         if self.patience > self.epochs:
             raise UsageError(f"patience {self.patience} exceeds epochs {self.epochs}")
+        resolve_dtype(self.precision)
 
 
 def mse_loss(pred, target):

@@ -254,6 +254,12 @@ class TestTrain:
         assert rc == 2
         assert "UnifiedSpatial" in caplog.text
 
+    def test_mlp_is_a_bench_method_not_a_train_kind(self, toy_series_path, tmp_path, caplog):
+        rc = main(["train", "--data", str(toy_series_path), "--model", "MLP",
+                   "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert "unknown model kind 'MLP'" in caplog.text
+
     def test_batch_size_one_is_a_usage_error(self, toy_series_path, tmp_path, caplog):
         rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
                    "--config", FAST + ",batch_size=1,channels=4,lstm_hidden=8,rank=4,embed_dim=6",
@@ -359,6 +365,18 @@ class TestEval:
         _, _, test = split_dataset(make_windows(series, 3), test_days=2, val_frac=0.1)
         _, _, targets = windows_to_arrays(test)
         assert payload["rmse"] == pytest.approx(float(np.sqrt(np.mean(targets ** 2))), rel=1e-6)
+
+    def test_saved_mlp_checkpoint_evaluates(self, toy_series_path, tmp_path, capsys):
+        """`train` fits only the STDI-Net kinds, but eval scores a saved MLP too."""
+        from stdinet.bench import MlpModel
+        from stdinet.model import TOY_DIMS, save_checkpoint
+
+        ckpt = tmp_path / "mlp.ckpt"
+        save_checkpoint(ckpt, MlpModel(TOY_DIMS, seed=0), extra={"test_days": 2})
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(toy_series_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("MLP: rmse=")
+        assert json.loads(out.splitlines()[-1])["kind"] == "MLP"
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("field", [8, 12], ids=["rows", "cols"])

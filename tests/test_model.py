@@ -63,6 +63,33 @@ CKPT_CHECKSUMS = {
 MLP_INIT_CHECKSUM = "0a29f889763a8e21"
 MLP_CKPT_CHECKSUM = "ed289538b1e3ce0e"
 
+# sha256 prefixes of forward_batch's float32 output for build_model(kind,
+# TOY_DIMS, seed=5) of all ten kinds on pinned_batch() (the MLP's taken from
+# MlpModel(TOY_DIMS, seed=5), which draws the same weights):
+# a train-mode call, then an eval-mode call, which reads the running
+# statistics the train call left.  Taken while the model still branched on
+# its head.
+FORWARD_CHECKSUMS = {
+    "STDI": ("d40d8be3bb854aa4", "9460abbe2d2f032d"),
+    "SpatialFC": ("2ade760d08fa3bfc", "547be8e2b0099bc8"),
+    "TemporalFC": ("b73e56cab6b6c7ee", "b73e56cab6b6c7ee"),
+    "SpatialTemporalFC": ("87f1bc0e559a725f", "0ff9a963c9697556"),
+    "SpatialDI": ("683b0d1aed3cb772", "1151f91342227f0f"),
+    "TemporalDI": ("c62a85c7156b2e75", "c62a85c7156b2e75"),
+    "STDIFusion": ("c60bb42e0edc652c", "f4fe666bb5a0a201"),
+    "UnifiedSpatial": ("cd9c8994d7440917", "ba0db0c29bcdfbf0"),
+    "STDIEmbedding": ("d40d8be3bb854aa4", "9460abbe2d2f032d"),
+    "MLP": ("7c4f7bb10def03fd", "7c4f7bb10def03fd"),
+}
+
+
+def pinned_batch():
+    """Four float32 windows of seeded counts and their hours, two the same."""
+    d = TOY_DIMS
+    rng = np.random.default_rng(31)
+    seqs = rng.uniform(0.0, 6.0, size=(4, d.seq_len, 2, d.rows, d.cols)).astype(np.float32)
+    return seqs, np.array([0, 7, 7, 23])
+
 
 def tensors_digest(model):
     """sha256 prefix of every named tensor: the name, then its raw bytes."""
@@ -140,7 +167,7 @@ class TestSpatialModule:
         sm = SpatialModule(dims, np.random.default_rng(0), dtype=np.float32)
         seq = Tensor(np.random.default_rng(1).random((1, 3, 2, 8, 16), dtype=np.float32))
         out = sm.forward(seq, "eval")
-        assert [f.data.shape for f in out] == [(1, 4096)] * 3
+        assert [f.data.shape for f in out] == [(1, 32, 8, 16)] * 3
 
     def test_zero_input_zero_features(self):
         sm = SpatialModule(TOY_DIMS, np.random.default_rng(2), dtype=F64)
@@ -153,7 +180,7 @@ class TestSpatialModule:
                 unit.bn2.beta.data[...] = 0.0
         seq = Tensor(np.zeros((1, 3, 2, 2, 2)), dtype=F64)
         for f in sm.forward(seq, "eval"):
-            np.testing.assert_array_equal(f.data, np.zeros((1, TOY_DIMS.spatial_dim)))
+            np.testing.assert_array_equal(f.data, np.zeros((1, TOY_DIMS.channels, 2, 2)))
 
     def test_blocks_are_independent(self):
         rng = np.random.default_rng(3)
@@ -249,14 +276,14 @@ class TestIntervalNet:
             np.testing.assert_allclose(out[b], oracle @ feats[b] + b_vec, rtol=0, atol=1e-12)
 
     def test_pure_function_of_hour(self):
-        net = toy_model().interval
+        net = toy_model().head
         a1, b1 = net.generate(7)
         a2, b2 = net.generate(7)
         np.testing.assert_array_equal(a1.data, a2.data)
         np.testing.assert_array_equal(b1.data, b2.data)
 
     def test_hour_out_of_range(self):
-        net = toy_model().interval
+        net = toy_model().head
         with pytest.raises(DomainError):
             net.generate(24)
         with pytest.raises(DomainError):
@@ -273,7 +300,7 @@ class TestIntervalNet:
         pred = model.forward_batch(seqs, hours, mode="eval")
         d = sub(pred, target)
         tape.backward(mean_all(hadamard(d, d)))
-        net = model.interval
+        net = model.head
         for t in (net.lin_w.weight, net.lin_b.weight, net.o_mat, net.o_prime):
             assert t.grad is not None and np.linalg.norm(t.grad) > 1e-12
         assert net.embedding.grad is None  # frozen table
@@ -288,6 +315,17 @@ class TestForward:
         out = model.forward_batch(seq, [13], mode="eval")
         assert out.data.shape == (1, 2, 2, 2)
         assert out.data.min() >= 0.0
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("MLP",))
+    def test_forward_bytes_are_pinned(self, kind):
+        model = build_model(kind, TOY_DIMS, seed=5)
+        seqs, hours = pinned_batch()
+        digests = []
+        for mode in ("train", "eval"):
+            pred = model.forward_batch(Tensor(seqs), hours, mode=mode).data
+            assert pred.dtype == np.float32 and pred.shape == (4, 2, 2, 2)
+            digests.append(hashlib.sha256(pred.tobytes()).hexdigest()[:16])
+        assert tuple(digests) == FORWARD_CHECKSUMS[kind]
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -312,7 +350,7 @@ class TestForward:
         out_a = model.forward_batch(seq, [3], mode="eval").data
         out_b = model.forward_batch(seq, [17], mode="eval").data
         assert not np.allclose(out_a, out_b)
-        model.interval.embedding.data[...] = model.interval.embedding.data[0]
+        model.head.embedding.data[...] = model.head.embedding.data[0]
         out_a2 = model.forward_batch(seq, [3], mode="eval").data
         out_b2 = model.forward_batch(seq, [17], mode="eval").data
         np.testing.assert_array_equal(out_a2, out_b2)
@@ -331,7 +369,7 @@ class TestForward:
 
         assert finite_diff_check(f, seq) < 1e-4
         tape.reset()
-        assert finite_diff_check(f, model.interval.o_mat) < 1e-4
+        assert finite_diff_check(f, model.head.o_mat) < 1e-4
 
     @pytest.mark.parametrize("kind", ["STDI", "SpatialDI", "TemporalDI", "STDIFusion",
                                       "STDIEmbedding"])
@@ -363,8 +401,8 @@ class TestBuildModel:
         interval = (64 * 50 + 64) + (256 * 50 + 256) + 64 * 1024 + 256 * 64
         assert model.parameter_count() == 3 * conv_block + lstm + interval
         assert model.lstm.input_dim == 4096 and model.lstm.hidden_dim == 1024
-        assert model.interval.o_mat.data.shape == (64, 1024)
-        assert model.interval.o_prime.data.shape == (256, 64)
+        assert model.head.o_mat.data.shape == (64, 1024)
+        assert model.head.o_prime.data.shape == (256, 64)
         assert len(model.spatial.blocks) == 3
 
     def test_unified_spatial_shares_conv_parameters(self):
@@ -381,8 +419,8 @@ class TestBuildModel:
         frozen = build_model("STDI", TOY_DIMS, seed=0)
         learned = build_model("STDIEmbedding", TOY_DIMS, seed=0)
         assert learned.parameter_count() - frozen.parameter_count() == 24 * TOY_DIMS.embed_dim
-        assert learned.interval.embedding.requires_grad
-        assert not frozen.interval.embedding.requires_grad
+        assert learned.head.embedding.requires_grad
+        assert not frozen.head.embedding.requires_grad
 
     def test_same_seed_same_parameters(self):
         a = build_model("STDI", TOY_DIMS, seed=9)
@@ -461,7 +499,7 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == MLP_CKPT_CHECKSUM
 
-    @pytest.mark.parametrize("kind", ["STDI", "SpatialFC", "STDIFusion", "STDIEmbedding"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("MLP",))
     def test_round_trip_preserves_predictions(self, kind, tmp_path):
         rng = np.random.default_rng(15)
         model = build_model(kind, TOY_DIMS, seed=11, dtype=np.float32)
@@ -485,9 +523,9 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.interval.embedding.data,
-                                      model.interval.embedding.data)
-        assert not loaded.interval.embedding.requires_grad
+        np.testing.assert_array_equal(loaded.head.embedding.data,
+                                      model.head.embedding.data)
+        assert not loaded.head.embedding.requires_grad
 
     def test_float64_model_reloads_as_float64(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -488,6 +488,25 @@ class TestShapeOps:
         np.testing.assert_array_equal(a.grad, [[2.0, 4.0], [-2.0, 1.0]])
         np.testing.assert_array_equal(b.grad, [[6.0], [-8.0]])
 
+    def test_concat_flattens_parts_of_higher_rank(self):
+        """A (B, C, H, W) part, channel-last in memory as conv outputs are,
+        fills its columns in C order, and its gradient comes back in its shape."""
+        tape = Tape()
+        a = t64([[-1.0], [-2.0]], requires_grad=True, tape=tape)
+        maps = np.arange(16.0).reshape(2, 2, 2, 2)
+        b = t64(np.ascontiguousarray(maps.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+                requires_grad=True, tape=tape)
+        assert not b.data.flags.c_contiguous
+        out = hconcat([a, b])
+        np.testing.assert_array_equal(out.data, np.concatenate([a.data, maps.reshape(2, 8)], 1))
+        tape.backward(sum_all(hadamard(out, out)))
+        np.testing.assert_array_equal(a.grad, [[-2.0], [-4.0]])
+        np.testing.assert_array_equal(b.grad, 2 * maps)
+
+    def test_concat_rejects_a_vector_part(self):
+        with pytest.raises(ShapeError, match="rank >= 2"):
+            hconcat([t64(np.zeros((2, 3))), t64(np.zeros(2))])
+
     def test_transpose_affine_smul(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(3, 4))

@@ -181,10 +181,10 @@ class TestFit:
     def test_frozen_embedding_unchanged_by_fit(self):
         train, val, _ = self.small_dataset(seed=6)
         model = build_model("STDI", TOY_DIMS, seed=6, dtype=np.float32)
-        before = model.interval.embedding.data.copy()
+        before = model.head.embedding.data.copy()
         config = TrainConfig(lr=1e-3, epochs=2, batch_size=32, patience=2, seed=2)
         model, _ = fit(model, train, val, config)
-        np.testing.assert_array_equal(model.interval.embedding.data, before)
+        np.testing.assert_array_equal(model.head.embedding.data, before)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -259,6 +259,11 @@ class TestFit:
         with pytest.raises(UsageError, match="finite" if field != "seed" else "seed"):
             TrainConfig(**{field: value})
         TrainConfig(weight_decay=0.0)
+
+    @pytest.mark.parametrize("precision", ["bogus", "float32", ""])
+    def test_unknown_precision_is_refused_when_built(self, precision):
+        with pytest.raises(UsageError, match="unknown precision"):
+            TrainConfig(precision=precision)
 
     def test_nan_parameter_is_a_divergence(self, monkeypatch):
         # The NaN entry kernel reaches the head only through batchnorm and
