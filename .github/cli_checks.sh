@@ -46,3 +46,11 @@ for kind in STDI STDIFusion UnifiedSpatial; do
         || { echo "train: two $kind runs with the same seed wrote different checkpoints"; exit 1; }
     "$@" eval --ckpt "$tmp/$kind.1.ckpt" --data "$tmp/toy.stdm"
 done
+
+# gradcheck.json is deterministic: two runs under different hash seeds write
+# the same bytes.
+for hash_seed in 1 2; do
+    PYTHONHASHSEED=$hash_seed "$@" gradcheck --seeds 1 --out "$tmp/gc.$hash_seed"
+done
+cmp "$tmp/gc.1/gradcheck.json" "$tmp/gc.2/gradcheck.json" \
+    || { echo "gradcheck: two runs under different hash seeds wrote different gradcheck.json"; exit 1; }

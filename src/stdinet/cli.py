@@ -34,7 +34,8 @@ log = logging.getLogger("stdinet")
 
 DATA_DIR_ENV = "STDI_DATA_DIR"
 
-DIM_FIELDS = ("seq_len", "channels", "lstm_hidden", "rank", "embed_dim", "fusion_dim")
+# The grid comes from the data, so every other dim is a --config key.
+DIM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelDims) if f.name not in ("rows", "cols"))
 SPLIT_FIELDS = ("test_days", "val_frac")
 
 

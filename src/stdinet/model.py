@@ -326,9 +326,12 @@ class DemandModel(Layer):
 def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD):
     """Construct any of the ten model kinds; see the module table for the mapping."""
     dims = dims or ModelDims()
-    if embedding is None:
-        embedding = generate_hour_embeddings(dims.embed_dim, seed)
-    return DemandModel(kind, dims, np.random.default_rng(seed), embedding=embedding, dtype=dtype)
+    try:
+        if embedding is None:
+            embedding = generate_hour_embeddings(dims.embed_dim, seed)
+        return DemandModel(kind, dims, np.random.default_rng(seed), embedding=embedding, dtype=dtype)
+    except MemoryError:
+        raise UsageError(f"the {kind} model of {dims} is too large to allocate") from None
 
 
 # ---------------------------------------------------------------------------

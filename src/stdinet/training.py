@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -13,6 +13,11 @@ from . import tensor as T
 from .data import windows_to_arrays
 from .errors import DivergenceError, UsageError
 from .tensor import Tape, Tensor, resolve_dtype
+
+
+# The types each TrainConfig annotation (a string here) admits, matched
+# exactly, so that a bool is no int.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,11 @@ class TrainConfig:
     precision: str = "standard"
 
     def __post_init__(self):
+        for f in fields(self):
+            value, types = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if type(value) not in types:
+                raise UsageError(f"train config: {f.name} must be "
+                                 f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         # Written so that NaN fails both tests.
         if not (0 < self.lr < math.inf and 0 <= self.weight_decay < math.inf):
             raise UsageError("lr must be finite and positive, weight_decay finite and nonnegative")

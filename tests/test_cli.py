@@ -226,6 +226,23 @@ class TestTrain:
             ckpts.append(ckpt.read_bytes())
         assert ckpts[0] == ckpts[1]
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_model_too_large_to_allocate_is_a_usage_error(self, toy_series_path, tmp_path,
+                                                          monkeypatch, caplog, command):
+        # The constructor fails as an oversized model would, with no large
+        # allocation made.
+        import stdinet.model
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(stdinet.model, "DemandModel", no_memory)
+        where = {"train": ["--model", "STDI", "--out", str(tmp_path / "m.ckpt")],
+                 "bench": ["--suite", "table1", "--out", str(tmp_path / "bench")]}[command]
+        rc = main([command, "--data", str(toy_series_path), "--seed", "0", *where,
+                   "--config", FAST + ",lstm_hidden=10000000"])
+        assert rc == 2
+        assert "too large to allocate" in caplog.text and "lstm_hidden=10000000" in caplog.text
+
     def test_unified_spatial_kind_accepted(self, toy_series_path, tmp_path):
         ckpt = tmp_path / "us.ckpt"
         rc = main(["train", "--data", str(toy_series_path), "--model", "UnifiedSpatial",
@@ -666,24 +683,32 @@ class TestGradcheck:
         assert outputs[0] == outputs[1]
         assert "lstm" in outputs[0]
 
-    def test_corrupted_backward_detected(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("op,damage", [
+        ("tanh", lambda d: 2 * d),          # generic weighted-sum cases
+        ("take_rows", lambda d: 2 * d),
+        ("conv2d", lambda d: 2 * d),
+        ("matmul", lambda d: 2 * d),        # a case of its own
+        ("tanh", lambda d: d * np.nan),     # a NaN gradient is a failure too
+    ], ids=["tanh", "take_rows", "conv2d", "matmul", "tanh-nan"])
+    def test_corrupted_backward_detected(self, capsys, monkeypatch, tmp_path, op, damage):
+        """A broken backward rule fails gradcheck: each case looks the op up
+        when it runs, so it differences the patched one."""
         import stdinet.tensor as T
 
-        original = T.tanh
+        original = getattr(T, op)
 
-        def broken_tanh(x):
-            out = np.tanh(x.data)
-            # wrong derivative: drops the 1 - tanh^2 factor
-            return T._record("tanh", (x,), out, lambda g: (g,))
+        def broken(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if out._node is not None:
+                rule = out._node.backward
+                out._node.backward = lambda g: tuple(None if d is None else damage(d)
+                                                     for d in rule(g))
+            return out
 
-        monkeypatch.setattr(T, "tanh", broken_tanh)
-        import stdinet.gradcheck
-        import stdinet.layers
-        monkeypatch.setattr(stdinet.layers.T, "tanh", broken_tanh)
+        monkeypatch.setattr(T, op, broken)
         assert main(["gradcheck", "--dims", "toy", "--seeds", "1",
                      "--out", str(tmp_path)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-        monkeypatch.setattr(T, "tanh", original)
+        assert f"FAIL  {op} " in capsys.readouterr().out
 
 
 class TestBench:

@@ -405,6 +405,17 @@ class TestBuildModel:
         assert model.head.o_prime.data.shape == (256, 64)
         assert len(model.spatial.blocks) == 3
 
+    def test_too_large_to_allocate_is_a_usage_error(self, monkeypatch):
+        # The constructor fails as an oversized model would, with no large
+        # allocation made.
+        import stdinet.model
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(stdinet.model, "DemandModel", no_memory)
+        with pytest.raises(UsageError, match=r"STDIFusion model of ModelDims\(.*fusion_dim=8"):
+            build_model("STDIFusion", TOY_DIMS)
+
     def test_unified_spatial_shares_conv_parameters(self):
         shared = build_model("UnifiedSpatial", TOY_DIMS, seed=0)
         per_index = build_model("SpatialFC", TOY_DIMS, seed=0)
@@ -629,7 +640,7 @@ class TestGradcheckCoverage:
     def test_every_recorded_op_has_a_gradcheck_case(self):
         """A train-mode step of every model records only ops gradcheck differences."""
         from stdinet.bench import MlpModel
-        from stdinet.gradcheck import COMPOSED, OPS
+        from stdinet.gradcheck import CASES
         from stdinet.training import mse_loss
 
         rng = np.random.default_rng(17)
@@ -646,4 +657,4 @@ class TestGradcheckCoverage:
             mse_loss(model.forward_batch(x, [3, 20], mode="train"), y)
             recorded |= {node.op for node in tape.nodes}
         assert {"conv2d", "batchnorm", "lstm", "take", "take_rows", "hconcat"} <= recorded
-        assert recorded - set(OPS) - set(COMPOSED) == set()
+        assert recorded - set(CASES) == set()

@@ -260,6 +260,17 @@ class TestFit:
             TrainConfig(**{field: value})
         TrainConfig(weight_decay=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", "3"), ("epochs", 3.0), ("batch_size", True), ("patience", np.int64(2)),
+        ("seed", 1.5), ("seed", None), ("lr", "0.1"), ("lr", True), ("weight_decay", None),
+        ("precision", ["standard"]), ("precision", None)])
+    def test_wrongly_typed_field_is_a_usage_error(self, field, value):
+        with pytest.raises(UsageError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_integer_rates_are_accepted(self):
+        assert TrainConfig(lr=1, weight_decay=0).lr == 1
+
     @pytest.mark.parametrize("precision", ["bogus", "float32", ""])
     def test_unknown_precision_is_refused_when_built(self, precision):
         with pytest.raises(UsageError, match="unknown precision"):
