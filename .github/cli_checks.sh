@@ -47,6 +47,17 @@ for kind in STDI STDIFusion UnifiedSpatial; do
     "$@" eval --ckpt "$tmp/$kind.1.ckpt" --data "$tmp/toy.stdm"
 done
 
+# Every benchmark method is deterministic: two `bench --suite all` runs on
+# the toy series with the same seed write the same CSV and JSON bytes.
+for run in 1 2; do
+    "$@" bench --data "$tmp/toy.stdm" --suite all --seed 3 --out "$tmp/all.$run" \
+        --config "epochs=1,patience=1,batch_size=32,test_days=2"
+done
+for ext in csv json; do
+    cmp "$tmp/all.1/bench_all.$ext" "$tmp/all.2/bench_all.$ext" \
+        || { echo "bench: two same-seed --suite all runs wrote different bench_all.$ext"; exit 1; }
+done
+
 # gradcheck.json is deterministic: two runs under different hash seeds write
 # the same bytes.
 for hash_seed in 1 2; do

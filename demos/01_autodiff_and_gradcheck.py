@@ -23,8 +23,9 @@ tape.backward(loss)
 print("loss:", loss.item())
 print("grad:", x.grad, "(expected x/2 =", x.data / 2, ")")
 
-# A tape is consumed by one backward; reset it for the next pass.
-tape.reset()
+# backward() consumed the tape: it is empty again, and only the leaf x
+# kept a gradient (prod and loss handed theirs on).
+assert tape.nodes == [] and prod.grad is None
 
 # The 3x3 convolution preserves spatial dims via zero padding.
 img = Tensor(np.ones((1, 3, 3)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .data import TEST_DAYS, VAL_FRAC, hour_table, make_windows, split_dataset, 
 from .errors import DataError, UsageError
 from .model import MODEL_KINDS, ModelDims, build_model
 from .tensor import resolve_dtype
-from .training import MetricPair, TrainConfig, compute_metrics, fit, predict_windows
+from .training import FIELD_TYPES, MetricPair, TrainConfig, compute_metrics, fit, predict_windows
 
 # RMSE/MAE reported for each method on the 2014 NYC Citi Bike benchmark,
 # shown beside reproduced numbers.  The exact station selection and grid
@@ -222,11 +222,23 @@ def MlpModel(dims, seed, dtype=T.STANDARD):
 
 @dataclass
 class BenchConfig:
+    """Benchmark settings, checked when built (dims and train check their
+    own fields): a bad field raises UsageError."""
     dims: ModelDims = field(default_factory=ModelDims)
     train: TrainConfig = field(default_factory=TrainConfig)
     test_days: int = TEST_DAYS
     val_frac: float = VAL_FRAC
     embeddings: str = "generate"    # or the path of an hour table file
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, types = getattr(self, f.name), FIELD_TYPES.get(f.type)
+            if types and type(value) not in types:
+                raise UsageError(f"bench config: {f.name} must be "
+                                 f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+        # val_frac's range is split_dataset's check.
+        if self.test_days < 1:
+            raise UsageError(f"bench config: test_days must be positive, got {self.test_days}")
 
     def digest(self):
         raw = json.dumps(asdict(self), sort_keys=True).encode()
@@ -363,9 +375,3 @@ def report_json(report):
             for row in report.rows
         ],
     }
-
-
-def write_json(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_json(report), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as D
 from .bench import (BenchConfig, SUITES, compute_metrics, per_channel_metrics, render_table,
-                    run_benchmark, write_csv, write_json)
+                    report_json, run_benchmark, write_csv)
 from .errors import DataError, DivergenceError, DomainError, UsageError
 from .gradcheck import COMPOSED_THRESHOLD, OP_THRESHOLD, run_suite
 from .model import MODEL_KINDS, ModelDims, TOY_DIMS, build_model, load_checkpoint, save_checkpoint
@@ -59,7 +59,7 @@ def _sha256(path):
 
 
 def write_manifest(path, command, config, seed, inputs, artifacts, started):
-    payload = {
+    D.write_json_artifact(path, {
         "command": command,
         "config": config,
         "seed": seed,
@@ -67,10 +67,7 @@ def write_manifest(path, command, config, seed, inputs, artifacts, started):
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_s": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def parse_overrides(text):
@@ -252,9 +249,7 @@ def cmd_eval(args):
     print(json.dumps(payload, sort_keys=True))
     artifacts = []
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        D.write_json_artifact(args.json_out, payload)
         artifacts.append(args.json_out)
         manifest_path = Path(args.json_out).with_suffix(".manifest.json")
     else:
@@ -280,11 +275,8 @@ def cmd_gradcheck(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "gradcheck.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({name: {"max_rel_err": err, "threshold": threshold}
-                   for name, (err, threshold) in results.items()},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    D.write_json_artifact(report_path, {name: {"max_rel_err": err, "threshold": threshold}
+                                        for name, (err, threshold) in results.items()})
     write_manifest(out_dir / "gradcheck.manifest.json", "gradcheck",
                    {"dims": args.dims, "seeds": args.seeds, "passed": ok},
                    None, [], [report_path], started)
@@ -304,7 +296,7 @@ def cmd_bench(args):
     csv_path = out_dir / f"bench_{args.suite}.csv"
     json_path = out_dir / f"bench_{args.suite}.json"
     write_csv(report, csv_path)
-    write_json(report, json_path)
+    D.write_json_artifact(json_path, report_json(report))
     manifest_path = out_dir / f"bench_{args.suite}.manifest.json"
     write_manifest(manifest_path, "bench",
                    {"suite": args.suite, "methods": methods,

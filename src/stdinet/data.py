@@ -755,15 +755,19 @@ def read_demand_series(path):
     return DemandSeries(start_epoch=start_epoch, interval_seconds=interval, values=values)
 
 
-def write_station_map(path, grid):
-    payload = {
-        str(sid): [grid.position[sid][0], grid.position[sid][1],
-                   grid.coords[sid][0], grid.coords[sid][1]]
-        for sid in grid.order
-    }
+def write_json_artifact(path, payload):
+    """Write a JSON artifact: one-space indent, sorted keys, a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_station_map(path, grid):
+    write_json_artifact(path, {
+        str(sid): [grid.position[sid][0], grid.position[sid][1],
+                   grid.coords[sid][0], grid.coords[sid][1]]
+        for sid in grid.order
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ class Tensor:
 
     A Tensor has no arithmetic operators: every op is a function of this
     module (``add``, ``matmul``, ``conv2d``, ...) that records itself on the
-    tape.  ``grad`` is populated (same shape as ``data``) once a backward
-    pass has run through this tensor.  It is the array the backward rule
+    tape.  ``grad`` (same shape as ``data``) is populated on leaves, the
+    tensors no recorded op produced, once a backward pass has run through
+    them; an op's output keeps none.  A grad is the array the backward rule
     returned, not a copy, so grads may share memory with one another (the
     per-gate LSTM bias grads ``b_ix[g]`` and ``b_hx[g]`` are row views of
     one array); no code writes into a ``grad`` in place.  ``tape`` links the
@@ -103,14 +104,14 @@ class Tape:
     """Ordered record of ops for one training context.
 
     Nodes are appended in execution order, which is already a topological
-    order, so the backward pass is a single reverse sweep.  A tape can be
-    consumed by exactly one backward(); reset() clears it for reuse.
+    order, so the backward pass is a single reverse sweep.  backward()
+    empties the tape as it goes; reset() drops a graph that is abandoned
+    without one.
     """
 
     def __init__(self):
         self.nodes = []
         self.recording = True
-        self._consumed = False
 
     @contextlib.contextmanager
     def paused(self):
@@ -127,31 +128,30 @@ class Tape:
 
         Each output points at its node and the node back at the output, so
         the link is cut here; reference counting then frees the step's
-        activations, gradients and backward closures at once instead of
-        leaving them to the cycle collector.
+        activations and backward closures at once instead of leaving them to
+        the cycle collector.
         """
         for node in self.nodes:
             node.output._node = None
         self.nodes.clear()
-        self._consumed = False
 
     def backward(self, loss):
-        """Populate ``grad`` on every tensor that influenced a scalar loss.
+        """Populate ``grad`` on every leaf that influenced a scalar loss.
 
-        A tensor's first gradient is stored as given, without a copy; further
-        gradients accumulate out of place, so no stored grad is ever written.
-        Calling backward twice without reset() is rejected.
+        Each node is popped as its rule runs and goes with the closure and
+        activations it held, so the sweep empties the tape.  A leaf's first
+        gradient is stored as given, without a copy; further gradients
+        accumulate out of place, so no stored grad is ever written.
         """
-        if self._consumed:
-            raise UsageError("tape already consumed by backward(); call reset() first")
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if loss.tape is not self or loss._node is None:
-            raise UsageError("loss is not recorded on this tape")
-        self._consumed = True
+            raise UsageError("loss is not recorded on this tape (or already consumed by backward())")
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            gout = node.output.grad
+        while self.nodes:
+            node = self.nodes.pop()
+            node.output._node = None
+            gout, node.output.grad = node.output.grad, None
             if gout is None:
                 continue
             grads = node.backward(gout)
@@ -753,7 +753,6 @@ def finite_diff_check(f, x):
         raise UsageError("f(x) recorded nothing; no tape reachable from the output")
     tape.backward(loss)
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    tape.reset()
 
     numeric = np.zeros_like(x.data)
     with tape.paused():

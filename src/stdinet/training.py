@@ -15,9 +15,9 @@ from .errors import DivergenceError, UsageError
 from .tensor import Tape, Tensor, resolve_dtype
 
 
-# The types each TrainConfig annotation (a string here) admits, matched
+# The types each config annotation (a string here) admits, matched
 # exactly, so that a bool is no int.
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value, types = getattr(self, f.name), _FIELD_TYPES[f.type]
+            value, types = getattr(self, f.name), FIELD_TYPES[f.type]
             if type(value) not in types:
                 raise UsageError(f"train config: {f.name} must be "
                                  f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
@@ -213,7 +213,6 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 if len(idx) < 2:
                     continue  # batchnorm cannot take a single-sample batch
                 step_start = time.perf_counter()
-                tape.reset()
                 x = Tensor(inputs[idx])
                 y = Tensor(targets[idx])
                 loss = mse_loss(model.forward_batch(x, hours[idx], mode="train"), y)
@@ -229,7 +228,6 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 stepped += len(idx)
                 step_times.append(time.perf_counter() - step_start)
             train_s = time.perf_counter() - epoch_start
-            tape.reset()
             # The loss alone can miss NaN weights: a ReLU maps NaN to zero.
             if not all(np.isfinite(p.data).all() for p in adam.params):
                 raise DivergenceError(f"non-finite parameter after epoch {epoch + 1}")

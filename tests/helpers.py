@@ -40,7 +40,6 @@ def manual_steps(model, batch, steps, lr=1e-3, weight_decay=0.0, stop_below=None
     adam = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
     losses = []
     for _ in range(steps):
-        tape.reset()
         loss = mse_loss(model.forward_batch(Tensor(inputs), hours, mode="train"),
                         Tensor(targets))
         losses.append(loss.item())

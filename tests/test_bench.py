@@ -419,3 +419,19 @@ class TestRunBenchmark:
         series = random_demand_series(250, seed=17)
         with pytest.raises(UsageError, match="at most once"):
             run_benchmark(series, ["HA", "HA"], self.config())
+
+
+class TestBenchConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("test_days", 0), ("test_days", -3), ("test_days", 2.0), ("test_days", True),
+        ("test_days", "2"), ("val_frac", "0.1"), ("val_frac", True), ("val_frac", None),
+        ("embeddings", 57), ("embeddings", None),
+    ])
+    def test_bad_field_is_a_usage_error(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            BenchConfig(**{field: value})
+
+    def test_integer_val_frac_and_a_table_path_are_accepted(self):
+        # val_frac's range is split_dataset's check, not the config's.
+        config = BenchConfig(test_days=1, val_frac=0, embeddings="hours.txt")
+        assert (config.test_days, config.val_frac, config.embeddings) == (1, 0, "hours.txt")

@@ -319,6 +319,15 @@ class TestTrain:
         assert "val_frac" in caplog.text
         assert not (tmp_path / "v.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_test_days_is_a_usage_error(self, toy_series_path, tmp_path, value,
+                                                    caplog):
+        rc = main(["train", "--data", str(toy_series_path), "--model", "TemporalFC",
+                   "--config", FAST + ",test_days=" + value, "--out", str(tmp_path / "t.ckpt")])
+        assert rc == 2
+        assert "test_days" in caplog.text
+        assert not (tmp_path / "t.ckpt").exists()
+
     @pytest.mark.parametrize("override", ["lr=inf", "lr=nan", "weight_decay=nan",
                                           "weight_decay=-0.5", "weight_decay=inf"])
     def test_rate_outside_its_range_is_a_usage_error(self, toy_series_path, tmp_path, override,
@@ -737,6 +746,16 @@ class TestBench:
                    "--config", FAST + ",epochs=1,patience=1,val_frac=1.5"])
         assert rc == 2
         assert "val_frac" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_test_days_is_a_usage_error(self, toy_series_path, tmp_path, value,
+                                                    caplog):
+        rc = main(["bench", "--data", str(toy_series_path), "--suite", "table1",
+                   "--seed", "0", "--out", str(tmp_path / "out"),
+                   "--config", FAST + ",epochs=1,patience=1,test_days=" + value])
+        assert rc == 2
+        assert "test_days" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_same_seed_identical_csv(self, toy_series_path, tmp_path):

@@ -327,7 +327,6 @@ class TestLstm:
             return sum_all(hadamard(lstm_sequence_batch(p, x), w))
 
         assert finite_diff_check(f, x) < 1e-4
-        tape.reset()
         assert finite_diff_check(f, p.w_ix["f"]) < 1e-4
 
 

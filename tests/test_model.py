@@ -31,6 +31,8 @@ F64 = np.float64
 # sha256 prefixes of every kind's named tensors (name, then raw bytes) from
 # build_model(kind, TOY_DIMS, seed=5) in float32, taken before the LSTM gates
 # were stacked; the stacked layout draws the same numbers in the same order.
+# The MLP's were taken from MlpModel(TOY_DIMS, seed=5), which draws the same
+# weights, while each model still listed its tensor names by hand.
 INIT_CHECKSUMS = {
     "STDI": "1bec59b869ed17e1",
     "SpatialFC": "8accc426db9f51cd",
@@ -41,11 +43,13 @@ INIT_CHECKSUMS = {
     "STDIFusion": "39f3c8310eb033fe",
     "UnifiedSpatial": "94eed7d26f11f60b",
     "STDIEmbedding": "1bec59b869ed17e1",
+    "MLP": "0a29f889763a8e21",
 }
 
 # sha256 prefixes of the whole save_checkpoint file of build_model(kind,
 # TOY_DIMS, seed=5) in float32, taken before the writer walked
-# named_arrays(): the manifest, the entry order and every stored byte.
+# named_arrays(): the manifest, the entry order and every stored byte.  The
+# MLP's was taken as its INIT_CHECKSUMS entry was.
 CKPT_CHECKSUMS = {
     "STDI": "b21a4efccfc0bfc4",
     "SpatialFC": "3837bba5081b53c0",
@@ -56,12 +60,8 @@ CKPT_CHECKSUMS = {
     "STDIFusion": "56ca2a3c8a12b6ce",
     "UnifiedSpatial": "d689ecb10857a20a",
     "STDIEmbedding": "fce922642c5d0d45",
+    "MLP": "ed289538b1e3ce0e",
 }
-
-# The same two pins for MlpModel(TOY_DIMS, seed=5) in float32, taken while
-# each model still listed its tensor names by hand.
-MLP_INIT_CHECKSUM = "0a29f889763a8e21"
-MLP_CKPT_CHECKSUM = "ed289538b1e3ce0e"
 
 # sha256 prefixes of forward_batch's float32 output for build_model(kind,
 # TOY_DIMS, seed=5) of all ten kinds on pinned_batch() (the MLP's taken from
@@ -368,7 +368,6 @@ class TestForward:
             return mean_all(hadamard(d, d))
 
         assert finite_diff_check(f, seq) < 1e-4
-        tape.reset()
         assert finite_diff_check(f, model.head.o_mat) < 1e-4
 
     @pytest.mark.parametrize("kind", ["STDI", "SpatialDI", "TemporalDI", "STDIFusion",
@@ -442,7 +441,7 @@ class TestBuildModel:
 
 
 class TestStackedLstm:
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("MLP",))
     def test_initialization_matches_per_gate_draws(self, kind):
         assert tensors_digest(build_model(kind, TOY_DIMS, seed=5)) == INIT_CHECKSUMS[kind]
 
@@ -497,18 +496,11 @@ class TestSnapshot:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("MLP",))
     def test_checkpoint_bytes_are_pinned(self, kind, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, build_model(kind, TOY_DIMS, seed=5))
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == CKPT_CHECKSUMS[kind]
-
-    def test_mlp_tensors_and_checkpoint_bytes_are_pinned(self, tmp_path):
-        model = MlpModel(TOY_DIMS, seed=5)
-        assert tensors_digest(model) == MLP_INIT_CHECKSUM
-        path = tmp_path / "mlp.ckpt"
-        save_checkpoint(path, model)
-        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == MLP_CKPT_CHECKSUM
 
     @pytest.mark.parametrize("kind", MODEL_KINDS + ("MLP",))
     def test_round_trip_preserves_predictions(self, kind, tmp_path):

@@ -581,7 +581,6 @@ class TestFiniteDiff:
         ]
         for f in cases:
             assert finite_diff_check(f, x) < 1e-5
-            tape.reset()
 
 
 class TestDeterminism:

@@ -38,7 +38,6 @@ class TestMseLoss:
         tape.backward(mse_loss(pred, target))
         expected = 2.0 * (pred.data - target.data) / pred.data.size
         np.testing.assert_allclose(pred.grad, expected, atol=1e-12)
-        tape.reset()
         assert finite_diff_check(lambda v: mse_loss(v, target), pred) < 1e-6
 
     def test_shape_mismatch(self):
@@ -299,43 +298,76 @@ class TestGraphRelease:
         x = Tensor(np.ones((4, 4)), dtype=F64, requires_grad=True, tape=tape)
         mid = tanh(hadamard(x, x))
         probe = weakref.ref(mid)
-        loss = sum_all(mid)
-        tape.backward(loss)
-        del mid, loss
+        sum_all(mid)
+        del mid
         gc.disable()
         try:
             tape.reset()
             assert probe() is None
         finally:
             gc.enable()
-        assert x.grad is not None
+        assert x.grad is None
+
+    def test_backward_frees_intermediates_as_it_sweeps(self):
+        """No reset and no cycle collector: the sweep itself drops each node,
+        its closure and the activations the closure saved."""
+        tape = Tape()
+        x = Tensor(np.ones((4, 4)), dtype=F64, requires_grad=True, tape=tape)
+        mid = tanh(hadamard(x, x))
+        probe = weakref.ref(mid)
+        loss = sum_all(mid)
+        del mid
+        gc.disable()
+        try:
+            tape.backward(loss)
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert tape.nodes == []
+        assert loss.grad is None and loss._node is None
+        np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(1.0) ** 2))
 
 
 class TestGradientHandOff:
     """``Tape.backward`` stores each first gradient without copying it."""
 
     @staticmethod
-    def stdi_step(seed=0):
-        """Forward and backward of one STDI training step at toy dims."""
+    def stdi_loss(seed=0):
+        """Forward of one STDI training step at toy dims, recorded on a tape."""
         model = build_model("STDI", TOY_DIMS, seed=seed)
         tape = Tape()
         model.attach_tape(tape)
         inputs, hours, targets = copy_task_windows(n=6, seed=seed)
         loss = mse_loss(model.forward_batch(Tensor(inputs, tape=tape), hours, mode="train"),
                         Tensor(targets))
+        return model, tape, loss
+
+    @classmethod
+    def stdi_step(cls, seed=0):
+        """Forward and backward of one STDI training step at toy dims."""
+        model, tape, loss = cls.stdi_loss(seed)
         tape.backward(loss)
         return model, tape
 
     def test_no_grad_shares_memory_with_any_data(self):
-        model, tape = self.stdi_step()
-        tensors = {id(p): p for p in model.parameters()}
+        model, tape, loss = self.stdi_loss()
+        params = {id(p): p for p in model.parameters()}
+        tensors = dict(params)
+        outputs = []
         for node in tape.nodes:
-            for t in node.inputs + (node.output,):
+            for t in node.inputs:
                 tensors[id(t)] = t
+            outputs.append(node.output)
+        tape.backward(loss)
+        # The sweep consumes the tape, and only leaves keep a gradient.
+        assert tape.nodes == []
+        assert all(t.grad is None and t._node is None for t in outputs)
         grads = [t.grad for t in tensors.values() if t.grad is not None]
-        assert len(grads) > len(model.parameters())
+        assert len(grads) == len(params)
         for g in grads:
             for t in tensors.values():
+                assert not np.shares_memory(g, t.data)
+            for t in outputs:
                 assert not np.shares_memory(g, t.data)
         # Grads may share memory with one another: both LSTM bias grads of a
         # gate are row views of the one bias gradient of the fused op.
