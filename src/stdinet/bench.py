@@ -220,6 +220,10 @@ def MlpModel(dims, seed, dtype=T.STANDARD):
 # benchmark runner
 
 
+# TrainConfig's type table with the two nested configs beside it.
+_FIELD_TYPES = {**FIELD_TYPES, "ModelDims": (ModelDims,), "TrainConfig": (TrainConfig,)}
+
+
 @dataclass
 class BenchConfig:
     """Benchmark settings, checked when built (dims and train check their
@@ -232,8 +236,8 @@ class BenchConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value, types = getattr(self, f.name), FIELD_TYPES.get(f.type)
-            if types and type(value) not in types:
+            value, types = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if type(value) not in types:
                 raise UsageError(f"bench config: {f.name} must be "
                                  f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
         # val_frac's range is split_dataset's check.

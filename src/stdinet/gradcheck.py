@@ -47,12 +47,6 @@ def _weighted(op, *shapes, out, targets=1, offsets=None):
     return case
 
 
-def _matmul(rng, tape, dims):
-    x = _t(rng, (3, 4), tape)
-    y = _t(rng, (4, 2), tape, requires_grad=False)
-    return (lambda v: T.sum_all(T.matmul(x, y))), [x]
-
-
 def _mean(rng, tape, dims):
     x = _t(rng, (3, 4), tape)
     w = _t(rng, (3, 4), tape, requires_grad=False)
@@ -143,9 +137,10 @@ CASES = {
     "sigmoid": (_weighted(lambda x: T.sigmoid(x), (3, 4), out=(3, 4), offsets=[0.1]),
                 OP_THRESHOLD),
     "tanh": (_weighted(lambda x: T.tanh(x), (3, 4), out=(3, 4), offsets=[0.1]), OP_THRESHOLD),
-    "matmul": (_matmul, OP_THRESHOLD),
     "affine": (_weighted(lambda x, wt, b: T.affine(x, wt, b), (5, 4), (3, 4), (3,), out=(5, 3),
                          targets=2), OP_THRESHOLD),
+    "affine_no_bias": (_weighted(lambda x, wt: T.affine(x, wt), (5, 4), (3, 4), out=(5, 3),
+                                 targets=2), OP_THRESHOLD),
     # A batch of 2 on a non-square map, so that a swapped H/W or channel
     # axis in the channel-last backward fails it.
     "conv2d": (_weighted(lambda x, k, b: T.conv2d(x, k, b), (2, 2, 3, 5), (3, 2, 3, 3), (3,),
@@ -155,7 +150,6 @@ CASES = {
                             (4, 2, 3, 3), (2,), (2,), out=(4, 2, 3, 3), targets=2,
                             offsets=[0.0, 1.0, 0.0]), OP_THRESHOLD),
     "reshape": (_weighted(lambda x: T.reshape(x, (3, 4)), (2, 6), out=(3, 4)), OP_THRESHOLD),
-    "transpose": (_weighted(lambda x: T.transpose(x), (3, 4), out=(4, 3)), OP_THRESHOLD),
     # Parts of distinct values, each differenced in turn, so that a gradient
     # routed to the wrong part fails it; the last part is flattened to its 4
     # columns.

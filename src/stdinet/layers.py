@@ -150,8 +150,6 @@ class ConvBlock(Layer):
         self.resunits = [ResUnit(channels, rng, dtype) for _ in range(2)]
 
     def forward(self, m, mode):
-        if m.data.shape[-3] != 2:
-            raise ShapeError(f"conv block expects 2 input channels, got shape {m.data.shape}")
         h = T.relu(self.entry.forward(m))
         for unit in self.resunits:
             h = unit.forward(h, mode)

@@ -174,23 +174,21 @@ class IntervalNet(Layer):
         v = T.take_rows(self.embedding, hour_index(hours))
         return T.leaky_relu(self.lin_w.forward(v)), T.leaky_relu(self.lin_b.forward(v))
 
-    def _weigh(self, feats, w):
-        """Row b of (B, feat) feats through W_b = O' diag(w_b) O, as
-        O' @ (w_b * (O @ f_b)), so no per-sample W is materialized."""
-        u = T.matmul(feats, T.transpose(self.o_mat))
-        return T.matmul(T.hadamard(u, w), T.transpose(self.o_prime))
+    def _scaled(self, feats, w):
+        """w_b * (O @ f_b) per row, so no per-sample W_b = O' diag(w_b) O is formed."""
+        return T.hadamard(T.affine(feats, self.o_mat), w)
 
     def apply_batch(self, feats, hours):
         """W_h f + b(V_h) for each row of feats and its hour h."""
         w, b_fc = self._hour_terms(hours)
-        return T.add(self._weigh(feats, w), b_fc)
+        return T.add(T.affine(self._scaled(feats, w), self.o_prime), b_fc)
 
     def generate(self, hour):
-        """Weights (k, feat) and bias (k,) for one hour, kept on the tape:
-        the batched head applied to the identity, one row per feature."""
+        """Weights (k, feat) and bias (k,) for one hour, kept on the tape: the
+        head's two projections of the identity, the last with operands swapped."""
         w, b_rows = self._hour_terms(np.full(self.feat_dim, hour))
         eye = Tensor(np.eye(self.feat_dim, dtype=self.o_mat.data.dtype))
-        return T.transpose(self._weigh(eye, w)), T.take(b_rows, 0)
+        return T.affine(self.o_prime, self._scaled(eye, w)), T.take(b_rows, 0)
 
     def parts(self):
         return [("embedding", self.embedding), ("lin_w", self.lin_w), ("lin_b", self.lin_b),

@@ -46,7 +46,7 @@ class Tensor:
     """An n-dimensional float array, optionally tracked for gradients.
 
     A Tensor has no arithmetic operators: every op is a function of this
-    module (``add``, ``matmul``, ``conv2d``, ...) that records itself on the
+    module (``add``, ``affine``, ``conv2d``, ...) that records itself on the
     tape.  ``grad`` (same shape as ``data``) is populated on leaves, the
     tensors no recorded op produced, once a backward pass has run through
     them; an op's output keeps none.  A grad is the array the backward rule
@@ -267,45 +267,31 @@ def tanh(x):
 # linear algebra
 
 
-def matmul(a, b):
-    """Matrix product of 2-d tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-d operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.data.shape} x {b.data.shape}")
-    _common_dtype((a, b), "matmul")
-    ad, bd = a.data, b.data
-    return _record("matmul", (a, b), ad @ bd, lambda g: (g @ bd.T, ad.T @ g))
-
-
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d tensor, got {a.data.shape}")
-    return _record("transpose", (a,), a.data.T.copy(), lambda g: (g.T,))
-
-
-def affine(x, w, b):
+def affine(x, w, b=None):
     """``x @ w.T + b`` for a vector or a batch of row vectors.
 
-    ``w`` is (out, in), ``b`` is (out,).  A 1-d ``x`` of length `in` yields a
-    1-d output; a 2-d ``x`` of shape (batch, in) yields (batch, out) with the
-    bias broadcast over rows.
+    ``w`` is (out, in), ``b`` is (out,) or ``None``, then the node records
+    only (x, w).  A 1-d ``x`` of length `in` yields a 1-d output; a 2-d ``x``
+    of shape (batch, in) yields (batch, out) with the bias broadcast over rows.
     """
-    if w.data.ndim != 2 or b.data.ndim != 1 or w.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"affine: weight {w.data.shape} and bias {b.data.shape} inconsistent")
+    bias_shape = None if b is None else b.data.shape
+    if w.data.ndim != 2 or bias_shape not in (None, w.data.shape[:1]):
+        raise ShapeError(f"affine: weight {w.data.shape} and bias {bias_shape} inconsistent")
     if x.data.ndim not in (1, 2) or x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"affine: input {x.data.shape} does not match weight {w.data.shape}")
-    _common_dtype((x, w, b), "affine")
+    inputs = (x, w) if b is None else (x, w, b)
+    _common_dtype(inputs, "affine")
     xd, wd = x.data, w.data
-    out = xd @ wd.T + b.data
+    out = xd @ wd.T if b is None else xd @ wd.T + b.data
     # A vector is a batch of one row; its weight gradient is a K=1 GEMM.
     x2 = xd.reshape(-1, wd.shape[1])
 
     def backward(g):
         g2 = g.reshape(-1, wd.shape[0])
-        return g @ wd, g2.T @ x2, g2.sum(axis=0)
+        grads = (g @ wd, g2.T @ x2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
 
-    return _record("affine", (x, w, b), out, backward)
+    return _record("affine", inputs, out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,7 @@ class TestBenchConfig:
         ("test_days", 0), ("test_days", -3), ("test_days", 2.0), ("test_days", True),
         ("test_days", "2"), ("val_frac", "0.1"), ("val_frac", True), ("val_frac", None),
         ("embeddings", 57), ("embeddings", None),
+        ("dims", None), ("dims", {}), ("train", None), ("train", {}),
     ])
     def test_bad_field_is_a_usage_error(self, field, value):
         with pytest.raises(UsageError, match=field):

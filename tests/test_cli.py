@@ -696,9 +696,9 @@ class TestGradcheck:
         ("tanh", lambda d: 2 * d),          # generic weighted-sum cases
         ("take_rows", lambda d: 2 * d),
         ("conv2d", lambda d: 2 * d),
-        ("matmul", lambda d: 2 * d),        # a case of its own
+        ("affine", lambda d: 2 * d),        # with and without a bias
         ("tanh", lambda d: d * np.nan),     # a NaN gradient is a failure too
-    ], ids=["tanh", "take_rows", "conv2d", "matmul", "tanh-nan"])
+    ], ids=["tanh", "take_rows", "conv2d", "affine", "tanh-nan"])
     def test_corrupted_backward_detected(self, capsys, monkeypatch, tmp_path, op, damage):
         """A broken backward rule fails gradcheck: each case looks the op up
         when it runs, so it differences the patched one."""

@@ -305,6 +305,23 @@ class TestIntervalNet:
             assert t.grad is not None and np.linalg.norm(t.grad) > 1e-12
         assert net.embedding.grad is None  # frozen table
 
+    def test_head_records_two_affines(self):
+        """No kind's train-mode forward records matmul or transpose; the head
+        (a trainable hour table's, so take_rows records too) is the two hour
+        maps, then the two projections, then the bias."""
+        rng = np.random.default_rng(11)
+        ops = {}
+        for kind in MODEL_KINDS:
+            tape = Tape()
+            model = toy_model(kind, seed=3)
+            model.attach_tape(tape)
+            model.forward_batch(Tensor(toy_window(rng, batch=2), dtype=F64), [3, 20], mode="train")
+            ops[kind] = [node.op for node in tape.nodes]
+            assert not {"matmul", "transpose"} & set(ops[kind]), kind
+        assert ops["STDIEmbedding"][-11:] == [
+            "take_rows", "affine", "leaky_relu", "affine", "leaky_relu",
+            "affine", "hadamard", "affine", "add", "relu", "reshape"]
+
 
 class TestForward:
     @pytest.mark.parametrize("kind", MODEL_KINDS)

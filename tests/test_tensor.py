@@ -25,7 +25,6 @@ from stdinet.tensor import (
     hadamard,
     hconcat,
     leaky_relu,
-    matmul,
     mean_all,
     relu,
     reshape,
@@ -35,7 +34,6 @@ from stdinet.tensor import (
     take,
     take_rows,
     tanh,
-    transpose,
 )
 
 
@@ -135,28 +133,42 @@ class TestElementwise:
 
 
 class TestMatmul:
+    """The matrix product is ``affine`` without a bias: x @ w.T."""
+
     def test_identity(self):
         b = t64(np.arange(9.0).reshape(3, 3))
-        out = matmul(t64(np.eye(3)), b)
-        np.testing.assert_array_equal(out.data, b.data)
+        out = affine(t64(np.eye(3)), b)
+        np.testing.assert_array_equal(out.data, b.data.T)
 
     def test_hand_product(self):
-        out = matmul(t64([[1.0, 2.0], [3.0, 4.0]]), t64([[1.0], [1.0]]))
+        out = affine(t64([[1.0, 2.0], [3.0, 4.0]]), t64([[1.0, 1.0]]))
         assert out.data.tolist() == [[3.0], [7.0]]
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
+            affine(t64(np.ones((2, 3))), t64(np.ones((3, 2))))
 
     def test_grad_of_sum_is_colsum_broadcast(self):
-        # d/da sum(a @ b) has every row equal to the column sums of b.
+        # d/dx sum(x @ w.T) has every row equal to the row sums of w.T,
+        # and d/dw every row equal to the column sums of x.
         rng = np.random.default_rng(7)
         tape = Tape()
-        a = t64(rng.normal(size=(3, 4)), requires_grad=True, tape=tape)
-        b = t64(rng.normal(size=(4, 5)))
-        tape.backward(sum_all(matmul(a, b)))
-        expected = np.tile(b.data.sum(axis=1), (3, 1))
-        np.testing.assert_allclose(a.grad, expected, atol=1e-12)
+        x = t64(rng.normal(size=(3, 4)), requires_grad=True, tape=tape)
+        w = t64(rng.normal(size=(5, 4)), requires_grad=True, tape=tape)
+        tape.backward(sum_all(affine(x, w)))
+        np.testing.assert_allclose(x.grad, np.tile(w.data.sum(axis=0), (3, 1)), atol=1e-12)
+        np.testing.assert_allclose(w.grad, np.tile(x.data.sum(axis=0), (5, 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [STANDARD, VERIFICATION])
+    def test_bias_free_is_the_plain_product(self, dtype):
+        """The output is x @ w.T bit for bit, and the node records only (x, w)."""
+        rng = np.random.default_rng(8)
+        tape = Tape()
+        x = Tensor(rng.normal(size=(6, 37)).astype(dtype), requires_grad=True, tape=tape)
+        w = Tensor(rng.normal(size=(53, 37)).astype(dtype), requires_grad=True, tape=tape)
+        out = affine(x, w)
+        assert out.data.tobytes() == (x.data @ w.data.T).tobytes()
+        assert out._node.inputs == (x, w) and len(out._node.backward(np.ones_like(out.data))) == 2
 
 
 class TestConv2d:
@@ -449,7 +461,7 @@ class TestBackward:
         rng = np.random.default_rng(30)
         tape = Tape()
         x = t64(rng.normal(size=(3, 3)), requires_grad=True, tape=tape)
-        y = matmul(relu(x), tanh(x))
+        y = affine(relu(x), tanh(x))
         sum_all(add(y, y))
         produced = set()
         leaves = {id(x)}
@@ -516,7 +528,6 @@ class TestShapeOps:
         np.testing.assert_allclose(out.data, w @ x + b, atol=1e-14)
         out2 = affine(t64(np.stack([x, x])), t64(w), t64(b))
         np.testing.assert_allclose(out2.data[0], w @ x + b, atol=1e-14)
-        np.testing.assert_array_equal(transpose(t64(w)).data, w.T)
 
     @pytest.mark.parametrize("dtype", [STANDARD, VERIFICATION])
     def test_vector_affine_is_a_one_row_batch(self, dtype):
@@ -569,14 +580,14 @@ class TestFiniteDiff:
         tape = Tape()
         x = t64(rng.normal(size=(3, 4)) + 0.1, requires_grad=True, tape=tape)
         y = t64(rng.normal(size=(3, 4)))
-        w = t64(rng.normal(size=(4, 2)))
+        w = t64(rng.normal(size=(2, 4)))
 
         cases = [
             lambda v: sum_all(hadamard(relu(v), y)),
             lambda v: sum_all(hadamard(leaky_relu(v), y)),
             lambda v: sum_all(hadamard(sigmoid(v), y)),
             lambda v: sum_all(hadamard(tanh(v), y)),
-            lambda v: sum_all(matmul(v, w)),
+            lambda v: sum_all(affine(v, w)),
             lambda v: mean_all(hadamard(sub(v, y), sub(v, y))),
         ]
         for f in cases:
