@@ -10,6 +10,7 @@ identical runs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -58,11 +59,50 @@ def _sha256(path):
     return h.hexdigest()
 
 
+# OpenBLAS queries by symbol: numpy 2 wheels bundle scipy-openblas, older
+# wheels an OpenBLAS with 64-bit ints, and both suffix their symbols 64_.
+BLAS_QUERIES = {
+    "core": (ctypes.c_char_p, ("scipy_openblas_get_corename64_", "openblas_get_corename64_")),
+    "threads": (ctypes.c_int, ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")),
+}
+
+
+def _numpy_blas():
+    """A handle on numpy's linear-algebra extension, through which its BLAS's
+    symbols resolve, or None."""
+    from numpy.linalg import _umath_linalg
+    try:
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+
+
+def blas_info(lib=None):
+    """The OpenBLAS core name and thread count of numpy's BLAS.
+
+    Float32 results after a GEMM are byte-identical only under one BLAS
+    kernel, so a run's manifest names it.  Each value is ``"unknown"``
+    when ``lib`` (by default numpy's own) exports none of its functions.
+    """
+    lib = _numpy_blas() if lib is None else lib
+    info = {}
+    for key, (restype, names) in BLAS_QUERIES.items():
+        query = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+        if query is None:
+            info[key] = "unknown"
+            continue
+        query.restype = restype
+        value = query()
+        info[key] = value.decode() if isinstance(value, bytes) else value
+    return info
+
+
 def write_manifest(path, command, config, seed, inputs, artifacts, started):
     D.write_json_artifact(path, {
         "command": command,
         "config": config,
         "seed": seed,
+        "blas": blas_info(),
         "input_digests": {str(p): _sha256(p) for p in inputs if Path(p).is_file()},
         "artifacts": [str(a) for a in artifacts],
         "wall_clock_s": round(time.time() - started, 3),

@@ -53,6 +53,30 @@ def _mean(rng, tape, dims):
     return (lambda v: T.mean_all(T.hadamard(x, w))), [x]
 
 
+def _channel_last_batchnorm(mode):
+    """The batchnorm case on a channel-last input, as every conv output is:
+    a (B, C, H, W) view of (B, H, W, C) memory, so the forward runs on the
+    flat view.  A conv after it, as in a ResUnit, hands back a channel-last
+    gradient, so the train backward runs on the flat view too.  Eval mode
+    normalizes by drawn running statistics."""
+    def case(rng, tape, dims):
+        x = Tensor(rng.normal(size=(4, 3, 5, 2)).transpose(0, 3, 1, 2), dtype=F64,
+                   requires_grad=True, tape=tape)
+        gamma, beta = _t(rng, (2,), tape, offset=1.0), _t(rng, (2,), tape)
+        state = BnState(2, dtype=F64)
+        state.running_mean[:] = rng.normal(size=2)
+        state.running_var[:] = rng.uniform(0.5, 2.0, size=2)
+        k = _t(rng, (2, 2, 3, 3), tape, requires_grad=False)
+        kb = _t(rng, (2,), tape, requires_grad=False)
+        w = _t(rng, (4, 2, 3, 5), tape, requires_grad=False)
+
+        def f(v):
+            return _weighted_sum(T.conv2d(T.batchnorm(x, gamma, beta, state, mode), k, kb), w)
+
+        return f, [x, gamma, beta]
+    return case
+
+
 def _residual(rng, tape, dims):
     unit = ResUnit(2, rng, dtype=F64)
     unit.attach_tape(tape)
@@ -149,6 +173,8 @@ CASES = {
     "batchnorm": (_weighted(lambda x, g, b: T.batchnorm(x, g, b, BnState(2, dtype=F64), "train"),
                             (4, 2, 3, 3), (2,), (2,), out=(4, 2, 3, 3), targets=2,
                             offsets=[0.0, 1.0, 0.0]), OP_THRESHOLD),
+    "batchnorm_channel_last": (_channel_last_batchnorm("train"), OP_THRESHOLD),
+    "batchnorm_channel_last_eval": (_channel_last_batchnorm("eval"), OP_THRESHOLD),
     "reshape": (_weighted(lambda x: T.reshape(x, (3, 4)), (2, 6), out=(3, 4)), OP_THRESHOLD),
     # Parts of distinct values, each differenced in turn, so that a gradient
     # routed to the wrong part fails it; the last part is flattened to its 4

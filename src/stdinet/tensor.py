@@ -230,8 +230,16 @@ def hadamard(a, b):
 
 
 def relu(x):
-    mask = x.data > 0  # subgradient 0 at the kink
-    return _record("relu", (x,), np.where(mask, x.data, x.data.dtype.type(0)), lambda g: (g * mask,))
+    """max(x, 0), with NaN and -0.0 mapped to 0.0 and subgradient 0 at the kink.
+
+    ``fmax(x, 0)`` takes the 0 over a NaN, and adding 0 turns -0.0 into 0.0,
+    so the output is that of ``np.where(x > 0, x, 0)`` in two unmasked
+    passes.  The backward rule builds its mask ``x > 0`` only when it runs.
+    """
+    xd = x.data
+    out = np.fmax(xd, 0)
+    out += 0
+    return _record("relu", (x,), out, lambda g: (g * (xd > 0),))
 
 
 def leaky_relu(x):
@@ -242,15 +250,19 @@ def leaky_relu(x):
 
 
 def _sigmoid(d):
-    # exp(-|d|) never overflows.  Below zero the result is e / (1 + e) with
-    # e = exp(d), from zero up it is 1 / (1 + exp(-d)): each sign's formula,
-    # so the values are the ones of splitting the array by sign, without the
-    # masked gathers.  min(d, -d) is -|d| that keeps a NaN's sign.
+    """The logistic function, each sign by its own overflow-free formula.
+
+    With e = exp(-|d|), which never overflows, the result below zero is
+    e / (1 + e) and from zero up 1 / (1 + e): the values of splitting the
+    array by sign, without masked gathers or a masked divide.  As e <= 1,
+    the larger of e and ``d >= 0`` is the numerator of both formulas (1
+    from zero up, e below); it is taken in place, and the quotient is
+    written over 1 + e.  min(d, -d) is -|d| that keeps a NaN's sign.
+    """
     e = np.exp(np.minimum(d, -d))
     t = 1.0 + e
-    out = np.divide(e, t, out=np.empty_like(d))
-    np.divide(1.0, t, out=out, where=d >= 0)
-    return out
+    np.maximum(e, d >= 0, out=e)
+    return np.divide(e, t, out=t)
 
 
 def sigmoid(x):
@@ -653,11 +665,49 @@ class BnState:
         self.running_var = np.ones(channels, dtype=dtype)
 
 
+class _Channels:
+    """A (B, C, H, W) array in the form its per-channel passes run on.
+
+    On channel-last memory, which is every conv output, ``rows`` is the
+    array's (B*H, W*C) view and ``vec`` tiles a (C,) vector W times to
+    match it, so each elementwise pass runs over long contiguous rows
+    instead of C-wide inner loops.  Any other layout, or ``flat=False``,
+    keeps the array and broadcasts each vector as (1, C, 1, 1).  The
+    operations are the same in both forms, so are the values.
+    """
+
+    def __init__(self, a, flat=True):
+        t = a.transpose(0, 2, 3, 1)
+        self.flat = flat and t.flags.c_contiguous
+        self.shape = t.shape
+        self.rows = t.reshape(t.shape[0] * t.shape[1], t.shape[2] * t.shape[3]) if self.flat else a
+
+    def vec(self, v):
+        if not self.flat:
+            return v[None, :, None, None]
+        tiled = np.empty(self.shape[2:], dtype=v.dtype)
+        tiled[...] = v
+        return tiled.reshape(-1)
+
+    def nchw(self, r):
+        """A result in the form of ``rows`` as a (B, C, H, W) array."""
+        return r.reshape(self.shape).transpose(0, 3, 1, 2) if self.flat else r
+
+
 def batchnorm(x, gamma, beta, state, mode):
     """Per-channel batch normalization over a (B, C, H, W) tensor.
 
     Train mode normalizes by batch statistics (needs B >= 2) and updates the
     running stats with momentum; eval mode normalizes by the running stats.
+
+    The elementwise passes, ``(x - mean) * inv_std`` then ``* gamma + beta``
+    in the forward and ``dxhat`` and ``dx`` in the train backward, run in
+    place on one new buffer each, in the form of ``_Channels``: on the
+    (B*H, W*C) view of a channel-last input with W-tiled channel vectors,
+    else broadcast.  The backward takes the flat form only when the output
+    gradient is channel-last too.  The per-channel reductions (mean, var
+    and the backward's four sums) stay on the (B, C, H, W) arrays, so their
+    summation order is that of the broadcast formula, and so are the bits.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"batchnorm: mode must be 'train' or 'eval', got {mode!r}")
@@ -687,21 +737,30 @@ def batchnorm(x, gamma, beta, state, mode):
         var = state.running_var.astype(xd.dtype)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gd[None, :, None, None] * xhat + bd[None, :, None, None]
+    xs = _Channels(xd)
+    xhat_rows = np.subtract(xs.rows, xs.vec(mean))
+    xhat_rows *= xs.vec(inv_std)
+    out = xhat_rows * xs.vec(gd)
+    out += xs.vec(bd)
+    xhat = xs.nchw(xhat_rows)
 
     if mode == "train":
         def backward(g):
             dgamma = (g * xhat).sum(axis=(0, 2, 3))
             dbeta = g.sum(axis=(0, 2, 3))
-            dxhat = g * gd[None, :, None, None]
+            gs = _Channels(g, xs.flat)
+            dxhat = gs.rows * gs.vec(gd)
             # Differentiate through the batch mean and variance.
-            s1 = dxhat.sum(axis=(0, 2, 3))
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-            dx = (inv_std[None, :, None, None] / n) * (
-                n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
-            )
-            return dx, dgamma, dbeta
+            s1 = gs.nchw(dxhat).sum(axis=(0, 2, 3))
+            s2 = (gs.nchw(dxhat) * xhat).sum(axis=(0, 2, 3))
+            dx = np.multiply(dxhat, n, out=dxhat)
+            dx -= gs.vec(s1)
+            # In the broadcast form dx and xhat may be laid out differently; a
+            # new result takes the layout numpy picks, as the formula's did.
+            dx = np.subtract(dx, (xhat_rows if gs.flat else xhat) * gs.vec(s2),
+                             out=dx if gs.flat else None)
+            dx *= gs.vec(inv_std / n)
+            return gs.nchw(dx), dgamma, dbeta
     else:
         def backward(g):
             dgamma = (g * xhat).sum(axis=(0, 2, 3))
@@ -709,7 +768,7 @@ def batchnorm(x, gamma, beta, state, mode):
             dx = g * (gd * inv_std)[None, :, None, None]
             return dx, dgamma, dbeta
 
-    return _record("batchnorm", (x, gamma, beta), out, backward)
+    return _record("batchnorm", (x, gamma, beta), xs.nchw(out), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from helpers import rewrite_manifest
 
 import stdinet
 import stdinet.cli
-from stdinet.cli import main, parse_overrides, resolve_path
+from stdinet.cli import blas_info, main, parse_overrides, resolve_path, write_manifest
 from stdinet.model import build_model
 from stdinet.data import random_demand_series, read_demand_series, write_demand_series
 
@@ -790,6 +790,32 @@ class TestPlumbing:
 
     def test_usage_error_exit_code(self):
         assert main(["bench", "--data", "/nonexistent.stdm", "--suite", "table1"]) == 3
+
+
+def blas_query(value):
+    """A stand-in for a ctypes function: callable, with a settable restype."""
+    def query():
+        return value
+    return query
+
+
+class TestManifestBlas:
+    @pytest.mark.parametrize("prefix", ["scipy_openblas", "openblas"])
+    def test_names_the_core_and_thread_count(self, prefix):
+        lib = SimpleNamespace(**{f"{prefix}_get_corename64_": blas_query(b"Haswell"),
+                                 f"{prefix}_get_num_threads64_": blas_query(3)})
+        assert blas_info(lib) == {"core": "Haswell", "threads": 3}
+
+    def test_unknown_without_the_functions(self):
+        assert blas_info(SimpleNamespace()) == {"core": "unknown", "threads": "unknown"}
+
+    def test_written_by_every_manifest(self, tmp_path):
+        import time
+        write_manifest(tmp_path / "m.json", "gradcheck", {}, 0, [], [], time.time())
+        blas = json.loads((tmp_path / "m.json").read_text())["blas"]
+        assert blas == blas_info()
+        assert isinstance(blas["core"], str) and blas["core"]
+        assert blas["threads"] == "unknown" or blas["threads"] >= 1
 
 
 # Toy model dims and one short epoch: no drawn --config value trains beyond these.

@@ -85,6 +85,38 @@ def two_branch_sigmoid(d):
     return out
 
 
+def broadcast_batchnorm(x, gamma, beta, running, mode, g):
+    """batchnorm as it was written, every per-channel vector broadcast as
+    (1, C, 1, 1); ``running`` is (mean, var), updated in place in train
+    mode.  Returns the output and the gradients (dx, dgamma, dbeta) for
+    the output gradient ``g``."""
+    eps = x.dtype.type(1e-5)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    if mode == "train":
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        running[0][:] = 0.9 * running[0] + 0.1 * mean
+        running[1][:] = 0.9 * running[1] + 0.1 * (var * (n / (n - 1)))
+    else:
+        mean, var = running[0].astype(x.dtype), running[1].astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    dgamma, dbeta = (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+    if mode == "eval":
+        return out, (g * (gamma * inv_std)[None, :, None, None], dgamma, dbeta)
+    dxhat = g * gamma[None, :, None, None]
+    s1, s2 = dxhat.sum(axis=(0, 2, 3)), (dxhat * xhat).sum(axis=(0, 2, 3))
+    dx = (inv_std[None, :, None, None] / n) * (
+        n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None])
+    return out, (dx, dgamma, dbeta)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape, memory layout and bytes, NaN payloads included."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
+
+
 def t64(data, requires_grad=False, tape=None):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad, tape=tape)
 
@@ -114,6 +146,21 @@ class TestElementwise:
         got = sigmoid(Tensor(d)).data
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bit_identical_to_masked_formula(self, dtype):
+        rng = np.random.default_rng(6)
+        tiny = np.finfo(dtype).smallest_subnormal
+        edges = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny, -3 * tiny]
+        x = np.concatenate([rng.normal(size=100_000 - len(edges)), edges]).astype(dtype)
+        # A channel-last view, as a conv output is: the output keeps its layout.
+        x = rng.permutation(x).reshape(10, 20, 25, 20).transpose(0, 3, 1, 2)
+        g = rng.normal(size=x.shape).astype(dtype)
+        tape = Tape()
+        out = relu(Tensor(x, requires_grad=True, tape=tape))
+        assert same_bits(out.data, np.where(x > 0, x, dtype(0)))
+        (dx,) = tape.nodes[-1].backward(g)
+        assert same_bits(dx, g * (x > 0))
 
     def test_leaky_relu_definition(self):
         out = leaky_relu(t64([-2.0, 3.0]))
@@ -382,6 +429,39 @@ class TestBatchnorm:
 
         assert finite_diff_check(f, x) < 1e-5
         assert finite_diff_check(f, gamma) < 1e-5
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("channel_last", [True, False])
+    def test_bit_identical_to_broadcast_formula(self, dtype, mode, channel_last):
+        """The output, running statistics and all three gradients, on a
+        channel-last view (with a channel-last gradient, so the backward
+        runs on the flat view too) and on a C-contiguous array."""
+        rng = np.random.default_rng(8)
+
+        def draw(shape):
+            if not channel_last:
+                return rng.normal(size=shape).astype(dtype)
+            b, c, h, w = shape
+            return rng.normal(size=(b, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+
+        x, g = draw((6, 5, 4, 7)) * 3 + 1, draw((6, 5, 4, 7))
+        gamma, beta = rng.normal(size=5).astype(dtype), rng.normal(size=5).astype(dtype)
+        state = BnState(5, dtype=dtype)
+        state.running_mean[:] = rng.normal(size=5)
+        state.running_var[:] = rng.uniform(0.5, 2.0, size=5)
+        running = (state.running_mean.copy(), state.running_var.copy())
+        want, want_grads = broadcast_batchnorm(x, gamma, beta, running, mode, g)
+
+        tape = Tape()
+        params = [Tensor(a, requires_grad=True, tape=tape) for a in (x, gamma, beta)]
+        out = batchnorm(*params, state, mode)
+        assert same_bits(out.data, want)
+        assert same_bits(state.running_mean, running[0])
+        assert same_bits(state.running_var, running[1])
+        for got, ref in zip(tape.nodes[-1].backward(g), want_grads):
+            assert same_bits(got, ref)
 
 
 class TestReshape:
