@@ -176,8 +176,9 @@ def embeddings_spec(text):
 def cmd_ingest(args):
     started = time.time()
     rows, cols = parse_grid(args.grid)
-    if args.interval < 1:
-        raise UsageError(f"bad --interval {args.interval}; expected a positive number of seconds")
+    if not 1 <= args.interval <= D.MAX_INTERVAL:
+        raise UsageError(f"bad --interval {args.interval}; expected 1 to {D.MAX_INTERVAL} seconds, "
+                         "the range of the series header's interval field")
     if args.stations not in (None, rows * cols):
         raise UsageError(f"bad --stations {args.stations}; grid {args.grid} needs {rows * cols}")
     trip_paths = [resolve_path(p) for p in args.trips]
@@ -218,12 +219,12 @@ def cmd_train(args):
 
     if args.model not in MODEL_KINDS:
         raise UsageError(f"unknown model kind {args.model!r}; valid kinds: {', '.join(MODEL_KINDS)}")
+    # The series must fill the windows before a model of their length is built.
+    windows = D.make_windows(series, dims.seq_len)
+    train_w, val_w, _ = D.split_dataset(windows, config.test_days, config.val_frac)
     embedding = D.hour_table(config.embeddings, dims.embed_dim, seed)
     model = build_model(args.model, dims, seed=seed, embedding=embedding,
                         dtype=resolve_dtype(config.train.precision))
-
-    windows = D.make_windows(series, dims.seq_len)
-    train_w, val_w, _ = D.split_dataset(windows, config.test_days, config.val_frac)
     log.info("training %s on %d windows (%d validation)", args.model, len(train_w), len(val_w))
     out = Path(args.out)
     log_path = out.with_name(out.name + ".log.jsonl")

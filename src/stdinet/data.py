@@ -569,7 +569,8 @@ def build_demand_series(trips, grid, t0, t1, interval=3600):
 
     A trip's start and stop are binned independently by their own timestamps;
     events outside [t0, t1) or at unselected stations are excluded and show
-    up in the audit counters.
+    up in the audit counters.  A span whose series cannot be allocated is a
+    DataError: one trip dated far from the rest stretches it.
     """
     if t0 % interval or t1 % interval or t0 >= t1:
         raise UsageError(f"[{t0}, {t1}) must be aligned to the {interval}s interval")
@@ -578,7 +579,7 @@ def build_demand_series(trips, grid, t0, t1, interval=3600):
     audit = Counter()
     order = np.asarray(grid.order, dtype=np.int64)
     by_id = np.argsort(order)
-    counts = []
+    slots = []
     for kind, epoch, sid in (("starts", trips["start"], trips["start_station"]),
                              ("stops", trips["stop"], trips["end_station"])):
         in_range = (epoch >= t0) & (epoch < t1)
@@ -589,9 +590,15 @@ def build_demand_series(trips, grid, t0, t1, interval=3600):
         audit += Counter({f"out_of_range_{kind}": len(epoch) - n_range,
                           f"unselected_station_{kind}": n_range - n_counted,
                           f"accepted_{kind}": n_counted})
-        slot = (epoch[counted] - t0) // interval * cells + cell[counted]
-        counts.append(np.bincount(slot, minlength=length * cells).reshape(length, cells))
-    values = np.stack(counts, axis=1).reshape(length, 2, grid.rows, grid.cols).astype(np.float32)
+        slots.append((epoch[counted] - t0) // interval * cells + cell[counted])
+    try:
+        counts = [np.bincount(slot, minlength=length * cells).reshape(length, cells)
+                  for slot in slots]
+        values = np.stack(counts, axis=1).reshape(length, 2, grid.rows, grid.cols)
+        values = values.astype(np.float32)
+    except MemoryError:
+        raise DataError(f"the trips span {length} intervals of {interval}s, from epoch {t0} "
+                        f"to {t1}: too many to allocate their series") from None
     return DemandSeries(start_epoch=t0, interval_seconds=interval, values=values), audit
 
 
@@ -722,6 +729,8 @@ def hour_table(spec, dim, seed=0):
 SERIES_MAGIC = b"STDM"
 SERIES_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIqI")
+# The header stores the interval in seconds as a u32.
+MAX_INTERVAL = 2**32 - 1
 
 
 def write_demand_series(path, series):

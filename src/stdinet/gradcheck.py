@@ -57,8 +57,8 @@ def _channel_last_batchnorm(mode):
     """The batchnorm case on a channel-last input, as every conv output is:
     a (B, C, H, W) view of (B, H, W, C) memory, so the forward runs on the
     flat view.  A conv after it, as in a ResUnit, hands back a channel-last
-    gradient, so the train backward runs on the flat view too.  Eval mode
-    normalizes by drawn running statistics."""
+    gradient, which the backward takes with broadcast channel vectors.
+    Eval mode normalizes by drawn running statistics."""
     def case(rng, tape, dims):
         x = Tensor(rng.normal(size=(4, 3, 5, 2)).transpose(0, 3, 1, 2), dtype=F64,
                    requires_grad=True, tape=tape)
@@ -182,8 +182,8 @@ CASES = {
     "hconcat": (_weighted(lambda *parts: T.hconcat(parts), (3, 1), (3, 2), (3, 3), (3, 2, 2),
                           out=(3, 10), targets=4), OP_THRESHOLD),
     "take": (_weighted(lambda x: T.take(x, 1, axis=1), (2, 3, 4), out=(2, 4)), OP_THRESHOLD),
-    # A repeated row index makes take_rows accumulate.
-    "take_rows": (_weighted(lambda x: T.take_rows(x, [4, 0, 4, 2]), (5, 3), out=(4, 3)),
+    # Rows gathered by an index array; the repeated one makes take accumulate.
+    "take_rows": (_weighted(lambda x: T.take(x, [4, 0, 4, 2]), (5, 3), out=(4, 3)),
                   OP_THRESHOLD),
     "mean": (_mean, OP_THRESHOLD),
     "res_unit": (_residual, COMPOSED_THRESHOLD),

@@ -171,7 +171,7 @@ class IntervalNet(Layer):
 
     def _hour_terms(self, hours):
         """w(V) (B, rank) and b(V) (B, output) for each row's hour label."""
-        v = T.take_rows(self.embedding, hour_index(hours))
+        v = T.take(self.embedding, hour_index(hours))
         return T.leaky_relu(self.lin_w.forward(v)), T.leaky_relu(self.lin_b.forward(v))
 
     def _scaled(self, feats, w):
@@ -206,7 +206,7 @@ class FusionHead(Layer):
         self.out = LinearLayer(feat_dim + dims.fusion_dim, dims.output_dim, rng, dtype)
 
     def apply_batch(self, feats, hours):
-        e = T.leaky_relu(self.lin.forward(T.take_rows(self.embedding, hour_index(hours))))
+        e = T.leaky_relu(self.lin.forward(T.take(self.embedding, hour_index(hours))))
         return self.out.forward(T.hconcat([feats, e]))
 
     def parts(self):

@@ -338,37 +338,22 @@ def hconcat(parts):
 
 
 def take(x, index, axis=0):
-    """Select one slice along an axis (drops that axis)."""
-    index = int(index)
-    if not (0 <= index < x.data.shape[axis]):
-        raise ShapeError(f"take: index {index} out of range for axis {axis} of {x.data.shape}")
+    """Select along an axis: an int index drops the axis, a 1-d int array
+    keeps it, and repeated indices accumulate gradient."""
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.ndim > 1 or ((idx < 0) | (idx >= x.data.shape[axis])).any():
+        raise ShapeError(f"take: index {index!r} is not an int or a 1-d array in range "
+                         f"for axis {axis} of {x.data.shape}")
     shape = x.data.shape
-    sel = (slice(None),) * axis + (index,)
+    sel = (slice(None),) * axis + (idx,)
 
     def backward(g):
         z = np.zeros(shape, dtype=g.dtype)
-        z[sel] = g
+        np.add.at(z, sel, g)
         return (z,)
 
     # np.take returns a new C-contiguous array, so the output owns its data.
-    return _record("take", (x,), np.take(x.data, index, axis=axis), backward)
-
-
-def take_rows(x, indices):
-    """Gather rows of a 2-d tensor; repeated indices accumulate gradient."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_rows: expected 2-d tensor, got {x.data.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or (idx < 0).any() or (idx >= x.data.shape[0]).any():
-        raise ShapeError(f"take_rows: bad indices for table of {x.data.shape[0]} rows")
-    shape = x.data.shape
-
-    def backward(g):
-        z = np.zeros(shape, dtype=g.dtype)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _record("take_rows", (x,), x.data[idx], backward)
+    return _record("take", (x,), np.take(x.data, idx, axis=axis), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -666,19 +651,19 @@ class BnState:
 
 
 class _Channels:
-    """A (B, C, H, W) array in the form its per-channel passes run on.
+    """A (B, C, H, W) array in the form the forward's per-channel passes run on.
 
     On channel-last memory, which is every conv output, ``rows`` is the
     array's (B*H, W*C) view and ``vec`` tiles a (C,) vector W times to
     match it, so each elementwise pass runs over long contiguous rows
-    instead of C-wide inner loops.  Any other layout, or ``flat=False``,
-    keeps the array and broadcasts each vector as (1, C, 1, 1).  The
-    operations are the same in both forms, so are the values.
+    instead of C-wide inner loops.  Any other layout keeps the array and
+    broadcasts each vector as (1, C, 1, 1).  The operations are the same in
+    both forms, so are the values.
     """
 
-    def __init__(self, a, flat=True):
+    def __init__(self, a):
         t = a.transpose(0, 2, 3, 1)
-        self.flat = flat and t.flags.c_contiguous
+        self.flat = t.flags.c_contiguous
         self.shape = t.shape
         self.rows = t.reshape(t.shape[0] * t.shape[1], t.shape[2] * t.shape[3]) if self.flat else a
 
@@ -700,14 +685,16 @@ def batchnorm(x, gamma, beta, state, mode):
     Train mode normalizes by batch statistics (needs B >= 2) and updates the
     running stats with momentum; eval mode normalizes by the running stats.
 
-    The elementwise passes, ``(x - mean) * inv_std`` then ``* gamma + beta``
-    in the forward and ``dxhat`` and ``dx`` in the train backward, run in
-    place on one new buffer each, in the form of ``_Channels``: on the
-    (B*H, W*C) view of a channel-last input with W-tiled channel vectors,
-    else broadcast.  The backward takes the flat form only when the output
-    gradient is channel-last too.  The per-channel reductions (mean, var
-    and the backward's four sums) stay on the (B, C, H, W) arrays, so their
-    summation order is that of the broadcast formula, and so are the bits.
+    The forward's elementwise passes, ``x - mean`` then ``* inv_std`` and
+    ``* gamma + beta``, run in place on one new buffer each, in the form of
+    ``_Channels``: on the (B*H, W*C) view of a channel-last input with
+    W-tiled channel vectors, else broadcast.  Train mode squares the
+    centered rows for the batch variance, so the input is centered once.
+    The backward broadcasts the channel vectors over the (B, C, H, W)
+    gradient, whatever its layout.  The per-channel reductions (mean, var
+    and the backward's four sums) run on (B, C, H, W) arrays, so their
+    summation order is that of the broadcast formula and ``np.var``, and so
+    are the bits.
     """
     if mode not in ("train", "eval"):
         raise UsageError(f"batchnorm: mode must be 'train' or 'eval', got {mode!r}")
@@ -724,49 +711,42 @@ def batchnorm(x, gamma, beta, state, mode):
     gd, bd = gamma.data, beta.data
     eps = xd.dtype.type(state.eps)
     n = xd.shape[0] * xd.shape[2] * xd.shape[3]
+    axes = (0, 2, 3)
+    xs = _Channels(xd)
 
+    mean = xd.mean(axis=axes) if mode == "train" else state.running_mean.astype(xd.dtype)
+    xhat_rows = np.subtract(xs.rows, xs.vec(mean))
     if mode == "train":
-        mean = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))  # biased, used for normalization
+        var = xs.nchw(np.square(xhat_rows)).sum(axis=axes) / n  # biased, used for normalization
         m = state.momentum
         unbiased = var * (n / (n - 1))
         state.running_mean[:] = (1 - m) * state.running_mean + m * mean
         state.running_var[:] = (1 - m) * state.running_var + m * unbiased
     else:
-        mean = state.running_mean.astype(xd.dtype)
         var = state.running_var.astype(xd.dtype)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xs = _Channels(xd)
-    xhat_rows = np.subtract(xs.rows, xs.vec(mean))
     xhat_rows *= xs.vec(inv_std)
     out = xhat_rows * xs.vec(gd)
     out += xs.vec(bd)
     xhat = xs.nchw(xhat_rows)
 
-    if mode == "train":
-        def backward(g):
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
-            gs = _Channels(g, xs.flat)
-            dxhat = gs.rows * gs.vec(gd)
-            # Differentiate through the batch mean and variance.
-            s1 = gs.nchw(dxhat).sum(axis=(0, 2, 3))
-            s2 = (gs.nchw(dxhat) * xhat).sum(axis=(0, 2, 3))
-            dx = np.multiply(dxhat, n, out=dxhat)
-            dx -= gs.vec(s1)
-            # In the broadcast form dx and xhat may be laid out differently; a
-            # new result takes the layout numpy picks, as the formula's did.
-            dx = np.subtract(dx, (xhat_rows if gs.flat else xhat) * gs.vec(s2),
-                             out=dx if gs.flat else None)
-            dx *= gs.vec(inv_std / n)
-            return gs.nchw(dx), dgamma, dbeta
-    else:
-        def backward(g):
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
-            dx = g * (gd * inv_std)[None, :, None, None]
-            return dx, dgamma, dbeta
+    def backward(g):
+        dgamma = (g * xhat).sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        if mode == "eval":
+            return g * (gd * inv_std)[None, :, None, None], dgamma, dbeta
+        # Differentiate through the batch mean and variance.
+        dxhat = g * gd[None, :, None, None]
+        s1 = dxhat.sum(axis=axes)
+        s2 = (dxhat * xhat).sum(axis=axes)
+        dx = np.multiply(dxhat, n, out=dxhat)
+        dx -= s1[None, :, None, None]
+        # Not in place: when dx and xhat are laid out differently, a new
+        # result takes the layout numpy picks, as the formula's did.
+        dx = dx - xhat * s2[None, :, None, None]
+        dx *= (inv_std / n)[None, :, None, None]
+        return dx, dgamma, dbeta
 
     return _record("batchnorm", (x, gamma, beta), xs.nchw(out), backward)
 

@@ -195,6 +195,52 @@ class TestIngest:
         assert "--interval" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("interval", ["4294967296", "5000000000000000000",
+                                          "100000000000000000000"])
+    def test_interval_beyond_the_header_field_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                               interval, caplog):
+        """The series header stores the interval as a u32; a longer one is
+        refused, naming the range, before any trip is read."""
+        def no_parse(paths):
+            raise AssertionError("trip files parsed before --interval was checked")
+
+        monkeypatch.setattr(stdinet.cli.D, "parse_trip_files", no_parse)
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(Path(__file__).parent / "data" / "trips_small.csv"),
+                     "--out", str(out), "--grid", "1x2", "--interval", interval]) == 2
+        assert f"bad --interval {interval}; expected 1 to 4294967295 seconds" in caplog.text
+        assert not out.exists()
+
+    def test_largest_interval_is_written(self, tmp_path):
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(Path(__file__).parent / "data" / "trips_small.csv"),
+                     "--out", str(out), "--grid", "1x2", "--interval", "4294967295"]) == 0
+        series = read_demand_series(out)
+        assert (series.interval_seconds, series.length) == (4294967295, 1)
+
+    def test_span_too_large_to_allocate_is_a_data_error(self, tmp_path, monkeypatch, caplog):
+        """One trip dated 9999-12-31 stretches the hourly series over some 70
+        million intervals.  Counting them fails as an oversized allocation
+        would, with no large allocation made, and ingest exits 3 naming the
+        span."""
+        fixture = Path(__file__).parent / "data" / "trips_small.csv"
+        trips = tmp_path / "far.csv"
+        trips.write_bytes(fixture.read_bytes().replace(
+            b'"2014-04-01 09:59:00","2014-04-01 10:01:00"',
+            b'"9999-12-31 09:59:00","9999-12-31 10:01:00"'))
+        bincount = np.bincount
+
+        def bounded_bincount(x, weights=None, minlength=0):
+            if minlength > 1 << 20:
+                raise MemoryError
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", bounded_bincount)
+        out = tmp_path / "series.stdm"
+        assert main(["ingest", "--trips", str(trips), "--out", str(out), "--grid", "1x2"]) == 3
+        assert "the trips span 70001650 intervals of 3600s" in caplog.text
+        assert not out.exists()
+
 
 class TestTrain:
     def test_checkpoint_round_trip_eval(self, toy_series_path, tmp_path, capsys):
@@ -309,6 +355,21 @@ class TestTrain:
         assert rc == 2
         assert override.split("=")[0] in caplog.text
         assert not (tmp_path / "c.ckpt").exists()
+
+    def test_windows_longer_than_the_series_exit_before_the_model_is_built(
+            self, toy_series_path, tmp_path, monkeypatch, caplog):
+        """A seq_len the series cannot fill is a data error, found before a
+        model with that many conv blocks is built."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("model built before the windows were made")
+
+        monkeypatch.setattr(stdinet.cli, "build_model", no_build)
+        rc = main(["train", "--data", str(toy_series_path), "--model", "STDI",
+                   "--config", FAST + ",seq_len=100000000000000000000",
+                   "--out", str(tmp_path / "w.ckpt")])
+        assert rc == 3
+        assert "cannot fill windows of length 100000000000000000000" in caplog.text
+        assert not (tmp_path / "w.ckpt").exists()
 
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1"])
     def test_val_frac_outside_unit_interval_is_a_usage_error(self, toy_series_path, tmp_path,
@@ -692,16 +753,16 @@ class TestGradcheck:
         assert outputs[0] == outputs[1]
         assert "lstm" in outputs[0]
 
-    @pytest.mark.parametrize("op,damage", [
-        ("tanh", lambda d: 2 * d),          # generic weighted-sum cases
-        ("take_rows", lambda d: 2 * d),
-        ("conv2d", lambda d: 2 * d),
-        ("affine", lambda d: 2 * d),        # with and without a bias
-        ("tanh", lambda d: d * np.nan),     # a NaN gradient is a failure too
+    @pytest.mark.parametrize("op,case,damage", [
+        ("tanh", "tanh", lambda d: 2 * d),          # generic weighted-sum cases
+        ("take", "take_rows", lambda d: 2 * d),     # the index-array case
+        ("conv2d", "conv2d", lambda d: 2 * d),
+        ("affine", "affine", lambda d: 2 * d),      # with and without a bias
+        ("tanh", "tanh", lambda d: d * np.nan),     # a NaN gradient is a failure too
     ], ids=["tanh", "take_rows", "conv2d", "affine", "tanh-nan"])
-    def test_corrupted_backward_detected(self, capsys, monkeypatch, tmp_path, op, damage):
-        """A broken backward rule fails gradcheck: each case looks the op up
-        when it runs, so it differences the patched one."""
+    def test_corrupted_backward_detected(self, capsys, monkeypatch, tmp_path, op, case, damage):
+        """A broken backward rule fails gradcheck in the case named: each
+        case looks its op up when it runs, so it differences the patched one."""
         import stdinet.tensor as T
 
         original = getattr(T, op)
@@ -717,7 +778,7 @@ class TestGradcheck:
         monkeypatch.setattr(T, op, broken)
         assert main(["gradcheck", "--dims", "toy", "--seeds", "1",
                      "--out", str(tmp_path)]) == 1
-        assert f"FAIL  {op} " in capsys.readouterr().out
+        assert f"FAIL  {case} " in capsys.readouterr().out
 
 
 class TestBench:

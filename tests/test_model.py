@@ -307,7 +307,7 @@ class TestIntervalNet:
 
     def test_head_records_two_affines(self):
         """No kind's train-mode forward records matmul or transpose; the head
-        (a trainable hour table's, so take_rows records too) is the two hour
+        (a trainable hour table's, so its take records too) is the two hour
         maps, then the two projections, then the bias."""
         rng = np.random.default_rng(11)
         ops = {}
@@ -319,7 +319,7 @@ class TestIntervalNet:
             ops[kind] = [node.op for node in tape.nodes]
             assert not {"matmul", "transpose"} & set(ops[kind]), kind
         assert ops["STDIEmbedding"][-11:] == [
-            "take_rows", "affine", "leaky_relu", "affine", "leaky_relu",
+            "take", "affine", "leaky_relu", "affine", "leaky_relu",
             "affine", "hadamard", "affine", "add", "relu", "reshape"]
 
 
@@ -665,5 +665,5 @@ class TestGradcheckCoverage:
             y = Tensor(rng.random((2, 2, d.rows, d.cols)).astype(np.float32))
             mse_loss(model.forward_batch(x, [3, 20], mode="train"), y)
             recorded |= {node.op for node in tape.nodes}
-        assert {"conv2d", "batchnorm", "lstm", "take", "take_rows", "hconcat"} <= recorded
+        assert {"conv2d", "batchnorm", "lstm", "take", "hconcat"} <= recorded
         assert recorded - set(CASES) == set()

@@ -32,7 +32,6 @@ from stdinet.tensor import (
     sub,
     sum_all,
     take,
-    take_rows,
     tanh,
 )
 
@@ -436,8 +435,8 @@ class TestBatchnorm:
     @pytest.mark.parametrize("channel_last", [True, False])
     def test_bit_identical_to_broadcast_formula(self, dtype, mode, channel_last):
         """The output, running statistics and all three gradients, on a
-        channel-last view (with a channel-last gradient, so the backward
-        runs on the flat view too) and on a C-contiguous array."""
+        channel-last view (with a channel-last gradient, whose layout dx
+        keeps) and on a C-contiguous array."""
         rng = np.random.default_rng(8)
 
         def draw(shape):
@@ -566,9 +565,14 @@ class TestShapeOps:
     def test_take_rows_repeated_indices_accumulate(self):
         tape = Tape()
         table = t64(np.arange(8.0).reshape(4, 2), requires_grad=True, tape=tape)
-        out = take_rows(table, [1, 1, 3])
+        out = take(table, [1, 1, 3])
         tape.backward(sum_all(out))
         np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("index", [[[0]], 4, -1, [0, 4]])
+    def test_take_rejects_a_2d_or_out_of_range_index(self, index):
+        with pytest.raises(ShapeError, match="take: index"):
+            take(t64(np.zeros((4, 2))), index)
 
     def test_concat_splits_gradient(self):
         tape = Tape()
