@@ -47,6 +47,27 @@ for kind in STDI STDIFusion UnifiedSpatial; do
     "$@" eval --ckpt "$tmp/$kind.1.ckpt" --data "$tmp/toy.stdm"
 done
 
+# Damaged checkpoints fail fast with exit code 3: data cut short by 40 bytes,
+# a header whose manifest length (0xF0000000) runs past the file, and a
+# manifest whose seq_len (1000000) asks for a million conv blocks.
+python -c 'import json, sys
+src, tmp = sys.argv[1:]
+raw = open(src, "rb").read()
+mlen = int.from_bytes(raw[8:12], "little")
+manifest = json.loads(raw[12:12 + mlen])
+manifest["dims"]["seq_len"] = 1000000
+payload = json.dumps(manifest).encode()
+damaged = {"short": raw[:-40],
+           "mlen": raw[:8] + (0xF0000000).to_bytes(4, "little") + raw[12:],
+           "seq_len": raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + mlen:]}
+for name, data in damaged.items():
+    open(f"{tmp}/{name}.ckpt", "wb").write(data)' "$tmp/STDI.1.ckpt" "$tmp"
+for bad in short mlen seq_len; do
+    rc=0
+    timeout 60 "$@" eval --ckpt "$tmp/$bad.ckpt" --data "$tmp/toy.stdm" || rc=$?
+    [ "$rc" -eq 3 ] || { echo "eval: the $bad checkpoint exited $rc, not 3"; exit 1; }
+done
+
 # Every benchmark method is deterministic: two `bench --suite all` runs on
 # the toy series with the same seed write the same CSV and JSON bytes.
 for run in 1 2; do

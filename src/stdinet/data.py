@@ -16,6 +16,7 @@ import calendar
 import csv
 import io
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -756,12 +757,15 @@ def read_demand_series(path):
             raise DataError(f"{path}: unsupported series version {version}")
         if rows < 1 or cols < 1:
             raise DataError(f"{path}: the series grid is {rows}x{cols}, which has no cells")
-        blob = fh.read()
-    expected = length * 2 * rows * cols * 4
-    if len(blob) != expected:
-        raise DataError(f"{path}: expected {expected} data bytes, found {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f4").reshape(length, 2, rows, cols).copy()
-    return DemandSeries(start_epoch=start_epoch, interval_seconds=interval, values=values)
+        count = length * 2 * rows * cols
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != 4 * count:
+            raise DataError(f"{path}: expected {4 * count} data bytes, found {found}")
+        values = np.fromfile(fh, dtype="<f4", count=count)
+    if values.size != count:
+        raise DataError(f"{path}: the counts end after {values.size} of {count} values")
+    return DemandSeries(start_epoch=start_epoch, interval_seconds=interval,
+                        values=values.reshape(length, 2, rows, cols))
 
 
 def write_json_artifact(path, payload):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -337,44 +336,41 @@ def build_model(kind, dims=None, seed=0, embedding=None, dtype=T.STANDARD):
 
 CKPT_MAGIC = b"STDC"
 CKPT_VERSION = 1
-
-
 _CKPT_DTYPES = {"float32": "<f4", "float64": "<f8"}
+
+
+def _layout(model):
+    """The checkpoint layout: (entry, array) for each of ``named_arrays()``, in order.
+
+    An entry is the array's name, shape, stored dtype (``<f4`` or ``<f8``,
+    the model's precision), byte offset into the data and byte count; the
+    arrays lie end to end from offset 0.  The writer stores these entries,
+    and the reader accepts a manifest only if it lists exactly them.
+    """
+    stored = _CKPT_DTYPES[np.dtype(model.dtype).name]
+    offset = 0
+    for name, arr in model.named_arrays():
+        yield {"name": name, "shape": list(arr.shape), "dtype": stored,
+               "offset": offset, "nbytes": arr.nbytes}, arr
+        offset += arr.nbytes
 
 
 def save_checkpoint(path, model, extra=None):
     """Write a manifest plus raw little-endian parameter data.
 
-    The manifest records every tensor's name, shape, dtype and byte offset,
-    the model kind, dims and precision, plus batchnorm running statistics so
-    that a reloaded model evaluates identically.  Data is stored at the
-    model's precision: float32 (``<f4``) or float64 (``<f8``).
+    The manifest records the model kind, dims and precision, and the
+    ``_layout`` entries, each marked ``trainable`` or not; the data holds
+    every parameter and batchnorm running statistic, so that a reloaded
+    model evaluates identically.  Data is stored at the model's precision:
+    float32 (``<f4``) or float64 (``<f8``).
     """
-    dtype_name = np.dtype(model.dtype).name
-    stored = _CKPT_DTYPES[dtype_name]
-    entries = []
-    # The arrays already are contiguous at the stored precision, so each
-    # "as stored" array is a view and nothing is copied before the writes.
-    views = []
-    offset = 0
     trainable = {n for n, p in model.named_tensors() if p.requires_grad}
-    for name, arr in model.named_arrays():
-        view = np.ascontiguousarray(arr, dtype=stored)
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": stored,
-            "offset": offset,
-            "nbytes": view.nbytes,
-            "trainable": name in trainable,
-        })
-        views.append(view)
-        offset += view.nbytes
+    layout = list(_layout(model))
     manifest = {
         "kind": model.kind,
         "dims": asdict(model.dims),
-        "dtype": dtype_name,
-        "entries": entries,
+        "dtype": np.dtype(model.dtype).name,
+        "entries": [{**entry, "trainable": entry["name"] in trainable} for entry, _ in layout],
         "extra": extra or {},
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -382,8 +378,9 @@ def save_checkpoint(path, model, extra=None):
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(payload)))
         fh.write(payload)
-        for view in views:
-            fh.write(view)
+        for entry, arr in layout:
+            # A view on a little-endian host: nothing is copied before the write.
+            fh.write(np.ascontiguousarray(arr, dtype=entry["dtype"]))
 
 
 def load_checkpoint(path):
@@ -391,10 +388,11 @@ def load_checkpoint(path):
 
     The model gets the precision the manifest records; a manifest written
     before the precision was recorded loads as float32.  No weight is drawn:
-    the model's arrays are allocated empty and each entry's bytes are read
-    straight into its parameter's array (or batchnorm statistic).  The whole
-    manifest is checked against the model and the data size first, so a
-    damaged file raises DataError before any tensor byte is read.
+    the model's arrays are allocated empty and read in ``_layout`` order,
+    each straight into its parameter's array (or batchnorm statistic).  The
+    manifest must list the ``_layout`` entries of its kind, dims and
+    precision, and the data must end where they do, so a damaged file
+    raises DataError before any tensor byte is read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -406,31 +404,33 @@ def load_checkpoint(path):
         version, mlen = struct.unpack("<II", header)
         if version != CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
+        data_size = os.fstat(fh.fileno()).st_size - fh.tell() - mlen
+        if data_size < 0:
+            raise DataError(f"{path}: the header gives a {mlen}-byte manifest, "
+                            "longer than the rest of the file; the file is truncated")
         try:
             manifest = json.loads(fh.read(mlen).decode("utf-8"))
         except ValueError as exc:
             raise DataError(f"{path}: unreadable checkpoint manifest ({exc})") from None
-        data_start = fh.tell()
-        data_size = os.fstat(fh.fileno()).st_size - data_start
-        model, extra, targets = _checked_skeleton(path, manifest, data_size)
-        for start, nbytes, dtype, name, arr in sorted(targets, key=lambda t: t[0]):
-            fh.seek(data_start + start)
-            # An entry stored at another precision is read whole, then cast.
-            into = arr if dtype == arr.dtype else np.empty(arr.shape, dtype=dtype)
+        model, extra, layout = _checked_skeleton(path, manifest, data_size)
+        for entry, arr in layout:
+            # Only a host whose byte order is not the file's reads through a buffer.
+            into = arr if arr.dtype == entry["dtype"] else np.empty(arr.shape, entry["dtype"])
             got = fh.readinto(into)
-            if got != nbytes:
-                raise DataError(f"{path}: entry {name} ends after {got} of its {nbytes} bytes; "
-                                "the file is truncated")
+            if got != entry["nbytes"]:
+                raise DataError(f"{path}: entry {entry['name']} ends after {got} of its "
+                                f"{entry['nbytes']} bytes; the file is truncated")
             if into is not arr:
                 arr[...] = into
     return model, extra
 
 
 def _checked_skeleton(path, manifest, data_size):
-    """(model skeleton, extra, read targets) for a manifest that passes every check.
+    """(model skeleton, extra, layout) for a manifest that passes every check.
 
-    A read target is (offset, nbytes, dtype, name, array) for each of the
-    model's parameter arrays and batchnorm statistics.
+    The skeleton is the model of the manifest's kind, dims and precision, and
+    the manifest's entries must be its ``_layout`` entries, compared as JSON
+    so that ``1.0`` or ``true`` does not pass for ``1``.
     """
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: the checkpoint manifest is not a JSON object")
@@ -450,57 +450,30 @@ def _checked_skeleton(path, manifest, data_size):
     entries, extra = manifest.get("entries"), manifest.get("extra", {})
     if not isinstance(entries, list) or not isinstance(extra, dict):
         raise DataError(f"{path}: the checkpoint manifest needs an entries list and an extra object")
-    index = {}
-    spans = []
-    for i, e in enumerate(entries):
-        name, shape, dtype, start, nbytes = _manifest_entry(path, i, e)
-        spans.append((start, nbytes, name))
-        if start + nbytes > data_size:
-            raise DataError(f"{path}: entry {name} needs bytes {start}..{start + nbytes} "
-                            f"but the data is {data_size} bytes; the file is truncated")
-        if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
-            raise DataError(f"{path}: entry {name} has {nbytes} bytes "
-                            f"for shape {shape} of {dtype}")
-        index[name] = (start, nbytes, np.dtype(dtype), tuple(shape))
+    # Each per-index conv block stores arrays of its own, so more blocks than
+    # entries cannot match; refusing them here spares building them.
+    if _KINDS[kind][0] == "index" and dims.seq_len > len(entries):
+        raise DataError(f"{path}: seq_len {dims.seq_len} needs more conv blocks than "
+                        f"the manifest's {len(entries)} entries hold")
 
     try:
         model = DemandModel(kind, dims, None, dtype=np.dtype(dtype_name).type)
     except MemoryError:
         raise DataError(f"{path}: the checkpoint's model dims are too large to allocate") from None
-    targets = []
-    for name, arr in model.named_arrays():
-        if name not in index:
-            raise DataError(f"{path}: checkpoint is missing {name}")
-        start, nbytes, dtype, shape = index[name]
-        if shape != arr.shape:
-            raise DataError(f"{path}: shape mismatch for {name}: file {shape}, model {arr.shape}")
-        targets.append((start, nbytes, dtype, name, arr))
-    # The entries, in offset order, must tile the data with no overlap, gap or
-    # tail.  This comes after the lookups by name, so that a dropped entry is
-    # reported by its name.
-    end = 0
-    for start, nbytes, name in sorted(spans):
-        if start != end:
-            raise DataError(f"{path}: checkpoint entries overlap or leave a gap: "
-                            f"{name} starts at byte {start}, not {end}")
-        end = start + nbytes
+    layout = list(_layout(model))
+    for i, (want, _) in enumerate(layout):
+        got = entries[i] if i < len(entries) else None
+        if not (isinstance(got, dict)
+                and json.dumps({k: got.get(k) for k in want}) == json.dumps(want)):
+            found = f"{got!r:.200}" if i < len(entries) else "missing"
+            raise DataError(f"{path}: manifest entry {i} should be the model's {want['name']}, "
+                            f"{want['shape']} of {want['dtype']} at data bytes {want['offset']}.."
+                            f"{want['offset'] + want['nbytes']}; it is {found}")
+    if len(entries) != len(layout):
+        raise DataError(f"{path}: the manifest has {len(entries)} entries where the model has "
+                        f"{len(layout)}; the first extra one is {entries[len(layout)]!r:.200}")
+    end = want["offset"] + want["nbytes"]
     if end != data_size:
-        raise DataError(f"{path}: the entries end at byte {end} of {data_size} data bytes")
-    return model, extra, targets
-
-
-def _manifest_entry(path, index, entry):
-    """(name, shape, dtype, offset, nbytes) of one manifest entry, checked."""
-    try:
-        name, shape, dtype, offset, nbytes = (
-            entry[k] for k in ("name", "shape", "dtype", "offset", "nbytes"))
-    except (KeyError, TypeError):
-        raise DataError(f"{path}: manifest entry {index} lacks a name, shape, dtype, "
-                        "offset or nbytes field") from None
-    counts = [offset, nbytes, *shape] if isinstance(shape, list) else [None]
-    if not isinstance(name, str) or any(type(v) is not int or v < 0 for v in counts):
-        raise DataError(f"{path}: manifest entry {index} needs a string name and "
-                        "nonnegative integer shape, offset and nbytes")
-    if not isinstance(dtype, str) or dtype not in _CKPT_DTYPES.values():
-        raise DataError(f"{path}: unsupported dtype {dtype!r} for {name}")
-    return name, shape, dtype, offset, nbytes
+        raise DataError(f"{path}: the entries end at byte {end} of {data_size} data bytes"
+                        + ("; the file is truncated" if data_size < end else ""))
+    return model, extra, layout

@@ -569,7 +569,8 @@ class TestCheckpointFaults:
 
     def test_entry_size_overflowing_int64_is_a_data_error(self, ckpt, toy_series_path,
                                                           caplog):
-        """A shape whose element count wraps to 0 in int64 does not excuse 0 bytes."""
+        """An entry beyond the model's, whose shape's element count wraps to 0 in
+        int64, is refused by its name."""
         def add(manifest):
             end = max(e["offset"] + e["nbytes"] for e in manifest["entries"])
             manifest["entries"].append({"name": "huge", "shape": [2**32, 2**32], "dtype": "<f4",
@@ -577,7 +578,7 @@ class TestCheckpointFaults:
 
         rewrite_manifest(ckpt, add)
         assert self.eval_rc(ckpt, toy_series_path) == 3
-        assert "entry huge has 0 bytes" in caplog.text
+        assert "huge" in caplog.text
 
     @pytest.mark.parametrize("shift,tail", [(4, b""), (-4, b""), (0, b"\0" * 4)],
                              ids=["moved-later", "moved-earlier", "tail"])
@@ -635,6 +636,40 @@ class TestCheckpointFaults:
         assert self.eval_rc(ckpt, toy_series_path) == 3
         assert str(ckpt) in caplog.text
         assert "Traceback" not in capsys.readouterr().err + caplog.text
+
+    def test_manifest_length_beyond_the_file_is_a_data_error(self, ckpt, toy_series_path,
+                                                              caplog, monkeypatch):
+        """The header's manifest length is checked before that many bytes are read."""
+        raw = bytearray(ckpt.read_bytes())
+        raw[8:12] = (0xF0000000).to_bytes(4, "little")
+        ckpt.write_bytes(bytes(raw))
+
+        class SmallReads(io.BufferedReader):
+            def read(self, size=-1):
+                assert size <= len(raw), f"a read of {size} bytes from a {len(raw)}-byte file"
+                return super().read(size)
+
+        monkeypatch.setattr(stdinet.model, "open",
+                            lambda path, mode: SmallReads(io.FileIO(path, mode)), raising=False)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "4026531840-byte manifest" in caplog.text
+
+    def test_seq_len_beyond_the_entries_is_refused_before_building(self, ckpt, toy_series_path,
+                                                                   caplog, monkeypatch):
+        """A million per-index conv blocks cannot match 101 entries; none is built."""
+        rewrite_manifest(ckpt, lambda manifest: manifest["dims"].update(seq_len=1000000))
+        built = []
+        conv_block = stdinet.model.ConvBlock
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            assert len(built) <= 1000, "built a thousand conv blocks"
+            return conv_block(*args, **kwargs)
+
+        monkeypatch.setattr(stdinet.model, "ConvBlock", counted)
+        assert self.eval_rc(ckpt, toy_series_path) == 3
+        assert "seq_len 1000000" in caplog.text
+        assert not built
 
     @pytest.mark.parametrize("edit", [
         lambda manifest: manifest.update(kind="Bogus"),

@@ -11,6 +11,7 @@ from collections import Counter, namedtuple
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1012,6 +1013,40 @@ class TestSeriesFile:
         write_demand_series(p1, series)
         write_demand_series(p2, series)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cut", [4, -4], ids=["short", "long"])
+    def test_data_size_disagreeing_with_header_is_a_data_error(self, tmp_path, cut):
+        path = tmp_path / "demand.stdm"
+        write_demand_series(path, random_demand_series(10, seed=16))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-cut] if cut > 0 else raw + b"\0" * -cut)
+        with pytest.raises(DataError, match="expected 320 data bytes"):
+            read_demand_series(path)
+
+    def test_short_read_is_a_data_error(self, tmp_path, monkeypatch):
+        """A file that ends early, though its size matched the header when checked."""
+        path = tmp_path / "demand.stdm"
+        write_demand_series(path, random_demand_series(10, seed=16))
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = data.os.fstat
+        monkeypatch.setattr(data, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8)))
+        with pytest.raises(DataError, match="after 78 of 80 values"):
+            read_demand_series(path)
+
+    def test_read_peak_memory_is_near_the_counts(self, tmp_path):
+        """A read holds one copy of the counts: no blob of the file's bytes."""
+        path = tmp_path / "demand.stdm"
+        write_demand_series(path, random_demand_series(2500, rows=8, cols=16, seed=17))
+        counts = 2500 * 2 * 8 * 16 * 4
+        tracemalloc.start()
+        try:
+            read_demand_series(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts > 2_000_000
+        assert peak <= 1.5 * counts, f"peak {peak} bytes for {counts} bytes of counts"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.stdm"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import rewrite_manifest
 
-from stdinet import DomainError, ShapeError, UsageError
+from stdinet import DataError, DomainError, ShapeError, UsageError
 from stdinet.bench import MlpModel
 from stdinet.layers import LSTM_GATES
 from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, mean_all, sub, sum_all
@@ -576,20 +576,15 @@ class TestCheckpoint:
         for (_, p), (_, q) in zip(model.named_tensors(), loaded.named_tensors()):
             np.testing.assert_array_equal(q.data, p.data)
 
-    def test_float64_entries_without_precision_are_cast_to_float32(self, tmp_path):
-        """``<f8`` entries in a manifest that records no precision: the cast path."""
+    def test_float64_entries_without_precision_are_refused(self, tmp_path):
+        """``<f8`` entries in a manifest that records no precision, so a float32
+        model: no writer makes such a file, and the entries are refused, not cast."""
         model = randomized_model("STDI", F64, seed=18)
         path = tmp_path / "old64.ckpt"
         save_checkpoint(path, model)
         rewrite_manifest(path, lambda manifest: manifest.pop("dtype"))
-        loaded, _ = load_checkpoint(path)
-        assert loaded.dtype == np.float32
-        want, got = stored_arrays(model), stored_arrays(loaded)
-        assert list(got) == list(want)
-        for name, arr in want.items():
-            assert got[name].dtype == np.float32, name
-            assert got[name].tobytes() == arr.astype(np.float32).tobytes(), name
-        assert_lstm_views(loaded)
+        with pytest.raises(DataError, match=r"spatial\.block0\.entry\.kernels.*<f8"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("dtype", [np.float32, F64], ids=["float32", "float64"])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
