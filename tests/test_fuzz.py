@@ -6,7 +6,8 @@ A fixed-seed loop makes 500 mutants each of a toy STDI checkpoint and of a
 the flipped bytes) and truncations.  All of them run in one child process
 under a 2 GiB address-space limit, so a reader that sizes an allocation
 from a damaged field fails the test with a MemoryError instead of taking
-the machine's memory.  Run the child alone with ``python tests/test_fuzz.py``.
+the machine's memory.  ``PYTHONPATH=src python tests/test_fuzz.py`` prints
+the child's report.
 """
 
 import json
@@ -21,6 +22,9 @@ from pathlib import Path
 import pytest
 
 import stdinet
+from stdinet import DataError
+from stdinet.data import random_demand_series, read_demand_series, write_demand_series
+from stdinet.model import TOY_DIMS, build_model, load_checkpoint, save_checkpoint
 
 MUTANTS = 500
 ADDRESS_SPACE = 2 << 30
@@ -49,14 +53,12 @@ def mutants(raw, rng, manifest_length_at=None):
             yield f"insert {chr(digit)} at byte {pos}", bytes(out)
         else:
             cut = rng.randrange(len(raw))
-            yield f"truncate to {cut} bytes", bytes(out[:cut])
+            yield f"truncate to {cut} bytes", raw[:cut]
 
 
 def fuzz(reader, raw, path, rng, **kwargs):
     """How ``reader`` met each mutant: counts of loads and DataErrors, the
     slowest mutant's seconds, and every other outcome as (mutant, error)."""
-    from stdinet import DataError
-
     report = {"loaded": 0, "refused": 0, "slowest_s": 0.0, "failures": []}
     for what, mutant in mutants(raw, rng, **kwargs):
         path.write_bytes(mutant)
@@ -75,9 +77,6 @@ def fuzz(reader, raw, path, rng, **kwargs):
 def child():
     """Fuzz both readers under the address-space limit; print a JSON report."""
     import resource
-
-    from stdinet.data import random_demand_series, read_demand_series, write_demand_series
-    from stdinet.model import TOY_DIMS, build_model, load_checkpoint, save_checkpoint
 
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     with tempfile.TemporaryDirectory() as tmp:
