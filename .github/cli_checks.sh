@@ -68,6 +68,15 @@ for bad in short mlen seq_len; do
     [ "$rc" -eq 3 ] || { echo "eval: the $bad checkpoint exited $rc, not 3"; exit 1; }
 done
 
+# A series whose counts hold a NaN is refused when it is read: eval exits 3.
+python -c 'import sys
+raw = bytearray(open(sys.argv[1], "rb").read())
+raw[-4:] = (0x7FC00000).to_bytes(4, "little")
+open(sys.argv[2], "wb").write(raw)' "$tmp/toy.stdm" "$tmp/nan.stdm"
+rc=0
+"$@" eval --ckpt "$tmp/STDI.1.ckpt" --data "$tmp/nan.stdm" || rc=$?
+[ "$rc" -eq 3 ] || { echo "eval: a series with a NaN count exited $rc, not 3"; exit 1; }
+
 # Every benchmark method is deterministic: two `bench --suite all` runs on
 # the toy series with the same seed write the same CSV and JSON bytes.
 for run in 1 2; do

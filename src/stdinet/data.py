@@ -683,8 +683,10 @@ def load_hour_embeddings(path, dim):
     """Read a 24 x dim table from a text embedding file.
 
     Each line is a token followed by ``dim`` finite floats; the tokens "0".."23"
-    must all be present (other tokens are ignored).
+    must all be present, spelled exactly so (other tokens, "07" among them,
+    are ignored).
     """
+    hours = [str(h) for h in range(24)]
     table = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -692,7 +694,7 @@ def load_hour_embeddings(path, dim):
             if not parts:
                 continue
             token = parts[0]
-            if token.isdecimal() and 0 <= int(token) <= 23:
+            if token in hours:
                 try:
                     vec = [float(x) for x in parts[1:]]
                 except ValueError as exc:
@@ -703,11 +705,11 @@ def load_hour_embeddings(path, dim):
                     raise DataError(
                         f"{path}: token {token!r} has {len(vec)} values, expected {dim}"
                     )
-                table[int(token)] = vec
-    missing = sorted(set(range(24)) - set(table))
+                table[token] = vec
+    missing = [h for h in hours if h not in table]
     if missing:
-        raise DataError(f"{path}: missing hour tokens: {', '.join(str(m) for m in missing)}")
-    return np.array([table[h] for h in range(24)], dtype=np.float64)
+        raise DataError(f"{path}: missing hour tokens: {', '.join(missing)}")
+    return np.array([table[h] for h in hours], dtype=np.float64)
 
 
 def generate_hour_embeddings(dim, seed=0):
@@ -764,6 +766,9 @@ def read_demand_series(path):
         values = np.fromfile(fh, dtype="<f4", count=count)
     if values.size != count:
         raise DataError(f"{path}: the counts end after {values.size} of {count} values")
+    # A NaN makes min and max NaN, and no comparison with NaN holds.
+    if count and not 0 <= values.min() <= values.max() < np.inf:
+        raise DataError(f"{path}: the counts hold a negative or non-finite value")
     return DemandSeries(start_epoch=start_epoch, interval_seconds=interval,
                         values=values.reshape(length, 2, rows, cols))
 

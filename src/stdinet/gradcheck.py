@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 from . import tensor as T
-from .layers import LSTM_GATES, ConvBlock, LstmParams, ResUnit, lstm_sequence_batch
+from .layers import ConvBlock, LstmParams, ResUnit, lstm_sequence_batch
 from .model import TOY_DIMS, build_model
 from .tensor import BnState, Tape, Tensor, finite_diff_check
 from .training import mse_loss
@@ -96,17 +96,16 @@ def _block(rng, tape, dims):
 def _recurrence(rng, tape, dims):
     # A batch of 2 through the fused sequence op, its 3 steps drawn
     # time-major and side by side in a (2, 9) matrix, differenced against
-    # the input and one parameter of each of the four kinds, the kinds
-    # spread over the four gates.
+    # the input and the four stacked parameters.
     p = LstmParams(3, 4, rng, dtype=F64)
     p.attach_tape(tape)
-    for _, t in p.params():
+    params = [t for _, t in p.params()]
+    for t in params:
         t.data[...] = rng.normal(size=t.data.shape)
     x = Tensor(rng.normal(size=(3, 2, 3)).swapaxes(0, 1).reshape(2, 9), dtype=F64,
                requires_grad=True, tape=tape)
     w = _t(rng, (2, 4), tape, requires_grad=False)
-    gates = [kind[gate] for kind, gate in zip((p.w_ix, p.w_hx, p.b_ix, p.b_hx), LSTM_GATES)]
-    return (lambda v: _weighted_sum(lstm_sequence_batch(p, x), w)), [x] + gates
+    return (lambda v: _weighted_sum(lstm_sequence_batch(p, x), w)), [x] + params
 
 
 def _stdi(rng, tape, dims):

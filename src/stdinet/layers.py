@@ -45,20 +45,24 @@ def zeros_param(shape, dtype):
 class Layer:
     """A node of the parameter tree.
 
-    A subclass defines only ``parts()``: its (name, part) pairs in checkpoint
+    A subclass defines ``parts()``: its (name, part) pairs in checkpoint
     order, where a part is a parameter Tensor, a BnState or another Layer.
-    Every other view of the tree is one walk of it, the names joined with
-    dots (an empty name adds nothing to its owner's path).
+    A layer whose checkpoint entries are views of its parts also overrides
+    ``named_parts()``.  Every other view of the tree is a walk of one of
+    the two, names joined with dots (an empty name adds nothing).
     """
 
     def parts(self):
         raise NotImplementedError
 
-    def _leaves(self, prefix=""):
-        for name, part in self.parts():
+    def named_parts(self):
+        return self.parts()
+
+    def _leaves(self, prefix="", named=False):
+        for name, part in self.named_parts() if named else self.parts():
             path = ".".join(filter(None, (prefix, name)))
             if isinstance(part, Layer):
-                yield from part._leaves(path)
+                yield from part._leaves(path, named)
             else:
                 yield path, part
 
@@ -162,38 +166,35 @@ class ConvBlock(Layer):
 class LstmParams(Layer):
     """LSTM parameters, each kind stacked over the gates in order i, f, g, o.
 
-    ``w_in`` (4d, in), ``b_in`` (4d,), ``w_rec`` (4d, d) and ``b_rec`` (4d,)
-    hold the parameters; the per-gate Tensors ``w_ix[g]``, ``b_ix[g]``,
-    ``w_hx[g]`` and ``b_hx[g]`` are row-block views into them.  The views are
-    what the parameter registry, checkpoints and the optimizer see, so every
-    in-place update of a view updates the stacked array the fused sequence
-    op reads.
+    The four parameters are the Tensors ``w_in`` (4d, in), ``b_in`` (4d,),
+    ``w_rec`` (4d, d) and ``b_rec`` (4d,); they are what the tape, the
+    optimizer and gradcheck see.  The per-gate Tensors ``w_ix[g]``,
+    ``b_ix[g]``, ``w_hx[g]`` and ``b_hx[g]`` are their row blocks, made once
+    here, and serve only as checkpoint names: ``named_parts()`` lists them,
+    so a checkpoint holds one entry per kind and gate.
     """
 
     def __init__(self, input_dim, hidden_dim, rng, dtype=T.STANDARD):
         d = hidden_dim
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.w_in = np.empty((4 * d, input_dim), dtype=dtype)
-        self.b_in = np.zeros(4 * d, dtype=dtype)
-        self.w_rec = np.empty((4 * d, d), dtype=dtype)
-        self.b_rec = np.zeros(4 * d, dtype=dtype)
-        self.w_ix = {}
-        self.b_ix = {}
-        self.w_hx = {}
-        self.b_hx = {}
-        for k, gate in enumerate(LSTM_GATES):
-            rows = slice(k * d, (k + 1) * d)
-            if rng is not None:
-                # Assignment casts the float64 draws as astype(dtype) would.
-                self.w_in[rows] = _uniform(rng, (d, input_dim), input_dim)
-                self.w_rec[rows] = _uniform(rng, (d, d), d)
-            self.w_ix[gate] = Tensor(self.w_in[rows], requires_grad=True)
-            self.b_ix[gate] = Tensor(self.b_in[rows], requires_grad=True)
-            self.w_hx[gate] = Tensor(self.w_rec[rows], requires_grad=True)
-            self.b_hx[gate] = Tensor(self.b_rec[rows], requires_grad=True)
+        self.w_in = Tensor(np.empty((4 * d, input_dim), dtype=dtype), requires_grad=True)
+        self.b_in = zeros_param(4 * d, dtype)
+        self.w_rec = Tensor(np.empty((4 * d, d), dtype=dtype), requires_grad=True)
+        self.b_rec = zeros_param(4 * d, dtype)
+        self.w_ix, self.b_ix, self.w_hx, self.b_hx = (
+            {g: Tensor(t.data[k * d:(k + 1) * d], requires_grad=True)
+             for k, g in enumerate(LSTM_GATES)}
+            for t in (self.w_in, self.b_in, self.w_rec, self.b_rec))
+        for g in LSTM_GATES if rng is not None else ():
+            # Assignment casts the float64 draws as astype(dtype) would.
+            self.w_ix[g].data[...] = _uniform(rng, (d, input_dim), input_dim)
+            self.w_hx[g].data[...] = _uniform(rng, (d, d), d)
 
     def parts(self):
+        return [(n, getattr(self, n)) for n in ("w_in", "b_in", "w_rec", "b_rec")]
+
+    def named_parts(self):
         return [(f"{kind}{gate}", views[gate]) for gate in LSTM_GATES
                 for kind, views in (("w_i", self.w_ix), ("b_i", self.b_ix),
                                     ("w_h", self.w_hx), ("b_h", self.b_hx))]
@@ -203,25 +204,25 @@ def lstm_step(p, x_t, h_prev, c_prev):
     """One LSTM cell update; returns (h_t, c_t).
 
     x_t is (input_dim,) or (batch, input_dim); h_prev/c_prev match with the
-    hidden dim.  Gates i, f, o use sigmoid, the candidate g uses tanh, then
-    c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
+    hidden dim.  The gates are the column blocks i, f, g, o of one affine
+    pair of the stacked parameters: i, f, o through sigmoid and the
+    candidate g through tanh; c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
     """
     if x_t.data.shape[-1] != p.input_dim:
         raise ShapeError(f"lstm_step: input dim {x_t.data.shape} vs expected {p.input_dim}")
     if h_prev.data.shape != c_prev.data.shape or h_prev.data.shape[-1] != p.hidden_dim:
         raise ShapeError(f"lstm_step: state shapes {h_prev.data.shape}/{c_prev.data.shape}")
 
-    def gate(name, activation):
-        pre = T.add(
-            T.affine(x_t, p.w_ix[name], p.b_ix[name]),
-            T.affine(h_prev, p.w_hx[name], p.b_hx[name]),
-        )
-        return activation(pre)
+    pre = T.add(T.affine(x_t, p.w_in, p.b_in), T.affine(h_prev, p.w_rec, p.b_rec))
+    d = p.hidden_dim
 
-    i_t = gate("i", T.sigmoid)
-    f_t = gate("f", T.sigmoid)
-    g_t = gate("g", T.tanh)
-    o_t = gate("o", T.sigmoid)
+    def gate(k, activation):
+        return activation(T.take(pre, np.arange(k * d, (k + 1) * d), axis=pre.data.ndim - 1))
+
+    i_t = gate(0, T.sigmoid)
+    f_t = gate(1, T.sigmoid)
+    g_t = gate(2, T.tanh)
+    o_t = gate(3, T.sigmoid)
     c_t = T.add(T.hadamard(f_t, c_prev), T.hadamard(i_t, g_t))
     h_t = T.hadamard(o_t, T.tanh(c_t))
     return h_t, c_t
@@ -230,5 +231,4 @@ def lstm_step(p, x_t, h_prev, c_prev):
 def lstm_sequence_batch(p, x):
     """h_L of an LSTM run from zero state over the L steps of a (batch, L*input_dim)
     tensor, step l in columns l*input_dim to (l+1)*input_dim."""
-    blocks = tuple(tuple(kind[g] for g in LSTM_GATES) for kind in (p.w_ix, p.b_ix, p.w_hx, p.b_hx))
-    return T.lstm(x, (p.w_in, p.b_in, p.w_rec, p.b_rec), blocks)
+    return T.lstm(x, p.w_in, p.b_in, p.w_rec, p.b_rec)

@@ -256,8 +256,8 @@ class DemandModel(Layer):
     The weights are drawn from ``rng`` in a fixed order: spatial blocks,
     LSTM, head.  With ``rng=None`` nothing is drawn and the weights and hour
     table are ``np.empty``: the skeleton that load_checkpoint reads a
-    checkpoint into.  ``named_tensors()`` and ``named_states()`` are the
-    model's names for ``params()`` and ``states()``.
+    checkpoint into.  ``named_tensors()`` walks ``named_parts()``, so it
+    lists the LSTM's per-gate views where ``params()`` lists its 4 tensors.
     """
 
     def __init__(self, kind, dims, rng, embedding=None, dtype=T.STANDARD):
@@ -292,7 +292,7 @@ class DemandModel(Layer):
         return [(n, part) for n, part in named if part is not None]
 
     def named_tensors(self):
-        return self.params()
+        return [(n, p) for n, p in self._leaves(named=True) if isinstance(p, Tensor)]
 
     def named_states(self):
         return self.states()
@@ -307,7 +307,7 @@ class DemandModel(Layer):
 
     def parameters(self):
         """Trainable tensors only (frozen hour tables are excluded)."""
-        return [p for _, p in self.named_tensors() if p.requires_grad]
+        return [p for _, p in self.params() if p.requires_grad]
 
     def parameter_count(self):
         return sum(p.data.size for p in self.parameters())

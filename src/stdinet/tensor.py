@@ -51,10 +51,10 @@ class Tensor:
     tensors no recorded op produced, once a backward pass has run through
     them; an op's output keeps none.  A grad is the array the backward rule
     returned, not a copy, so grads may share memory with one another (the
-    per-gate LSTM bias grads ``b_ix[g]`` and ``b_hx[g]`` are row views of
-    one array); no code writes into a ``grad`` in place.  ``tape`` links the
-    tensor to the recording context (``None`` outside any); an op's output
-    inherits the tape of whichever operand has one.
+    LSTM's two bias grads are one array); no code writes into a ``grad`` in
+    place.  ``tape`` links the tensor to the recording context (``None``
+    outside any); an op's output inherits the tape of whichever operand has
+    one.
     """
 
     def __init__(self, data, requires_grad=False, tape=None, dtype=None):
@@ -377,33 +377,28 @@ def mean_all(x):
 # recurrence
 
 
-def lstm(x, stacked, blocks):
+def lstm(x, w_in, b_in, w_rec, b_rec):
     """Final hidden state of an LSTM run from zero state over a sequence.
 
     ``x`` is the (B, L*in) feature matrix: step l of each row is in columns
-    l*in to (l+1)*in.  ``stacked`` holds the parameters as numpy arrays with
-    the gates stacked in order i, f, g, o: input weights (4d, in), input
-    biases (4d,), recurrent weights (4d, d), recurrent biases (4d,).
-    ``blocks`` gives, for each of the four arrays, the four per-gate Tensors
-    whose data are its row blocks.  The steps are gathered time-major into
+    l*in to (l+1)*in.  The parameters have the gates stacked in order i, f,
+    g, o: input weights (4d, in), input biases (4d,), recurrent weights
+    (4d, d), recurrent biases (4d,).  The steps are gathered time-major into
     one (L*B, in) buffer, so the input projection of all L steps is one
     GEMM; each step adds one (B, d) @ (d, 4d) GEMM.  One node is recorded,
     whose backward pass through time returns a gradient for ``x`` and for
-    every per-gate Tensor.  The cell is the one of ``layers.lstm_step``:
-    c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
+    each parameter, the two biases sharing one array.  The cell is the one
+    of ``layers.lstm_step``: c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
     """
-    w_in, b_in, w_rec, b_rec = stacked
-    d = w_rec.shape[1]
-    for array, group in zip(stacked, blocks):
-        for k, t in enumerate(group):
-            if t.data.shape != (d,) + array.shape[1:] or \
-                    not np.may_share_memory(t.data, array[k * d:(k + 1) * d]):
-                raise UsageError("lstm: a per-gate tensor is not a row block of its stacked array")
-    n_in = w_in.shape[1]
+    params = (w_in, b_in, w_rec, b_rec)
+    shapes = tuple(t.data.shape for t in params)
+    d, n_in = w_rec.data.shape[-1], w_in.data.shape[-1]
+    if shapes != ((4 * d, n_in), (4 * d,), (4 * d, d), (4 * d,)):
+        raise ShapeError(f"lstm: parameter shapes {shapes} are not (4d, in), (4d,), (4d, d), (4d,)")
+    w_in, b_in, w_rec, b_rec = (t.data for t in params)
     shape = x.data.shape
     if len(shape) != 2 or shape[1] == 0 or shape[1] % n_in:
         raise ShapeError(f"lstm: input {shape} is not (B, L*{n_in}) with L >= 1")
-    params = tuple(t for group in blocks for t in group)
     _common_dtype((x,) + params, "lstm")
     batch, length = shape[0], shape[1] // n_in
     x_flat = np.array(x.data.reshape(batch, length, n_in).swapaxes(0, 1), order="C")
@@ -456,8 +451,7 @@ def lstm(x, stacked, blocks):
         dx = None
         if x.requires_grad:
             dx = (dz_flat @ w_in).reshape(length, batch, n_in).swapaxes(0, 1).reshape(shape)
-        return (dx,) + tuple(full[k * d:(k + 1) * d] for full in (dw_in, db, dw_rec, db)
-                             for k in range(4))
+        return dx, dw_in, db, dw_rec, db
 
     return _record("lstm", (x,) + params, h, backward)
 

@@ -485,6 +485,25 @@ class TestEval:
         assert "empty.stdm: the series grid is" in caplog.text
         assert "Traceback" not in capsys.readouterr().err + caplog.text
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_series_with_a_nan_count_is_a_data_error(self, toy_series_path, tmp_path, caplog,
+                                                    command):
+        """A NaN count is refused when the series is read, before any training or scoring."""
+        from stdinet.model import TOY_DIMS, build_model, save_checkpoint
+
+        raw = bytearray(toy_series_path.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        data = tmp_path / "nan.stdm"
+        data.write_bytes(bytes(raw))
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, build_model("STDI", TOY_DIMS, seed=0), extra={"test_days": 2})
+        argv = {"train": ["train", "--model", "STDI", "--out", str(tmp_path / "t.ckpt"),
+                          "--config", FAST + ",channels=4,lstm_hidden=8,rank=4,embed_dim=6"],
+                "eval": ["eval", "--ckpt", str(ckpt), "--json-out", str(tmp_path / "e.json")]}
+        assert main(argv[command] + ["--data", str(data)]) == 3
+        assert "nan.stdm: the counts hold a negative or non-finite value" in caplog.text
+        assert not (tmp_path / "e.json").exists() and not (tmp_path / "t.ckpt").exists()
+
     def test_dim_mismatch_diagnostic(self, tmp_path, caplog):
         from stdinet.model import TOY_DIMS, build_model, save_checkpoint
 

@@ -48,6 +48,9 @@ from stdinet.data import (
 
 FIXTURE = Path(__file__).parent / "data" / "trips_small.csv"
 APRIL_1_2014 = 1396310400  # 2014-04-01 00:00:00 UTC
+# The counts a series file may hold: float32 values that are finite and >= 0,
+# -0.0 and subnormals among them.
+COUNTS = st.floats(min_value=-0.0, max_value=float(np.finfo(np.float32).max), width=32)
 
 
 def trip(start_epoch, stop_epoch, s=1, e=2, lat=40.7, lon=-74.0):
@@ -965,6 +968,16 @@ class TestEmbeddings:
             fh.write("\u00b2 0.1 0.2 0.3\n1\u00b2 0.4 0.5 0.6\n")
         np.testing.assert_array_equal(load_hour_embeddings(path, dim=3), table)
 
+    def test_hour_tokens_match_exactly(self, tmp_path):
+        """Only the strings "0".."23" name hours: "07", "000" and an Arabic-Indic
+        three are other tokens, though int() reads them as 7, 0 and 3."""
+        path = tmp_path / "emb.txt"
+        self.write_table(path, dim=3)
+        table = load_hour_embeddings(path, dim=3)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("07 99 99 99\n000 -5 -5 -5\n\u0663 42 42 42\n")
+        np.testing.assert_array_equal(load_hour_embeddings(path, dim=3), table)
+
     def test_generated_table_deterministic_and_unit_variance(self):
         a = generate_hour_embeddings(50, seed=13)
         b = generate_hour_embeddings(50, seed=13)
@@ -989,14 +1002,16 @@ class TestSeriesFile:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_any_series_round_trips(self, data):
-        """Every header field and every float32 bit pattern comes back as written."""
+        """Every header field and every count comes back as written: any float32
+        bit pattern of a finite value >= 0, -0.0 and subnormals included."""
         rows = data.draw(st.integers(1, 5), label="rows")
         cols = data.draw(st.integers(1, 5), label="cols")
         length = data.draw(st.integers(0, 40), label="length")
         series = DemandSeries(
             start_epoch=data.draw(st.integers(-2**63, 2**63 - 1), label="start_epoch"),
             interval_seconds=data.draw(st.integers(1, 2**32 - 1), label="interval"),
-            values=data.draw(arrays(np.float32, (length, 2, rows, cols)), label="values"),
+            values=data.draw(arrays(np.float32, (length, 2, rows, cols), elements=COUNTS),
+                             label="values"),
         )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "demand.stdm"
@@ -1006,6 +1021,23 @@ class TestSeriesFile:
                 loaded.cols) == (series.start_epoch, series.interval_seconds, length, rows, cols)
         assert loaded.values.dtype == np.float32
         assert loaded.values.tobytes() == series.values.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, -1e-45])
+    def test_negative_or_non_finite_count_is_a_data_error(self, tmp_path, value):
+        series = random_demand_series(10, seed=16)
+        series.values[7, 1, 0, 1] = value
+        path = tmp_path / "demand.stdm"
+        write_demand_series(path, series)
+        with pytest.raises(DataError, match="negative or non-finite"):
+            read_demand_series(path)
+
+    def test_negative_zero_and_subnormal_counts_load(self, tmp_path):
+        series = random_demand_series(10, seed=16)
+        series.values[3, 0, 1, 0] = -0.0
+        series.values[4, 1, 1, 1] = np.float32(1e-45)
+        path = tmp_path / "demand.stdm"
+        write_demand_series(path, series)
+        assert read_demand_series(path).values.tobytes() == series.values.tobytes()
 
     def test_byte_identical_rewrites(self, tmp_path):
         series = random_demand_series(6, seed=16)

@@ -1,9 +1,12 @@
-"""Mutation tests of the binary readers: every damaged file loads or raises DataError.
+"""Mutation tests of the file readers: every damaged file loads or is refused.
 
-A fixed-seed loop makes 500 mutants each of a toy STDI checkpoint and of a
-50-interval demand series: byte flips, inserted digits (both in the first
-600 bytes, with the checkpoint header's manifest length, bytes 8-11, among
-the flipped bytes) and truncations.  All of them run in one child process
+A fixed-seed loop makes 500 mutants each of a toy STDI checkpoint, a
+50-interval demand series, a 24-line hour table and the trip fixture
+``tests/data/trips_small.csv``: byte flips, inserted digits (both in the
+first 600 bytes, with the checkpoint header's manifest length, bytes 8-11,
+among the flipped bytes) and truncations.  A binary reader refuses a mutant
+with a DataError, a text reader with a DataError or a UnicodeDecodeError;
+the CLI maps each to exit code 3.  All of them run in one child process
 under a 2 GiB address-space limit, so a reader that sizes an allocation
 from a damaged field fails the test with a MemoryError instead of taking
 the machine's memory.  ``PYTHONPATH=src python tests/test_fuzz.py`` prints
@@ -23,11 +26,20 @@ import pytest
 
 import stdinet
 from stdinet import DataError
-from stdinet.data import random_demand_series, read_demand_series, write_demand_series
+from stdinet.data import (
+    generate_hour_embeddings,
+    load_hour_embeddings,
+    parse_trip_files,
+    random_demand_series,
+    read_demand_series,
+    write_demand_series,
+)
 from stdinet.model import TOY_DIMS, build_model, load_checkpoint, save_checkpoint
 
 MUTANTS = 500
 ADDRESS_SPACE = 2 << 30
+TRIPS = Path(__file__).parent / "data" / "trips_small.csv"
+TEXT_ERRORS = (DataError, UnicodeDecodeError)
 
 
 def mutants(raw, rng, manifest_length_at=None):
@@ -56,9 +68,10 @@ def mutants(raw, rng, manifest_length_at=None):
             yield f"truncate to {cut} bytes", raw[:cut]
 
 
-def fuzz(reader, raw, path, rng, **kwargs):
-    """How ``reader`` met each mutant: counts of loads and DataErrors, the
-    slowest mutant's seconds, and every other outcome as (mutant, error)."""
+def fuzz(reader, raw, path, rng, refused=DataError, **kwargs):
+    """How ``reader`` met each mutant: counts of loads and of the ``refused``
+    errors, the slowest mutant's seconds, and every other outcome as
+    (mutant, error)."""
     report = {"loaded": 0, "refused": 0, "slowest_s": 0.0, "failures": []}
     for what, mutant in mutants(raw, rng, **kwargs):
         path.write_bytes(mutant)
@@ -66,7 +79,7 @@ def fuzz(reader, raw, path, rng, **kwargs):
         try:
             reader(path)
             report["loaded"] += 1
-        except DataError:
+        except refused:
             report["refused"] += 1
         except BaseException as exc:  # anything else, MemoryError included, is a finding
             report["failures"].append([what, f"{type(exc).__name__}: {exc}"[:300]])
@@ -75,7 +88,7 @@ def fuzz(reader, raw, path, rng, **kwargs):
 
 
 def child():
-    """Fuzz both readers under the address-space limit; print a JSON report."""
+    """Fuzz the four readers under the address-space limit; print a JSON report."""
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
@@ -83,10 +96,16 @@ def child():
         ckpt, series, mutant = (Path(tmp) / name for name in ("stdi.ckpt", "toy.stdm", "mutant"))
         save_checkpoint(ckpt, build_model("STDI", TOY_DIMS, seed=0), extra={"test_days": 2})
         write_demand_series(series, random_demand_series(50, seed=8, start_epoch=1396310400))
+        hours = "".join(f"{h} {' '.join(map(repr, row))}\n"
+                        for h, row in enumerate(generate_hour_embeddings(4).tolist()))
         report = {
             "checkpoint": fuzz(load_checkpoint, ckpt.read_bytes(), mutant, random.Random(26),
                                manifest_length_at=8),
             "series": fuzz(read_demand_series, series.read_bytes(), mutant, random.Random(27)),
+            "hour_table": fuzz(lambda p: load_hour_embeddings(p, 4), hours.encode(), mutant,
+                               random.Random(28), refused=TEXT_ERRORS),
+            "trips": fuzz(lambda p: parse_trip_files([p]), TRIPS.read_bytes(), mutant,
+                          random.Random(29), refused=TEXT_ERRORS),
         }
     print(json.dumps(report))
 
@@ -103,7 +122,7 @@ def report():
     return {**json.loads(run.stdout), "wall_s": time.perf_counter() - start}
 
 
-@pytest.mark.parametrize("reader", ["checkpoint", "series"])
+@pytest.mark.parametrize("reader", ["checkpoint", "series", "hour_table", "trips"])
 def test_every_mutant_loads_or_is_a_data_error(report, reader):
     got = report[reader]
     assert got["loaded"] + got["refused"] + len(got["failures"]) == MUTANTS

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stdinet import ShapeError, UsageError
+from stdinet import ShapeError
 from stdinet.tensor import (
     VERIFICATION,
     Tape,
@@ -14,6 +14,7 @@ from stdinet.tensor import (
     finite_diff_check,
     hadamard,
     hconcat,
+    lstm,
     mean_all,
     relu,
     sub,
@@ -327,7 +328,7 @@ class TestLstm:
             return sum_all(hadamard(lstm_sequence_batch(p, x), w))
 
         assert finite_diff_check(f, x) < 1e-4
-        assert finite_diff_check(f, p.w_ix["f"]) < 1e-4
+        assert finite_diff_check(f, p.w_in) < 1e-4
 
 
 class TestFusedSequence:
@@ -364,7 +365,7 @@ class TestFusedSequence:
         np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
         for dx, dx_ref in zip(dxs, dxs_ref):
             np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
-        assert list(dps) == list(dps_ref) and len(dps) == 16
+        assert list(dps) == list(dps_ref) == ["w_in", "b_in", "w_rec", "b_rec"]
         for name in dps:
             np.testing.assert_allclose(dps[name], dps_ref[name], rtol=0, atol=1e-12)
 
@@ -377,15 +378,17 @@ class TestFusedSequence:
         x = t64(rng.normal(size=(2, 15)), requires_grad=True, tape=tape)
         lstm_sequence_batch(p, x)
         assert [node.op for node in tape.nodes] == ["lstm"]
-        gates = [views[g] for views in (p.w_ix, p.b_ix, p.w_hx, p.b_hx) for g in "ifgo"]
-        assert list(map(id, tape.nodes[0].inputs)) == list(map(id, [x, *gates]))
+        assert list(map(id, tape.nodes[0].inputs)) == list(map(id, [x, p.w_in, p.b_in,
+                                                                    p.w_rec, p.b_rec]))
 
-    def test_rebound_gate_tensor_rejected(self):
+    def test_parameter_shapes_are_checked(self):
         rng = np.random.default_rng(41)
         p = LstmParams(5, 4, rng, dtype=F64)
-        p.w_hx["g"].data = p.w_hx["g"].data.copy()
-        with pytest.raises(UsageError, match="row block"):
-            lstm_sequence_batch(p, t64(rng.normal(size=(2, 5))))
+        x = t64(rng.normal(size=(2, 5)))
+        with pytest.raises(ShapeError, match="parameter shapes"):
+            lstm(x, p.w_in, p.b_in, t64(p.w_rec.data[:, :3]), p.b_rec)
+        with pytest.raises(ShapeError, match="parameter shapes"):
+            lstm(x, p.w_in, t64(p.b_in.data[:15]), p.w_rec, p.b_rec)
 
 
 class TestLinear:

@@ -107,8 +107,8 @@ def assert_lstm_views(model):
     for views, stacked in ((p.w_ix, p.w_in), (p.b_ix, p.b_in),
                            (p.w_hx, p.w_rec), (p.b_hx, p.b_rec)):
         for k, gate in enumerate(LSTM_GATES):
-            assert np.shares_memory(views[gate].data, stacked)
-            np.testing.assert_array_equal(views[gate].data, stacked[k * d:(k + 1) * d])
+            assert np.shares_memory(views[gate].data, stacked.data)
+            np.testing.assert_array_equal(views[gate].data, stacked.data[k * d:(k + 1) * d])
 
 
 def triple_loop_weights(o_prime, w, o):
@@ -148,7 +148,7 @@ def stored_arrays(model):
         arrays[f"{n}.running_var"] = s.running_var
     if getattr(model, "lstm", None) is not None:
         for attr in ("w_in", "b_in", "w_rec", "b_rec"):
-            arrays[f"lstm.{attr}"] = getattr(model.lstm, attr)
+            arrays[f"lstm.{attr}"] = getattr(model.lstm, attr).data
     return arrays
 
 
@@ -462,14 +462,25 @@ class TestStackedLstm:
     def test_initialization_matches_per_gate_draws(self, kind):
         assert tensors_digest(build_model(kind, TOY_DIMS, seed=5)) == INIT_CHECKSUMS[kind]
 
+    def test_registry_holds_the_four_stacked_tensors(self):
+        model = build_model("STDI", TOY_DIMS, seed=6)
+        lstm = model.lstm
+        stacked = [lstm.w_in, lstm.b_in, lstm.w_rec, lstm.b_rec]
+        assert len(model.parameters()) == 64
+        assert [p for n, p in model.params() if n.startswith("lstm.")] == stacked
+        named = [n for n, _ in model.named_tensors() if n.startswith("lstm.")]
+        assert named == [f"lstm.{kind}{g}" for g in LSTM_GATES
+                         for kind in ("w_i", "b_i", "w_h", "b_h")]
+        assert sum(p.requires_grad for _, p in model.named_tensors()) == 76
+
     def test_views_survive_restore(self):
         model = build_model("STDI", TOY_DIMS, seed=6, dtype=np.float32)
         snap = model.snapshot()
-        model.lstm.w_in[...] = 0.0
+        model.lstm.w_in.data[...] = 0.0
         model.restore(snap)
         assert_lstm_views(model)
         np.testing.assert_array_equal(model.lstm.w_ix["o"].data, snap["lstm.w_io"])
-        assert np.any(model.lstm.w_in != 0.0)
+        assert np.any(model.lstm.w_in.data != 0.0)
 
     def test_views_survive_load_checkpoint(self, tmp_path):
         model = build_model("TemporalDI", TOY_DIMS, seed=7, dtype=np.float32)
@@ -477,16 +488,16 @@ class TestStackedLstm:
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)
         assert_lstm_views(loaded)
-        np.testing.assert_array_equal(loaded.lstm.w_rec, model.lstm.w_rec)
+        np.testing.assert_array_equal(loaded.lstm.w_rec.data, model.lstm.w_rec.data)
 
     def test_views_survive_adam_step(self):
         from helpers import copy_task_windows, manual_steps
 
         model = build_model("STDI", TOY_DIMS, seed=8, dtype=np.float32)
-        before = model.lstm.w_in.copy()
+        before = model.lstm.w_in.data.copy()
         manual_steps(model, copy_task_windows(), steps=2, lr=1e-2)
         assert_lstm_views(model)
-        assert np.all(model.lstm.w_in != before)
+        assert np.all(model.lstm.w_in.data != before)
 
 
 class TestSnapshot:
