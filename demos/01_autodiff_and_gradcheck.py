@@ -1,9 +1,10 @@
 """Autodiff walkthrough: tensors on a tape, backward, finite differences.
 
-Every differentiable op records a node on an explicit Tape; backward() is a
-single reverse sweep that accumulates gradients by summation.  The same
-machinery that trains the models also verifies itself: finite_diff_check
-compares tape gradients with central differences in float64.
+Every differentiable op run inside ``with Tape() as tape:`` records a node on
+that tape; backward() is a single reverse sweep that accumulates gradients
+by summation.  The same machinery that trains the models also verifies
+itself: finite_diff_check compares tape gradients with central differences
+in float64.
 """
 
 import numpy as np
@@ -11,21 +12,20 @@ import numpy as np
 from stdinet import Tape, Tensor, finite_diff_check
 import stdinet.tensor as T
 
-# A tape per context; constants carry no tape, parameters do.
-tape = Tape()
-x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True, tape=tape)
+# Parameters require a gradient, constants do not.
+x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
 y = Tensor(np.array([0.5, 0.5, 0.5]))
 
 # loss = sum((x * y)^2): expected gradient 2 * x * y^2 = x/2
-prod = T.hadamard(x, y)
-loss = T.sum_all(T.hadamard(prod, prod))
-tape.backward(loss)
+with Tape() as tape:
+    prod = T.hadamard(x, y)
+    loss = T.sum_all(T.hadamard(prod, prod))
+    tape.backward(loss)
+    # backward() consumed the tape: it is empty again, and only the leaf x
+    # kept a gradient (prod and loss handed theirs on).
+    assert tape.nodes == [] and prod.grad is None
 print("loss:", loss.item())
 print("grad:", x.grad, "(expected x/2 =", x.data / 2, ")")
-
-# backward() consumed the tape: it is empty again, and only the leaf x
-# kept a gradient (prod and loss handed theirs on).
-assert tape.nodes == [] and prod.grad is None
 
 # The 3x3 convolution preserves spatial dims via zero padding.
 img = Tensor(np.ones((1, 3, 3)))
@@ -34,14 +34,12 @@ out = T.conv2d(img, kernel, Tensor(np.zeros(1)))
 print("\nconv of all ones counts in-bounds neighbors:")
 print(out.data[0])
 
-# Gradient checking runs in float64 and reports the max relative error.
+# Gradient checking runs in float64, on a tape of its own, and reports the
+# max relative error.
 rng = np.random.default_rng(0)
-check_tape = Tape()
-flat = Tensor(rng.normal(size=(2, 4, 4)), dtype=np.float64,
-              requires_grad=True, tape=check_tape)
-k = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=np.float64,
-           requires_grad=True, tape=check_tape)
-b = Tensor(rng.normal(size=3), dtype=np.float64, requires_grad=True, tape=check_tape)
+flat = Tensor(rng.normal(size=(2, 4, 4)), dtype=np.float64, requires_grad=True)
+k = Tensor(rng.normal(size=(3, 2, 3, 3)), dtype=np.float64, requires_grad=True)
+b = Tensor(rng.normal(size=3), dtype=np.float64, requires_grad=True)
 
 def conv_mse(v):
     d = T.conv2d(flat, k, b)

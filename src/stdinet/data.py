@@ -375,7 +375,8 @@ def _trip_chunks(fh, audit):
         else:
             return
     fh.seek(start)
-    reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    reader = csv.reader(text)
     try:
         if header is None:
             positions = _required_positions(next(reader, []))
@@ -391,6 +392,9 @@ def _trip_chunks(fh, audit):
                 rows = []
     except csv.Error as exc:
         raise DataError(f"{fh.name}: line {lines + reader.line_num}: {exc}") from None
+    finally:
+        # The handle is the caller's: a collected wrapper would close it.
+        text.detach()
     if rows:
         yield _convert_texts(rows, audit)
 

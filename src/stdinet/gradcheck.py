@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .layers import ConvBlock, LstmParams, ResUnit, lstm_sequence_batch
 from .model import TOY_DIMS, build_model
-from .tensor import BnState, Tape, Tensor, finite_diff_check
+from .tensor import BnState, Tensor, finite_diff_check
 from .training import mse_loss
 
 OP_THRESHOLD = 1e-5
@@ -26,9 +26,8 @@ COMPOSED_THRESHOLD = 1e-4
 F64 = np.float64
 
 
-def _t(rng, shape, tape, requires_grad=True, offset=0.0):
-    return Tensor(rng.normal(size=shape) + offset, dtype=F64,
-                  requires_grad=requires_grad, tape=tape)
+def _t(rng, shape, requires_grad=True, offset=0.0):
+    return Tensor(rng.normal(size=shape) + offset, dtype=F64, requires_grad=requires_grad)
 
 
 def _weighted_sum(out, w):
@@ -39,17 +38,17 @@ def _weighted(op, *shapes, out, targets=1, offsets=None):
     """The case sum(op(*inputs) * w): the inputs are drawn in the given
     shapes, each shifted by its offset, then the weights w of shape ``out``;
     the first ``targets`` inputs are differenced."""
-    def case(rng, tape, dims):
-        xs = [_t(rng, shape, tape, offset=offset)
+    def case(rng, dims):
+        xs = [_t(rng, shape, offset=offset)
               for shape, offset in zip(shapes, offsets or [0.0] * len(shapes))]
-        w = _t(rng, out, tape, requires_grad=False)
+        w = _t(rng, out, requires_grad=False)
         return (lambda v: _weighted_sum(op(*xs), w)), xs[:targets]
     return case
 
 
-def _mean(rng, tape, dims):
-    x = _t(rng, (3, 4), tape)
-    w = _t(rng, (3, 4), tape, requires_grad=False)
+def _mean(rng, dims):
+    x = _t(rng, (3, 4))
+    w = _t(rng, (3, 4), requires_grad=False)
     return (lambda v: T.mean_all(T.hadamard(x, w))), [x]
 
 
@@ -59,16 +58,16 @@ def _channel_last_batchnorm(mode):
     flat view.  A conv after it, as in a ResUnit, hands back a channel-last
     gradient, which the backward takes with broadcast channel vectors.
     Eval mode normalizes by drawn running statistics."""
-    def case(rng, tape, dims):
+    def case(rng, dims):
         x = Tensor(rng.normal(size=(4, 3, 5, 2)).transpose(0, 3, 1, 2), dtype=F64,
-                   requires_grad=True, tape=tape)
-        gamma, beta = _t(rng, (2,), tape, offset=1.0), _t(rng, (2,), tape)
+                   requires_grad=True)
+        gamma, beta = _t(rng, (2,), offset=1.0), _t(rng, (2,))
         state = BnState(2, dtype=F64)
         state.running_mean[:] = rng.normal(size=2)
         state.running_var[:] = rng.uniform(0.5, 2.0, size=2)
-        k = _t(rng, (2, 2, 3, 3), tape, requires_grad=False)
-        kb = _t(rng, (2,), tape, requires_grad=False)
-        w = _t(rng, (4, 2, 3, 5), tape, requires_grad=False)
+        k = _t(rng, (2, 2, 3, 3), requires_grad=False)
+        kb = _t(rng, (2,), requires_grad=False)
+        w = _t(rng, (4, 2, 3, 5), requires_grad=False)
 
         def f(v):
             return _weighted_sum(T.conv2d(T.batchnorm(x, gamma, beta, state, mode), k, kb), w)
@@ -77,46 +76,41 @@ def _channel_last_batchnorm(mode):
     return case
 
 
-def _residual(rng, tape, dims):
+def _residual(rng, dims):
     unit = ResUnit(2, rng, dtype=F64)
-    unit.attach_tape(tape)
-    x = _t(rng, (1, 2, 3, 3), tape)
-    w = _t(rng, (1, 2, 3, 3), tape, requires_grad=False)
+    x = _t(rng, (1, 2, 3, 3))
+    w = _t(rng, (1, 2, 3, 3), requires_grad=False)
     return (lambda v: _weighted_sum(unit.forward(x, "eval"), w)), [x, unit.conv1.kernels]
 
 
-def _block(rng, tape, dims):
+def _block(rng, dims):
     block = ConvBlock(3, rng, dtype=F64)
-    block.attach_tape(tape)
-    x = _t(rng, (1, 2, 3, 3), tape)
-    w = _t(rng, (1, 3, 3, 3), tape, requires_grad=False)
+    x = _t(rng, (1, 2, 3, 3))
+    w = _t(rng, (1, 3, 3, 3), requires_grad=False)
     return (lambda v: _weighted_sum(block.forward(x, "eval"), w)), [x]
 
 
-def _recurrence(rng, tape, dims):
+def _recurrence(rng, dims):
     # A batch of 2 through the fused sequence op, its 3 steps drawn
     # time-major and side by side in a (2, 9) matrix, differenced against
     # the input and the four stacked parameters.
     p = LstmParams(3, 4, rng, dtype=F64)
-    p.attach_tape(tape)
     params = [t for _, t in p.params()]
     for t in params:
         t.data[...] = rng.normal(size=t.data.shape)
     x = Tensor(rng.normal(size=(3, 2, 3)).swapaxes(0, 1).reshape(2, 9), dtype=F64,
-               requires_grad=True, tape=tape)
-    w = _t(rng, (2, 4), tape, requires_grad=False)
+               requires_grad=True)
+    w = _t(rng, (2, 4), requires_grad=False)
     return (lambda v: _weighted_sum(lstm_sequence_batch(p, x), w)), [x] + params
 
 
-def _stdi(rng, tape, dims):
-    model = build_model("STDI", dims, seed=int(rng.integers(1 << 30)), dtype=F64)
-    model.attach_tape(tape)
-    return model
+def _stdi(rng, dims):
+    return build_model("STDI", dims, seed=int(rng.integers(1 << 30)), dtype=F64)
 
 
-def _hour_head(rng, tape, dims):
-    net = _stdi(rng, tape, dims).head
-    beta = _t(rng, (dims.lstm_hidden,), tape)
+def _hour_head(rng, dims):
+    net = _stdi(rng, dims).head
+    beta = _t(rng, (dims.lstm_hidden,))
 
     def f(v):
         w_fc, b_fc = net.generate(7)
@@ -125,10 +119,10 @@ def _hour_head(rng, tape, dims):
     return f, [net.o_mat, net.lin_w.weight, beta]
 
 
-def _eval_forward(rng, tape, dims):
-    model = _stdi(rng, tape, dims)
+def _eval_forward(rng, dims):
+    model = _stdi(rng, dims)
     seq = Tensor(rng.integers(0, 4, size=(1, dims.seq_len, 2, dims.rows, dims.cols)).astype(F64),
-                 requires_grad=True, tape=tape)
+                 requires_grad=True)
     target = Tensor(rng.random((1, 2, dims.rows, dims.cols)), dtype=F64)
 
     def f(v):
@@ -137,16 +131,16 @@ def _eval_forward(rng, tape, dims):
     return f, [seq, model.head.o_prime]
 
 
-def _train_forward(rng, tape, dims):
-    model = _stdi(rng, tape, dims)
+def _train_forward(rng, dims):
+    model = _stdi(rng, dims)
     seqs = Tensor(rng.random((2, dims.seq_len, 2, dims.rows, dims.cols)), dtype=F64,
-                  requires_grad=True, tape=tape)
+                  requires_grad=True)
     target = Tensor(rng.random((2, 2, dims.rows, dims.cols)), dtype=F64)
     return (lambda v: mse_loss(model.forward_batch(seqs, [4, 19], mode="train"), target)), [seqs]
 
 
 # Component name -> (case, threshold), in report order.  A case maps
-# (rng, tape, dims) to the scalar function and the tensors to difference;
+# (rng, dims) to the scalar function and the tensors to difference;
 # each lambda looks its op up in T when it is called.
 CASES = {
     "add": (_weighted(lambda x, y: T.add(x, y), (3, 4), (3, 4), out=(3, 4)), OP_THRESHOLD),
@@ -210,8 +204,7 @@ def run_suite(dims=TOY_DIMS, n_seeds=20):
     for name, (case, threshold) in CASES.items():
         errors = []
         for s in range(n_seeds):
-            tape = Tape()
-            f, targets = case(np.random.default_rng(_seed(name, s)), tape, dims)
+            f, targets = case(np.random.default_rng(_seed(name, s)), dims)
             for target in targets:
                 errors.append(finite_diff_check(f, target))
         results[name] = (float(np.max(errors)), threshold)

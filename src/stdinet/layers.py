@@ -74,10 +74,6 @@ class Layer:
         """Every batchnorm's running statistics as (name, BnState)."""
         return [(n, s) for n, s in self._leaves() if isinstance(s, BnState)]
 
-    def attach_tape(self, tape):
-        for _, p in self.params():
-            p.tape = tape
-
 
 class LinearLayer(Layer):
     """weight (out, in) and bias (out,); forward is weight @ x + bias."""

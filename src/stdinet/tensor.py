@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Every differentiable operation records a node on an explicit :class:`Tape`
-owned by one training context; there is no global graph.  Two precisions are
+Every differentiable operation records a node on the :class:`Tape` that is
+open, ``with Tape() as tape:``, in the running thread; outside such a block
+nothing is recorded, and each tape holds its own graph.  Two precisions are
 supported: ``STANDARD`` (float32) for training and ``VERIFICATION`` (float64)
 for gradient checking, where forward results are also required to be
 bit-reproducible against naive reference loops.
@@ -10,6 +11,7 @@ bit-reproducible against naive reference loops.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -47,17 +49,15 @@ class Tensor:
 
     A Tensor has no arithmetic operators: every op is a function of this
     module (``add``, ``affine``, ``conv2d``, ...) that records itself on the
-    tape.  ``grad`` (same shape as ``data``) is populated on leaves, the
-    tensors no recorded op produced, once a backward pass has run through
-    them; an op's output keeps none.  A grad is the array the backward rule
-    returned, not a copy, so grads may share memory with one another (the
-    LSTM's two bias grads are one array); no code writes into a ``grad`` in
-    place.  ``tape`` links the tensor to the recording context (``None``
-    outside any); an op's output inherits the tape of whichever operand has
-    one.
+    open tape when some input requires grad.  ``grad`` (same shape as
+    ``data``) is populated on leaves, the tensors no recorded op produced,
+    once a backward pass has run through them; an op's output keeps none.
+    A grad is the array the backward rule returned, not a copy, so grads
+    may share memory with one another (the LSTM's two bias grads are one
+    array); no code writes into a ``grad`` in place.
     """
 
-    def __init__(self, data, requires_grad=False, tape=None, dtype=None):
+    def __init__(self, data, requires_grad=False, dtype=None):
         if isinstance(data, Tensor):
             raise UsageError("wrap raw array data, not another Tensor")
         if dtype is None:
@@ -66,7 +66,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.tape = tape
         self._node = None
 
     @property
@@ -100,18 +99,35 @@ class TapeNode:
     backward: Callable[[np.ndarray], tuple]
 
 
-class Tape:
-    """Ordered record of ops for one training context.
+_OPEN_TAPE = contextvars.ContextVar("stdinet_open_tape", default=None)
 
-    Nodes are appended in execution order, which is already a topological
-    order, so the backward pass is a single reverse sweep.  backward()
-    empties the tape as it goes; reset() drops a graph that is abandoned
-    without one.
+
+class Tape:
+    """Ordered record of the ops run while it is open.
+
+    ``with Tape() as tape:`` opens the tape for the block, in the running
+    thread only; a tape opened inside it is the one that records until its
+    own block ends, and the outer one is open again after.  Nodes are
+    appended in execution order, which is already a topological order, so
+    the backward pass is a single reverse sweep.  backward() empties the
+    tape as it goes; closing the tape drops a graph abandoned without one.
     """
 
     def __init__(self):
         self.nodes = []
         self.recording = True
+        self._token = None
+
+    def __enter__(self):
+        if self._token is not None:
+            raise UsageError("tape is already open")
+        self._token = _OPEN_TAPE.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _OPEN_TAPE.reset(self._token)
+        self._token = None
+        self.reset()
 
     @contextlib.contextmanager
     def paused(self):
@@ -145,7 +161,8 @@ class Tape:
         """
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        if loss.tape is not self or loss._node is None:
+        node = loss._node
+        if node is None or not any(n is node for n in reversed(self.nodes)):
             raise UsageError("loss is not recorded on this tape (or already consumed by backward())")
         loss.grad = np.ones_like(loss.data)
         while self.nodes:
@@ -169,18 +186,6 @@ class Tape:
                     tensor.grad = tensor.grad + g
 
 
-def _common_tape(tensors):
-    tape = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise UsageError("operands belong to different tapes")
-    return tape
-
-
 def _common_dtype(tensors, op):
     dtype = tensors[0].data.dtype
     for t in tensors[1:]:
@@ -190,10 +195,10 @@ def _common_dtype(tensors, op):
 
 
 def _record(op, inputs, out_data, backward):
-    tape = _common_tape(inputs)
     requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires, tape=tape, dtype=out_data.dtype)
-    if tape is not None and tape.recording and requires:
+    out = Tensor(out_data, requires_grad=requires, dtype=out_data.dtype)
+    tape = _OPEN_TAPE.get()
+    if requires and tape is not None and tape.recording:
         node = TapeNode(op, tuple(inputs), out, backward)
         tape.nodes.append(node)
         out._node = node
@@ -754,11 +759,14 @@ FD_STEP = 1e-5
 def finite_diff_check(f, x):
     """Max relative error between tape gradients and central differences.
 
-    ``f`` maps ``x`` to a scalar tensor and must be re-evaluable.  Runs only
-    in verification (float64) precision, with central differences of step
-    ``FD_STEP``.  The error per coordinate is
-    |analytic - numeric| / max(1, |numeric|); the max over coordinates is
-    returned (NaN anywhere makes the result NaN, i.e. a failure).
+    ``f`` maps ``x`` to a scalar tensor and must be re-evaluable.  The
+    analytic pass runs on a tape of its own and the differences with it
+    paused.  Runs only in verification (float64) precision, with central
+    differences of step ``FD_STEP``.  A target the backward pass gives no
+    gradient, one no recorded op reads, is refused.  The error per
+    coordinate is |analytic - numeric| / max(1, |numeric|); the max over
+    coordinates is returned (NaN anywhere makes the result NaN, i.e. a
+    failure).
     """
     if x.data.dtype != VERIFICATION:
         raise UsageError("finite_diff_check requires verification (float64) precision")
@@ -766,23 +774,22 @@ def finite_diff_check(f, x):
         raise UsageError("finite_diff_check target must have requires_grad=True")
 
     x.grad = None
-    loss = f(x)
-    tape = loss.tape
-    if tape is None:
-        raise UsageError("f(x) recorded nothing; no tape reachable from the output")
-    tape.backward(loss)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    with Tape() as tape:
+        tape.backward(f(x))
+        if x.grad is None:
+            raise UsageError("finite_diff_check target got no gradient: no recorded op reads it")
+        analytic = x.grad.copy()
 
-    numeric = np.zeros_like(x.data)
-    with tape.paused():
-        for idx in np.ndindex(x.data.shape):
-            orig = x.data[idx]
-            x.data[idx] = orig + FD_STEP
-            fp = f(x).item()
-            x.data[idx] = orig - FD_STEP
-            fm = f(x).item()
-            x.data[idx] = orig
-            numeric[idx] = (fp - fm) / (2.0 * FD_STEP)
+        numeric = np.zeros_like(x.data)
+        with tape.paused():
+            for idx in np.ndindex(x.data.shape):
+                orig = x.data[idx]
+                x.data[idx] = orig + FD_STEP
+                fp = f(x).item()
+                x.data[idx] = orig - FD_STEP
+                fm = f(x).item()
+                x.data[idx] = orig
+                numeric[idx] = (fp - fm) / (2.0 * FD_STEP)
 
     err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     return float(np.max(err))

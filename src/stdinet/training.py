@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -196,12 +197,10 @@ def fit(model, train_windows, val_windows, config, log_path=None):
     best_snapshot = None
     best_rmse = math.inf
     since_best = 0
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    log = open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext()
 
-    # The tape is fit's alone: every exit detaches it and frees what it holds.
-    tape = Tape()
-    model.attach_tape(tape)
-    try:
+    # The tape is fit's alone: every exit closes it and frees what it holds.
+    with Tape() as tape, log as log_fh:
         for epoch in range(config.epochs):
             perm = rng.permutation(len(train_windows))
             losses = []
@@ -260,11 +259,6 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 since_best += 1
                 if since_best >= config.patience:
                     break
-    finally:
-        model.attach_tape(None)
-        tape.reset()
-        if log_fh:
-            log_fh.close()
 
     if best_snapshot is not None:
         model.restore(best_snapshot)

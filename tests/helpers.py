@@ -35,19 +35,18 @@ def manual_steps(model, batch, steps, lr=1e-3, weight_decay=0.0, stop_below=None
     """Full-batch train-mode loop over ``batch`` = (inputs, hours, targets);
     optionally stop once the loss crosses a bar."""
     inputs, hours, targets = batch
-    tape = Tape()
-    model.attach_tape(tape)
     adam = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
     losses = []
-    for _ in range(steps):
-        loss = mse_loss(model.forward_batch(Tensor(inputs), hours, mode="train"),
-                        Tensor(targets))
-        losses.append(loss.item())
-        if stop_below is not None and losses[-1] < stop_below:
-            break
-        tape.backward(loss)
-        adam.step()
-        adam.zero_grad()
+    with Tape() as tape:
+        for _ in range(steps):
+            loss = mse_loss(model.forward_batch(Tensor(inputs), hours, mode="train"),
+                            Tensor(targets))
+            losses.append(loss.item())
+            if stop_below is not None and losses[-1] < stop_below:
+                break
+            tape.backward(loss)
+            adam.step()
+            adam.zero_grad()
     return losses
 
 

@@ -841,7 +841,8 @@ class TestBench:
                    "--seed", "0", "--out", str(tmp_path),
                    "--config", FAST + ",epochs=1,patience=1"])
         assert rc == 0
-        rows = list(csv.DictReader((tmp_path / "bench_table2.csv").open()))
+        with (tmp_path / "bench_table2.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert {r["method"] for r in rows} == {
             "SpatialFC", "TemporalFC", "SpatialTemporalFC", "SpatialDI", "TemporalDI", "STDI"}
@@ -851,7 +852,8 @@ class TestBench:
                    "--seed", "0", "--out", str(tmp_path),
                    "--config", FAST + ",epochs=1,patience=1"])
         assert rc == 0
-        rows = list(csv.DictReader((tmp_path / "bench_table3.csv").open()))
+        with (tmp_path / "bench_table3.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert "STDIFusion" in {r["method"] for r in rows}
 
     def test_val_frac_outside_unit_interval_is_a_usage_error(self, toy_series_path, tmp_path,

@@ -2,11 +2,13 @@
 
 import calendar
 import csv
+import gc
 import io
 import re
 import tempfile
 import time
 import tracemalloc
+import warnings
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from datetime import datetime
@@ -493,6 +495,23 @@ class TestBlockTokenizer:
             reference_parse_file(path)
         with pytest.raises(UnicodeDecodeError):
             parse_trip_files([path])
+
+    def test_text_reader_hands_the_handle_back(self):
+        """The csv.reader fallback reads through a text wrapper of the
+        caller's handle and detaches it when done: no ResourceWarning, and
+        the handle stays open and usable until the caller closes it."""
+        edit, tokenized = FALLBACK_CASES["unquoted field"]
+        assert not tokenized
+        with trips_file(edit(quoted_trips_text())) as path:
+            with warnings.catch_warnings(record=True) as caught, open(path, "rb") as fh:
+                warnings.simplefilter("always")
+                audit = data.ParseAudit()
+                chunks = list(data._trip_chunks(fh, audit))
+                gc.collect()
+                assert not fh.closed
+                fh.seek(0)
+            assert audit.csv_rows > 0 and sum(map(len, chunks)) > 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_clean_file_never_reaches_csv_reader(self, monkeypatch):
         def no_reader(*args, **kwargs):

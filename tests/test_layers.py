@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stdinet import ShapeError
+from stdinet import ShapeError, UsageError
 from stdinet.tensor import (
     VERIFICATION,
     Tape,
@@ -34,8 +34,8 @@ from stdinet.layers import (
 F64 = np.float64
 
 
-def t64(data, requires_grad=False, tape=None):
-    return Tensor(np.asarray(data, dtype=F64), requires_grad=requires_grad, tape=tape)
+def t64(data, requires_grad=False):
+    return Tensor(np.asarray(data, dtype=F64), requires_grad=requires_grad)
 
 
 def side_by_side(steps):
@@ -116,10 +116,8 @@ class TestResUnit:
 
     def test_gradcheck(self):
         rng = np.random.default_rng(5)
-        tape = Tape()
         unit = ResUnit(2, rng, dtype=F64)
-        unit.attach_tape(tape)
-        x = t64(rng.normal(size=(1, 2, 3, 3)), requires_grad=True, tape=tape)
+        x = t64(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
         w = t64(np.random.default_rng(55).normal(size=(1, 2, 3, 3)))
 
         def f(v):
@@ -194,8 +192,7 @@ class TestConvBlock:
 
 class TestLayerTree:
     def test_one_walk_names_params_states_and_tape(self):
-        """Paths join with dots, a batchnorm's statistics take its own path,
-        and attach_tape reaches every parameter the walk lists."""
+        """Paths join with dots, and a batchnorm's statistics take its own path."""
         block = ConvBlock(2, np.random.default_rng(0), dtype=F64)
         unit = [f"{layer}.{p}" for layer, ps in (("conv1", ("kernels", "bias")),
                                                  ("bn1", ("gamma", "beta")),
@@ -206,9 +203,6 @@ class TestLayerTree:
         states = block.states()
         assert [n for n, _ in states] == ["res0.bn1", "res0.bn2", "res1.bn1", "res1.bn2"]
         assert states[3][1] is block.resunits[1].bn2.state
-        tape = Tape()
-        block.attach_tape(tape)
-        assert all(p.tape is tape for _, p in block.params())
 
 
 class TestLstm:
@@ -317,11 +311,8 @@ class TestLstm:
 
     def test_gradcheck_through_sequence(self):
         rng = np.random.default_rng(20)
-        tape = Tape()
         p = self.make_params(rng)
-        for _, t in p.params():
-            t.tape = tape
-        x = t64(side_by_side(rng.normal(size=(3, 1, 3))), requires_grad=True, tape=tape)
+        x = t64(side_by_side(rng.normal(size=(3, 1, 3))), requires_grad=True)
         w = t64(rng.normal(size=(1, 4)))
 
         def f(_):
@@ -329,6 +320,21 @@ class TestLstm:
 
         assert finite_diff_check(f, x) < 1e-4
         assert finite_diff_check(f, p.w_in) < 1e-4
+
+    def test_gradcheck_refuses_a_per_gate_view(self):
+        """A per-gate view shares memory with the stacked tensor the op reads,
+        so differencing it moves the loss, but no backward rule gives it a
+        gradient: the check refuses it instead of reporting an error."""
+        rng = np.random.default_rng(21)
+        p = self.make_params(rng)
+        x = t64(side_by_side(rng.normal(size=(3, 1, 3))))
+        w = t64(rng.normal(size=(1, 4)))
+
+        def f(_):
+            return sum_all(hadamard(lstm_sequence_batch(p, x), w))
+
+        with pytest.raises(UsageError, match="no gradient"):
+            finite_diff_check(f, p.w_ix["f"])
 
 
 class TestFusedSequence:
@@ -342,13 +348,12 @@ class TestFusedSequence:
         return h
 
     def run(self, sequence_fn, p, x_data, w):
-        tape = Tape()
         for _, t in p.params():
-            t.tape = tape
             t.grad = None
-        xs = [t64(x, requires_grad=True, tape=tape) for x in x_data]
-        h = sequence_fn(p, xs)
-        tape.backward(sum_all(hadamard(h, t64(w))))
+        xs = [t64(x, requires_grad=True) for x in x_data]
+        with Tape() as tape:
+            h = sequence_fn(p, xs)
+            tape.backward(sum_all(hadamard(h, t64(w))))
         return h.data, [x.grad for x in xs], {n: t.grad.copy() for n, t in p.params()}
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -372,14 +377,12 @@ class TestFusedSequence:
     def test_one_node_per_sequence(self):
         rng = np.random.default_rng(40)
         p = LstmParams(5, 4, rng, dtype=F64)
-        tape = Tape()
-        for _, t in p.params():
-            t.tape = tape
-        x = t64(rng.normal(size=(2, 15)), requires_grad=True, tape=tape)
-        lstm_sequence_batch(p, x)
-        assert [node.op for node in tape.nodes] == ["lstm"]
-        assert list(map(id, tape.nodes[0].inputs)) == list(map(id, [x, p.w_in, p.b_in,
-                                                                    p.w_rec, p.b_rec]))
+        x = t64(rng.normal(size=(2, 15)), requires_grad=True)
+        with Tape() as tape:
+            lstm_sequence_batch(p, x)
+            assert [node.op for node in tape.nodes] == ["lstm"]
+            assert list(map(id, tape.nodes[0].inputs)) == list(map(id, [x, p.w_in, p.b_in,
+                                                                        p.w_rec, p.b_rec]))
 
     def test_parameter_shapes_are_checked(self):
         rng = np.random.default_rng(41)

@@ -196,13 +196,11 @@ class TestSpatialModule:
 
     def test_block_gradient_independence(self):
         rng = np.random.default_rng(4)
-        tape = Tape()
         sm = SpatialModule(TOY_DIMS, rng, dtype=F64)
-        for _, p in sm.params():
-            p.tape = tape
-        seq = Tensor(toy_window(rng, batch=1), dtype=F64, tape=tape)
-        s_t = sm.forward(seq, "eval")
-        tape.backward(sum_all(s_t[1]))
+        seq = Tensor(toy_window(rng, batch=1), dtype=F64)
+        with Tape() as tape:
+            s_t = sm.forward(seq, "eval")
+            tape.backward(sum_all(s_t[1]))
         grads_by_block = []
         for i, block in enumerate(sm.blocks):
             norms = [0.0 if p.grad is None else float(np.abs(p.grad).sum())
@@ -291,15 +289,14 @@ class TestIntervalNet:
 
     def test_gradients_reach_generator_params(self):
         rng = np.random.default_rng(10)
-        tape = Tape()
         model = toy_model(seed=3)
-        model.attach_tape(tape)
         seqs = Tensor(toy_window(rng, batch=4), dtype=F64)
         hours = np.array([1, 5, 5, 20])
         target = Tensor(rng.random((4, 2, 2, 2)), dtype=F64)
-        pred = model.forward_batch(seqs, hours, mode="eval")
-        d = sub(pred, target)
-        tape.backward(mean_all(hadamard(d, d)))
+        with Tape() as tape:
+            pred = model.forward_batch(seqs, hours, mode="eval")
+            d = sub(pred, target)
+            tape.backward(mean_all(hadamard(d, d)))
         net = model.head
         for t in (net.lin_w.weight, net.lin_b.weight, net.o_mat, net.o_prime):
             assert t.grad is not None and np.linalg.norm(t.grad) > 1e-12
@@ -312,11 +309,10 @@ class TestIntervalNet:
         rng = np.random.default_rng(11)
         ops = {}
         for kind in MODEL_KINDS:
-            tape = Tape()
             model = toy_model(kind, seed=3)
-            model.attach_tape(tape)
-            model.forward_batch(Tensor(toy_window(rng, batch=2), dtype=F64), [3, 20], mode="train")
-            ops[kind] = [node.op for node in tape.nodes]
+            with Tape() as tape:
+                model.forward_batch(Tensor(toy_window(rng, batch=2), dtype=F64), [3, 20], mode="train")
+                ops[kind] = [node.op for node in tape.nodes]
             assert not {"matmul", "transpose"} & set(ops[kind]), kind
         assert ops["STDIEmbedding"][-11:] == [
             "take", "affine", "leaky_relu", "affine", "leaky_relu",
@@ -374,10 +370,8 @@ class TestForward:
 
     def test_end_to_end_gradcheck(self):
         rng = np.random.default_rng(14)
-        tape = Tape()
         model = toy_model(seed=7)
-        model.attach_tape(tape)
-        seq = Tensor(toy_window(rng, batch=1), dtype=F64, requires_grad=True, tape=tape)
+        seq = Tensor(toy_window(rng, batch=1), dtype=F64, requires_grad=True)
         target = Tensor(rng.random((1, 2, 2, 2)), dtype=F64)
 
         def f(_):
@@ -663,13 +657,12 @@ class TestGradcheckCoverage:
         models = [build_model(kind, d, seed=3) for kind in MODEL_KINDS] + [MlpModel(d, seed=3)]
         recorded = set()
         for model in models:
-            tape = Tape()
-            model.attach_tape(tape)
             # An input that needs a gradient also records the frame selection.
             x = Tensor(rng.random((2, d.seq_len, 2, d.rows, d.cols)).astype(np.float32),
-                       requires_grad=True, tape=tape)
+                       requires_grad=True)
             y = Tensor(rng.random((2, 2, d.rows, d.cols)).astype(np.float32))
-            mse_loss(model.forward_batch(x, [3, 20], mode="train"), y)
-            recorded |= {node.op for node in tape.nodes}
+            with Tape() as tape:
+                mse_loss(model.forward_batch(x, [3, 20], mode="train"), y)
+                recorded |= {node.op for node in tape.nodes}
         assert {"conv2d", "batchnorm", "lstm", "take", "hconcat"} <= recorded
         assert recorded - set(CASES) == set()

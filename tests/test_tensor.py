@@ -4,6 +4,7 @@ Expected values marked by hand arithmetic were recomputed with the naive
 oracles defined at the top of this file before being frozen.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -116,8 +117,8 @@ def same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-def t64(data, requires_grad=False, tape=None):
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad, tape=tape)
+def t64(data, requires_grad=False):
+    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
 class TestElementwise:
@@ -155,10 +156,10 @@ class TestElementwise:
         # A channel-last view, as a conv output is: the output keeps its layout.
         x = rng.permutation(x).reshape(10, 20, 25, 20).transpose(0, 3, 1, 2)
         g = rng.normal(size=x.shape).astype(dtype)
-        tape = Tape()
-        out = relu(Tensor(x, requires_grad=True, tape=tape))
-        assert same_bits(out.data, np.where(x > 0, x, dtype(0)))
-        (dx,) = tape.nodes[-1].backward(g)
+        with Tape() as tape:
+            out = relu(Tensor(x, requires_grad=True))
+            assert same_bits(out.data, np.where(x > 0, x, dtype(0)))
+            (dx,) = tape.nodes[-1].backward(g)
         assert same_bits(dx, g * (x > 0))
 
     def test_leaky_relu_definition(self):
@@ -198,10 +199,10 @@ class TestMatmul:
         # d/dx sum(x @ w.T) has every row equal to the row sums of w.T,
         # and d/dw every row equal to the column sums of x.
         rng = np.random.default_rng(7)
-        tape = Tape()
-        x = t64(rng.normal(size=(3, 4)), requires_grad=True, tape=tape)
-        w = t64(rng.normal(size=(5, 4)), requires_grad=True, tape=tape)
-        tape.backward(sum_all(affine(x, w)))
+        x = t64(rng.normal(size=(3, 4)), requires_grad=True)
+        w = t64(rng.normal(size=(5, 4)), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(affine(x, w)))
         np.testing.assert_allclose(x.grad, np.tile(w.data.sum(axis=0), (3, 1)), atol=1e-12)
         np.testing.assert_allclose(w.grad, np.tile(x.data.sum(axis=0), (5, 1)), atol=1e-12)
 
@@ -209,12 +210,12 @@ class TestMatmul:
     def test_bias_free_is_the_plain_product(self, dtype):
         """The output is x @ w.T bit for bit, and the node records only (x, w)."""
         rng = np.random.default_rng(8)
-        tape = Tape()
-        x = Tensor(rng.normal(size=(6, 37)).astype(dtype), requires_grad=True, tape=tape)
-        w = Tensor(rng.normal(size=(53, 37)).astype(dtype), requires_grad=True, tape=tape)
-        out = affine(x, w)
-        assert out.data.tobytes() == (x.data @ w.data.T).tobytes()
-        assert out._node.inputs == (x, w) and len(out._node.backward(np.ones_like(out.data))) == 2
+        x = Tensor(rng.normal(size=(6, 37)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(53, 37)).astype(dtype), requires_grad=True)
+        with Tape():
+            out = affine(x, w)
+            assert out.data.tobytes() == (x.data @ w.data.T).tobytes()
+            assert out._node.inputs == (x, w) and len(out._node.backward(np.ones_like(out.data))) == 2
 
 
 class TestConv2d:
@@ -314,12 +315,12 @@ class TestConv2d:
         gd = rng.normal(size=(bsz, cout, h, w))
         bd = rng.normal(size=cout)
         for single in (False, True):
-            tape = Tape()
-            x = t64(xd[0] if single else xd, requires_grad=True, tape=tape)
-            k = t64(kd, requires_grad=True, tape=tape)
-            b = t64(bd, requires_grad=True, tape=tape)
+            x = t64(xd[0] if single else xd, requires_grad=True)
+            k = t64(kd, requires_grad=True)
+            b = t64(bd, requires_grad=True)
             w = t64(gd[0] if single else gd)
-            tape.backward(sum_all(hadamard(conv2d(x, k, b), w)))
+            with Tape() as tape:
+                tape.backward(sum_all(hadamard(conv2d(x, k, b), w)))
             dx, dk, db = tensordot_conv2d_backward(xd[:1] if single else xd, kd,
                                                    gd[:1] if single else gd)
             for got, want in ((x.grad, dx[0] if single else dx), (k.grad, dk), (b.grad, db)):
@@ -353,11 +354,11 @@ class TestConv2d:
         xd = rng.normal(size=(bsz, cin, h, w))
         kd = rng.normal(size=(cout, cin, 3, 3))
         gd = rng.normal(size=(bsz, cout, h, w))
-        tape = Tape()
-        x = t64(xd, requires_grad=True, tape=tape)
-        k = t64(kd, requires_grad=True, tape=tape)
-        b = t64(rng.normal(size=cout), requires_grad=True, tape=tape)
-        tape.backward(sum_all(hadamard(conv2d(x, k, b), t64(gd))))
+        x = t64(xd, requires_grad=True)
+        k = t64(kd, requires_grad=True)
+        b = t64(rng.normal(size=cout), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(hadamard(conv2d(x, k, b), t64(gd))))
         dx, dk, db = tensordot_conv2d_backward(xd, kd, gd)
         for got, want in ((x.grad, dx), (k.grad, dk), (b.grad, db)):
             assert got.shape == want.shape
@@ -367,17 +368,17 @@ class TestConv2d:
         """The backward rule rebuilds its columns from the input, so a
         recorded conv at paper dims holds no buffer beyond its output."""
         rng = np.random.default_rng(43)
-        tape = Tape()
-        x = Tensor(rng.normal(size=(64, 32, 8, 16)).astype(np.float32), requires_grad=True, tape=tape)
-        k = Tensor(rng.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True, tape=tape)
-        b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True, tape=tape)
-        tracemalloc.start()
-        try:
-            out = conv2d(x, k, b)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert tape.nodes[-1].output is out
+        x = Tensor(rng.normal(size=(64, 32, 8, 16)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(32, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            tracemalloc.start()
+            try:
+                out = conv2d(x, k, b)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert tape.nodes[-1].output is out
         assert held <= out.data.nbytes + 65536, f"{held} bytes held for a {out.data.nbytes}-byte output"
 
 
@@ -415,10 +416,9 @@ class TestBatchnorm:
 
     def test_train_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        tape = Tape()
-        x = t64(rng.normal(size=(4, 2, 3, 3)), requires_grad=True, tape=tape)
-        gamma = t64(rng.normal(size=2), requires_grad=True, tape=tape)
-        beta = t64(rng.normal(size=2), requires_grad=True, tape=tape)
+        x = t64(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        gamma = t64(rng.normal(size=2), requires_grad=True)
+        beta = t64(rng.normal(size=2), requires_grad=True)
         state = BnState(2, dtype=np.float64)
         w = rng.normal(size=(4, 2, 3, 3))  # fixed weights make the loss non-symmetric
 
@@ -453,14 +453,14 @@ class TestBatchnorm:
         running = (state.running_mean.copy(), state.running_var.copy())
         want, want_grads = broadcast_batchnorm(x, gamma, beta, running, mode, g)
 
-        tape = Tape()
-        params = [Tensor(a, requires_grad=True, tape=tape) for a in (x, gamma, beta)]
-        out = batchnorm(*params, state, mode)
-        assert same_bits(out.data, want)
-        assert same_bits(state.running_mean, running[0])
-        assert same_bits(state.running_var, running[1])
-        for got, ref in zip(tape.nodes[-1].backward(g), want_grads):
-            assert same_bits(got, ref)
+        params = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        with Tape() as tape:
+            out = batchnorm(*params, state, mode)
+            assert same_bits(out.data, want)
+            assert same_bits(state.running_mean, running[0])
+            assert same_bits(state.running_var, running[1])
+            for got, ref in zip(tape.nodes[-1].backward(g), want_grads):
+                assert same_bits(got, ref)
 
 
 class TestReshape:
@@ -477,9 +477,9 @@ class TestReshape:
         np.testing.assert_array_equal(back.data, x.data)
 
     def test_gradient_passes_through(self):
-        tape = Tape()
-        x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True, tape=tape)
-        tape.backward(sum_all(reshape(x, (3, 2))))
+        x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(reshape(x, (3, 2))))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_count_mismatch(self):
@@ -489,84 +489,136 @@ class TestReshape:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        tape = Tape()
-        x = t64([1.0, 2.0, 3.0], requires_grad=True, tape=tape)
-        tape.backward(sum_all(x))
+        x = t64([1.0, 2.0, 3.0], requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_quadratic_gradient(self):
-        tape = Tape()
-        x = t64([1.0, -2.0], requires_grad=True, tape=tape)
-        tape.backward(sum_all(hadamard(x, x)))
+        x = t64([1.0, -2.0], requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(hadamard(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, -4.0])
 
     def test_diamond_accumulates(self):
-        tape = Tape()
-        x = t64([3.0], requires_grad=True, tape=tape)
-        tape.backward(sum_all(add(x, x)))
+        x = t64([3.0], requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(add(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0])
 
     def test_non_scalar_loss_rejected(self):
-        tape = Tape()
-        x = t64([1.0, 2.0], requires_grad=True, tape=tape)
-        with pytest.raises(UsageError, match="scalar"):
-            tape.backward(add(x, x))
+        x = t64([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(UsageError, match="scalar"):
+                tape.backward(add(x, x))
 
     def test_second_backward_without_reset_rejected(self):
-        tape = Tape()
-        x = t64([1.0], requires_grad=True, tape=tape)
-        loss = sum_all(x)
-        tape.backward(loss)
-        with pytest.raises(UsageError, match="consumed"):
+        x = t64([1.0], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(x)
             tape.backward(loss)
-        tape.reset()
-        loss2 = sum_all(hadamard(x, x))
-        tape.backward(loss2)  # usable again after reset
+            with pytest.raises(UsageError, match="consumed"):
+                tape.backward(loss)
+            tape.reset()
+            loss2 = sum_all(hadamard(x, x))
+            tape.backward(loss2)  # usable again after reset
 
     def test_paused_recording(self):
-        tape = Tape()
-        x = t64([1.0], requires_grad=True, tape=tape)
-        with tape.paused():
-            sum_all(x)
-        assert tape.nodes == []
+        x = t64([1.0], requires_grad=True)
+        with Tape() as tape:
+            with tape.paused():
+                sum_all(x)
+            assert tape.nodes == []
 
-    def test_two_tapes_rejected(self):
-        a = t64([1.0], requires_grad=True, tape=Tape())
-        b = t64([1.0], requires_grad=True, tape=Tape())
-        with pytest.raises(UsageError, match="tapes"):
-            add(a, b)
+    def test_no_open_tape_records_nothing(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        loss = sum_all(hadamard(x, x))
+        assert loss.requires_grad and loss._node is None
+        with Tape() as tape:
+            with pytest.raises(UsageError, match="not recorded on this tape"):
+                tape.backward(loss)
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["exits", "raises"])
+    def test_nested_tape_restores_the_outer_one(self, raises):
+        """Ops record on the innermost open tape; when its block ends, by
+        falling through or by an exception, the outer tape records again."""
+        x = t64([1.0], requires_grad=True)
+        with Tape() as outer:
+            relu(x)
+            try:
+                with Tape() as inner:
+                    tanh(x)
+                    assert [n.op for n in inner.nodes] == ["tanh"]
+                    if raises:
+                        raise KeyError("inner block")
+            except KeyError:
+                assert raises
+            assert inner.nodes == []
+            sigmoid(x)
+            assert [n.op for n in outer.nodes] == ["relu", "sigmoid"]
+        assert outer.nodes == [] and relu(x)._node is None
+
+    def test_a_tape_records_only_in_its_own_thread(self):
+        x = t64([1.0], requires_grad=True)
+        with Tape() as tape:
+            worker = threading.Thread(target=lambda: sum_all(x))
+            worker.start()
+            worker.join()
+            assert tape.nodes == []
+
+    def test_backward_refuses_a_loss_of_another_tape(self):
+        """Each tape sweeps only its own graph; a refusal leaves both intact."""
+        x = t64([1.0], requires_grad=True)
+        with Tape() as outer:
+            on_outer = sum_all(x)
+            with Tape() as inner:
+                on_inner = sum_all(x)
+                for tape, loss in ((outer, on_inner), (inner, on_outer)):
+                    with pytest.raises(UsageError, match="not recorded on this tape"):
+                        tape.backward(loss)
+                inner.backward(on_inner)
+            outer.backward(on_outer)
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_an_open_tape_cannot_be_opened_again(self):
+        with Tape() as tape:
+            with pytest.raises(UsageError, match="already open"):
+                with tape:
+                    pass
+            sum_all(t64([1.0], requires_grad=True))
+            assert len(tape.nodes) == 1
 
     def test_tape_records_in_topological_order(self):
         rng = np.random.default_rng(30)
-        tape = Tape()
-        x = t64(rng.normal(size=(3, 3)), requires_grad=True, tape=tape)
-        y = affine(relu(x), tanh(x))
-        sum_all(add(y, y))
-        produced = set()
-        leaves = {id(x)}
-        for node in tape.nodes:
-            for inp in node.inputs:
-                assert id(inp) in produced or id(inp) in leaves or not inp.requires_grad
-            produced.add(id(node.output))
+        x = t64(rng.normal(size=(3, 3)), requires_grad=True)
+        with Tape() as tape:
+            y = affine(relu(x), tanh(x))
+            sum_all(add(y, y))
+            produced = set()
+            leaves = {id(x)}
+            for node in tape.nodes:
+                for inp in node.inputs:
+                    assert id(inp) in produced or id(inp) in leaves or not inp.requires_grad
+                produced.add(id(node.output))
 
 
 class TestShapeOps:
     def test_take_round_trip(self):
-        tape = Tape()
-        x = t64(np.arange(12.0).reshape(3, 4), requires_grad=True, tape=tape)
-        rows = [take(x, i) for i in range(3)]
-        for i, row in enumerate(rows):
-            np.testing.assert_array_equal(row.data, x.data[i])
-        # Each row gets a gradient of its own, so one routed to the wrong row fails.
-        tape.backward(add(add(sum_all(rows[0]), mean_all(rows[1])),
-                          sum_all(hadamard(rows[2], rows[2]))))
+        x = t64(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with Tape() as tape:
+            rows = [take(x, i) for i in range(3)]
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(row.data, x.data[i])
+            # Each row gets a gradient of its own, so one routed to the wrong row fails.
+            tape.backward(add(add(sum_all(rows[0]), mean_all(rows[1])),
+                              sum_all(hadamard(rows[2], rows[2]))))
         np.testing.assert_array_equal(x.grad, [[1.0] * 4, [0.25] * 4, [16.0, 18.0, 20.0, 22.0]])
 
     def test_take_rows_repeated_indices_accumulate(self):
-        tape = Tape()
-        table = t64(np.arange(8.0).reshape(4, 2), requires_grad=True, tape=tape)
-        out = take(table, [1, 1, 3])
-        tape.backward(sum_all(out))
+        table = t64(np.arange(8.0).reshape(4, 2), requires_grad=True)
+        with Tape() as tape:
+            out = take(table, [1, 1, 3])
+            tape.backward(sum_all(out))
         np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
     @pytest.mark.parametrize("index", [[[0]], 4, -1, [0, 4]])
@@ -575,27 +627,27 @@ class TestShapeOps:
             take(t64(np.zeros((4, 2))), index)
 
     def test_concat_splits_gradient(self):
-        tape = Tape()
-        a = t64([[1.0, 2.0], [-1.0, 0.5]], requires_grad=True, tape=tape)
-        b = t64([[3.0], [-4.0]], requires_grad=True, tape=tape)
-        out = hconcat([a, b])
-        assert out.data.tolist() == [[1.0, 2.0, 3.0], [-1.0, 0.5, -4.0]]
-        tape.backward(sum_all(hadamard(out, out)))
+        a = t64([[1.0, 2.0], [-1.0, 0.5]], requires_grad=True)
+        b = t64([[3.0], [-4.0]], requires_grad=True)
+        with Tape() as tape:
+            out = hconcat([a, b])
+            assert out.data.tolist() == [[1.0, 2.0, 3.0], [-1.0, 0.5, -4.0]]
+            tape.backward(sum_all(hadamard(out, out)))
         np.testing.assert_array_equal(a.grad, [[2.0, 4.0], [-2.0, 1.0]])
         np.testing.assert_array_equal(b.grad, [[6.0], [-8.0]])
 
     def test_concat_flattens_parts_of_higher_rank(self):
         """A (B, C, H, W) part, channel-last in memory as conv outputs are,
         fills its columns in C order, and its gradient comes back in its shape."""
-        tape = Tape()
-        a = t64([[-1.0], [-2.0]], requires_grad=True, tape=tape)
+        a = t64([[-1.0], [-2.0]], requires_grad=True)
         maps = np.arange(16.0).reshape(2, 2, 2, 2)
         b = t64(np.ascontiguousarray(maps.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
-                requires_grad=True, tape=tape)
+                requires_grad=True)
         assert not b.data.flags.c_contiguous
-        out = hconcat([a, b])
-        np.testing.assert_array_equal(out.data, np.concatenate([a.data, maps.reshape(2, 8)], 1))
-        tape.backward(sum_all(hadamard(out, out)))
+        with Tape() as tape:
+            out = hconcat([a, b])
+            np.testing.assert_array_equal(out.data, np.concatenate([a.data, maps.reshape(2, 8)], 1))
+            tape.backward(sum_all(hadamard(out, out)))
         np.testing.assert_array_equal(a.grad, [[-2.0], [-4.0]])
         np.testing.assert_array_equal(b.grad, 2 * maps)
 
@@ -621,10 +673,10 @@ class TestShapeOps:
         b, g = rng.normal(size=37).astype(dtype), rng.normal(size=37).astype(dtype)
         runs = []
         for x_in, g_out in ((x, g), (x[None], g[None])):
-            tape = Tape()
-            leaves = [Tensor(a, requires_grad=True, tape=tape) for a in (x_in, w, b)]
-            out = affine(*leaves)
-            tape.backward(sum_all(hadamard(out, Tensor(g_out, tape=tape))))
+            leaves = [Tensor(a, requires_grad=True) for a in (x_in, w, b)]
+            with Tape() as tape:
+                out = affine(*leaves)
+                tape.backward(sum_all(hadamard(out, Tensor(g_out))))
             runs.append([out.data.reshape(-1)] + [t.grad.reshape(-1) for t in leaves])
         for vector, row in zip(*runs):
             assert vector.dtype == dtype and vector.tobytes() == row.tobytes()
@@ -632,16 +684,14 @@ class TestShapeOps:
 
 class TestFiniteDiff:
     def test_linear_function_is_exact(self):
-        tape = Tape()
-        x = t64(np.arange(5.0), requires_grad=True, tape=tape)
+        x = t64(np.arange(5.0), requires_grad=True)
         assert finite_diff_check(sum_all, x) < 1e-10
 
     def test_conv_mse_within_tolerance(self):
         rng = np.random.default_rng(20)
-        tape = Tape()
-        x = t64(rng.normal(size=(2, 4, 4)), requires_grad=True, tape=tape)
-        k = t64(rng.normal(size=(3, 2, 3, 3)), requires_grad=True, tape=tape)
-        b = t64(rng.normal(size=3), requires_grad=True, tape=tape)
+        x = t64(rng.normal(size=(2, 4, 4)), requires_grad=True)
+        k = t64(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = t64(rng.normal(size=3), requires_grad=True)
         target = Tensor(rng.normal(size=(3, 4, 4)), dtype=np.float64)
 
         def f(v):
@@ -653,16 +703,14 @@ class TestFiniteDiff:
         assert finite_diff_check(f, b) < 1e-5
 
     def test_requires_float64(self):
-        tape = Tape()
-        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True, tape=tape)
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with pytest.raises(UsageError, match="verification"):
             finite_diff_check(sum_all, x)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_single_ops_over_seeds(self, seed):
         rng = np.random.default_rng(seed)
-        tape = Tape()
-        x = t64(rng.normal(size=(3, 4)) + 0.1, requires_grad=True, tape=tape)
+        x = t64(rng.normal(size=(3, 4)) + 0.1, requires_grad=True)
         y = t64(rng.normal(size=(3, 4)))
         w = t64(rng.normal(size=(2, 4)))
 

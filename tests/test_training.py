@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stdinet import DivergenceError, ShapeError, UsageError, training
+from stdinet import tensor as T
 from stdinet.data import make_windows, random_demand_series, split_dataset, windows_to_arrays
 from stdinet.model import TOY_DIMS, build_model
 from stdinet.tensor import Tape, Tensor, finite_diff_check, hadamard, sum_all, tanh
@@ -32,10 +33,10 @@ class TestMseLoss:
 
     def test_gradient_formula_and_finite_differences(self):
         rng = np.random.default_rng(0)
-        tape = Tape()
-        pred = Tensor(rng.normal(size=(2, 3)), dtype=F64, requires_grad=True, tape=tape)
+        pred = Tensor(rng.normal(size=(2, 3)), dtype=F64, requires_grad=True)
         target = Tensor(rng.normal(size=(2, 3)), dtype=F64)
-        tape.backward(mse_loss(pred, target))
+        with Tape() as tape:
+            tape.backward(mse_loss(pred, target))
         expected = 2.0 * (pred.data - target.data) / pred.data.size
         np.testing.assert_allclose(pred.grad, expected, atol=1e-12)
         assert finite_diff_check(lambda v: mse_loss(v, target), pred) < 1e-6
@@ -198,8 +199,8 @@ class TestFit:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("lr", [1e-3, 1e30], ids=["returns", "diverges"])
     def test_fit_leaves_no_tape_on_the_model(self, monkeypatch, lr):
-        """Whether fit returns or raises, no parameter keeps its tape, and a
-        later forward records nothing on it."""
+        """Whether fit returns or raises, it closes its one tape: no tape is
+        open after it, and a later forward records nothing."""
         tapes = []
         monkeypatch.setattr(training, "Tape", lambda: tapes.append(Tape()) or tapes[-1])
         train, val, _ = self.small_dataset(seed=7)
@@ -211,9 +212,10 @@ class TestFit:
         else:
             fit(model, train, val, config)
         assert len(tapes) == 1
-        assert all(p.tape is None for _, p in model.named_tensors())
+        assert T._OPEN_TAPE.get() is None
         inputs, hours, _ = windows_to_arrays(val)
-        model.forward_batch(Tensor(inputs.astype(np.float32)), hours, mode="eval")
+        out = model.forward_batch(Tensor(inputs.astype(np.float32)), hours, mode="eval")
+        assert out.requires_grad and out._node is None
         assert tapes[0].nodes == []
 
     @pytest.mark.parametrize("n_train,batch_size", [(40, 1), (1, 32)])
@@ -294,15 +296,17 @@ class TestFit:
 
 class TestGraphRelease:
     def test_reset_frees_intermediates_without_the_cycle_collector(self):
-        tape = Tape()
-        x = Tensor(np.ones((4, 4)), dtype=F64, requires_grad=True, tape=tape)
-        mid = tanh(hadamard(x, x))
-        probe = weakref.ref(mid)
-        sum_all(mid)
-        del mid
+        """Closing a tape resets it: a graph abandoned without a backward
+        goes as the block ends."""
+        x = Tensor(np.ones((4, 4)), dtype=F64, requires_grad=True)
         gc.disable()
         try:
-            tape.reset()
+            with Tape():
+                mid = tanh(hadamard(x, x))
+                probe = weakref.ref(mid)
+                sum_all(mid)
+                del mid
+                assert probe() is not None
             assert probe() is None
         finally:
             gc.enable()
@@ -311,19 +315,19 @@ class TestGraphRelease:
     def test_backward_frees_intermediates_as_it_sweeps(self):
         """No reset and no cycle collector: the sweep itself drops each node,
         its closure and the activations the closure saved."""
-        tape = Tape()
-        x = Tensor(np.ones((4, 4)), dtype=F64, requires_grad=True, tape=tape)
-        mid = tanh(hadamard(x, x))
-        probe = weakref.ref(mid)
-        loss = sum_all(mid)
-        del mid
-        gc.disable()
-        try:
-            tape.backward(loss)
-            assert probe() is None
-        finally:
-            gc.enable()
-        assert tape.nodes == []
+        x = Tensor(np.ones((4, 4)), dtype=F64, requires_grad=True)
+        with Tape() as tape:
+            mid = tanh(hadamard(x, x))
+            probe = weakref.ref(mid)
+            loss = sum_all(mid)
+            del mid
+            gc.disable()
+            try:
+                tape.backward(loss)
+                assert probe() is None
+            finally:
+                gc.enable()
+            assert tape.nodes == []
         assert loss.grad is None and loss._node is None
         np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(1.0) ** 2))
 
@@ -333,34 +337,34 @@ class TestGradientHandOff:
 
     @staticmethod
     def stdi_loss(seed=0):
-        """Forward of one STDI training step at toy dims, recorded on a tape."""
+        """Forward of one STDI training step at toy dims, recorded on the open tape."""
         model = build_model("STDI", TOY_DIMS, seed=seed)
-        tape = Tape()
-        model.attach_tape(tape)
         inputs, hours, targets = copy_task_windows(n=6, seed=seed)
-        loss = mse_loss(model.forward_batch(Tensor(inputs, tape=tape), hours, mode="train"),
+        loss = mse_loss(model.forward_batch(Tensor(inputs), hours, mode="train"),
                         Tensor(targets))
-        return model, tape, loss
+        return model, loss
 
     @classmethod
     def stdi_step(cls, seed=0):
         """Forward and backward of one STDI training step at toy dims."""
-        model, tape, loss = cls.stdi_loss(seed)
-        tape.backward(loss)
-        return model, tape
+        with Tape() as tape:
+            model, loss = cls.stdi_loss(seed)
+            tape.backward(loss)
+        return model
 
     def test_no_grad_shares_memory_with_any_data(self):
-        model, tape, loss = self.stdi_loss()
-        params = {id(p): p for p in model.parameters()}
-        tensors = dict(params)
-        outputs = []
-        for node in tape.nodes:
-            for t in node.inputs:
-                tensors[id(t)] = t
-            outputs.append(node.output)
-        tape.backward(loss)
-        # The sweep consumes the tape, and only leaves keep a gradient.
-        assert tape.nodes == []
+        with Tape() as tape:
+            model, loss = self.stdi_loss()
+            params = {id(p): p for p in model.parameters()}
+            tensors = dict(params)
+            outputs = []
+            for node in tape.nodes:
+                for t in node.inputs:
+                    tensors[id(t)] = t
+                outputs.append(node.output)
+            tape.backward(loss)
+            # The sweep consumes the tape, and only leaves keep a gradient.
+            assert tape.nodes == []
         assert all(t.grad is None and t._node is None for t in outputs)
         grads = [t.grad for t in tensors.values() if t.grad is not None]
         assert len(grads) == len(params)
@@ -374,8 +378,8 @@ class TestGradientHandOff:
         assert model.lstm.b_in.grad is model.lstm.b_rec.grad
 
     def test_adam_step_bit_identical_to_copied_gradients(self):
-        ours, _ = self.stdi_step(seed=4)
-        copied, _ = self.stdi_step(seed=4)
+        ours = self.stdi_step(seed=4)
+        copied = self.stdi_step(seed=4)
         for p in copied.parameters():
             p.grad = p.grad.copy()
         for model in (ours, copied):
