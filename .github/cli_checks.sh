@@ -47,6 +47,16 @@ for kind in STDI STDIFusion UnifiedSpatial; do
     "$@" eval --ckpt "$tmp/$kind.1.ckpt" --data "$tmp/toy.stdm"
 done
 
+# The same round trip in float64 (precision=verification), whose parameters,
+# gradients and moments lie in arenas of their own dtype.
+for run in 1 2; do
+    "$@" train --model STDI --data "$tmp/toy.stdm" --out "$tmp/STDI-f64.$run.ckpt" --seed 5 \
+        --config "channels=4,lstm_hidden=8,rank=4,embed_dim=6,epochs=1,patience=1,batch_size=32,test_days=2,precision=verification"
+done
+cmp "$tmp/STDI-f64.1.ckpt" "$tmp/STDI-f64.2.ckpt" \
+    || { echo "train: two float64 STDI runs with the same seed wrote different checkpoints"; exit 1; }
+"$@" eval --ckpt "$tmp/STDI-f64.1.ckpt" --data "$tmp/toy.stdm"
+
 # Damaged checkpoints fail fast with exit code 3: data cut short by 40 bytes,
 # a header whose manifest length (0xF0000000) runs past the file, and a
 # manifest whose seq_len (1000000) asks for a million conv blocks.

@@ -165,10 +165,17 @@ class LstmParams(Layer):
     The four parameters are the Tensors ``w_in`` (4d, in), ``b_in`` (4d,),
     ``w_rec`` (4d, d) and ``b_rec`` (4d,); they are what the tape, the
     optimizer and gradcheck see.  The per-gate Tensors ``w_ix[g]``,
-    ``b_ix[g]``, ``w_hx[g]`` and ``b_hx[g]`` are their row blocks, made once
-    here, and serve only as checkpoint names: ``named_parts()`` lists them,
-    so a checkpoint holds one entry per kind and gate.
+    ``b_ix[g]``, ``w_hx[g]`` and ``b_hx[g]`` are their row blocks, made on
+    each read from the stacked Tensors' current arrays, so they follow a
+    rebind (``tensor.pack``).  They serve only as checkpoint names:
+    ``named_parts()`` lists them, so a checkpoint holds one entry per kind
+    and gate.
     """
+
+    w_ix = property(lambda self: self._gates(self.w_in))
+    b_ix = property(lambda self: self._gates(self.b_in))
+    w_hx = property(lambda self: self._gates(self.w_rec))
+    b_hx = property(lambda self: self._gates(self.b_rec))
 
     def __init__(self, input_dim, hidden_dim, rng, dtype=T.STANDARD):
         d = hidden_dim
@@ -178,14 +185,15 @@ class LstmParams(Layer):
         self.b_in = zeros_param(4 * d, dtype)
         self.w_rec = Tensor(np.empty((4 * d, d), dtype=dtype), requires_grad=True)
         self.b_rec = zeros_param(4 * d, dtype)
-        self.w_ix, self.b_ix, self.w_hx, self.b_hx = (
-            {g: Tensor(t.data[k * d:(k + 1) * d], requires_grad=True)
-             for k, g in enumerate(LSTM_GATES)}
-            for t in (self.w_in, self.b_in, self.w_rec, self.b_rec))
         for g in LSTM_GATES if rng is not None else ():
             # Assignment casts the float64 draws as astype(dtype) would.
             self.w_ix[g].data[...] = _uniform(rng, (d, input_dim), input_dim)
             self.w_hx[g].data[...] = _uniform(rng, (d, d), d)
+
+    def _gates(self, stacked):
+        d = self.hidden_dim
+        return {g: Tensor(stacked.data[k * d:(k + 1) * d], requires_grad=True)
+                for k, g in enumerate(LSTM_GATES)}
 
     def parts(self):
         return [(n, getattr(self, n)) for n in ("w_in", "b_in", "w_rec", "b_rec")]

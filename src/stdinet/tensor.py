@@ -52,10 +52,15 @@ class Tensor:
     open tape when some input requires grad.  ``grad`` (same shape as
     ``data``) is populated on leaves, the tensors no recorded op produced,
     once a backward pass has run through them; an op's output keeps none.
-    A grad is the array the backward rule returned, not a copy, so grads
-    may share memory with one another (the LSTM's two bias grads are one
-    array); no code writes into a ``grad`` in place.
+    A leaf given a slice of an optimizer's gradient arena (``grad_slice``,
+    set by ``training.Adam``) has that slice as its grad, which the backward
+    pass writes and adds into in place.  Any other leaf's grad is the array
+    the backward rule returned, not a copy, so such grads may share memory
+    with one another (the LSTM's two bias grads are one array).  No grad
+    shares memory with any tensor's ``data``.
     """
+
+    grad_slice = None
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if isinstance(data, Tensor):
@@ -155,9 +160,11 @@ class Tape:
         """Populate ``grad`` on every leaf that influenced a scalar loss.
 
         Each node is popped as its rule runs and goes with the closure and
-        activations it held, so the sweep empties the tape.  A leaf's first
-        gradient is stored as given, without a copy; further gradients
-        accumulate out of place, so no stored grad is ever written.
+        activations it held, so the sweep empties the tape.  A leaf with a
+        ``grad_slice`` gets its first gradient written into that slice (a
+        rule may have written it there already) and adds later ones in
+        place.  Any other leaf stores its first gradient as given, without a
+        copy, and adds later ones out of place, so no such grad is written.
         """
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -180,10 +187,76 @@ class Tape:
                         f"backward rule for {node.op} produced gradient shape "
                         f"{g.shape} for input shape {tensor.data.shape}"
                     )
-                if tensor.grad is None:
+                buf = tensor.grad_slice
+                if tensor.grad is None and buf is not None:
+                    if g is not buf:
+                        np.copyto(buf, g)
+                    tensor.grad = buf
+                elif tensor.grad is None:
                     tensor.grad = g
+                elif tensor.grad is buf:
+                    np.add(buf, g, out=buf)
                 else:
                     tensor.grad = tensor.grad + g
+
+
+def _grad_out(t, inputs):
+    """Where the backward rule of a node with ``inputs`` may write the
+    gradient of ``t``, one of them: its arena slice while it holds no
+    gradient yet and is no other input, else None (a new array)."""
+    alone = sum(u is t for u in inputs) == 1
+    return t.grad_slice if t.grad is None and alone else None
+
+
+def pack(tensors, copy=True):
+    """Lay ``tensors`` out as C-contiguous slices of one flat arena per dtype.
+
+    The tensors of a dtype lie end to end in the order given, and each
+    ``data`` is rebound to its slice, shaped as before.  ``copy=False``
+    leaves the values behind, and drops the old arrays before the arena is
+    allocated: for arrays that are read in after.  Tensors already laid out
+    so keep their arena, so packing twice packs once.  Returns {dtype: arena}.
+    """
+    groups = {}
+    for t in tensors:
+        groups.setdefault(t.data.dtype, []).append(t)
+    arenas = {}
+    for dtype, group in groups.items():
+        arena = _packed(group)
+        if arena is None:
+            shapes = [t.data.shape for t in group]
+            if not copy:
+                for t in group:
+                    t.data = None
+            arena = np.empty(sum(math.prod(s) for s in shapes), dtype)
+            for t, view in zip(group, arena_views(arena, shapes)):
+                if copy:
+                    view[...] = t.data
+                t.data = view
+        arenas[dtype] = arena
+    return arenas
+
+
+def _packed(group):
+    """The flat arena ``group`` fills end to end, in order, or None."""
+    arena = group[0].data.base
+    if not isinstance(arena, np.ndarray) or arena.ndim != 1 or arena.dtype != group[0].data.dtype:
+        return None
+    at = arena.ctypes.data
+    for t in group:
+        if t.data.base is not arena or t.data.ctypes.data != at or not t.data.flags.c_contiguous:
+            return None
+        at += t.data.nbytes
+    return arena if at == arena.ctypes.data + arena.nbytes else None
+
+
+def arena_views(arena, shapes):
+    """Slices of a flat ``arena`` of the given shapes, end to end in order."""
+    views, lo = [], 0
+    for shape in shapes:
+        views.append(arena[lo:lo + math.prod(shape)].reshape(shape))
+        lo += math.prod(shape)
+    return views
 
 
 def _common_dtype(tensors, op):
@@ -290,6 +363,8 @@ def affine(x, w, b=None):
     ``w`` is (out, in), ``b`` is (out,) or ``None``, then the node records
     only (x, w).  A 1-d ``x`` of length `in` yields a 1-d output; a 2-d ``x``
     of shape (batch, in) yields (batch, out) with the bias broadcast over rows.
+    The weight gradient's GEMM writes into ``w``'s gradient slice when it
+    may (``_grad_out``).
     """
     bias_shape = None if b is None else b.data.shape
     if w.data.ndim != 2 or bias_shape not in (None, w.data.shape[:1]):
@@ -305,7 +380,7 @@ def affine(x, w, b=None):
 
     def backward(g):
         g2 = g.reshape(-1, wd.shape[0])
-        grads = (g @ wd, g2.T @ x2)
+        grads = (g @ wd, np.matmul(g2.T, x2, out=_grad_out(w, inputs)))
         return grads if b is None else grads + (g2.sum(axis=0),)
 
     return _record("affine", inputs, out, backward)
@@ -392,8 +467,10 @@ def lstm(x, w_in, b_in, w_rec, b_rec):
     one (L*B, in) buffer, so the input projection of all L steps is one
     GEMM; each step adds one (B, d) @ (d, 4d) GEMM.  One node is recorded,
     whose backward pass through time returns a gradient for ``x`` and for
-    each parameter, the two biases sharing one array.  The cell is the one
-    of ``layers.lstm_step``: c_t = f*c_prev + i*g and h_t = o*tanh(c_t).
+    each parameter, the two biases sharing one array; the two weight GEMMs
+    write into the weights' gradient slices when they may (``_grad_out``).
+    The cell is the one of ``layers.lstm_step``: c_t = f*c_prev + i*g and
+    h_t = o*tanh(c_t).
     """
     params = (w_in, b_in, w_rec, b_rec)
     shapes = tuple(t.data.shape for t in params)
@@ -404,7 +481,8 @@ def lstm(x, w_in, b_in, w_rec, b_rec):
     shape = x.data.shape
     if len(shape) != 2 or shape[1] == 0 or shape[1] % n_in:
         raise ShapeError(f"lstm: input {shape} is not (B, L*{n_in}) with L >= 1")
-    _common_dtype((x,) + params, "lstm")
+    inputs = (x,) + params
+    _common_dtype(inputs, "lstm")
     batch, length = shape[0], shape[1] // n_in
     x_flat = np.array(x.data.reshape(batch, length, n_in).swapaxes(0, 1), order="C")
     x_flat = x_flat.reshape(length * batch, n_in)
@@ -446,11 +524,11 @@ def lstm(x, w_in, b_in, w_rec, b_rec):
                 dh = dz[t] @ w_rec
                 dc = dc * f
         dz_flat = dz.reshape(length * batch, 4 * d)
-        dw_in = dz_flat.T @ x_flat
+        dw_in = np.matmul(dz_flat.T, x_flat, out=_grad_out(params[0], inputs))
         db = dz_flat.sum(axis=0)
         if length > 1:
             h_prev = np.concatenate(hs[1:length])
-            dw_rec = dz_flat[batch:].T @ h_prev
+            dw_rec = np.matmul(dz_flat[batch:].T, h_prev, out=_grad_out(params[2], inputs))
         else:
             dw_rec = np.zeros_like(w_rec)
         dx = None
@@ -458,7 +536,7 @@ def lstm(x, w_in, b_in, w_rec, b_rec):
             dx = (dz_flat @ w_in).reshape(length, batch, n_in).swapaxes(0, 1).reshape(shape)
         return dx, dw_in, db, dw_rec, db
 
-    return _record("lstm", (x,) + params, h, backward)
+    return _record("lstm", inputs, h, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +621,12 @@ def _conv_channel_last(xt, kt, bias=None):
     ``kt[dy]`` is the (3*C_in, C_out) kernel slice of vertical tap dy, rows
     in (dx, c) order.  Each batch tile accumulates its three tap GEMMs in a
     product buffer of the tile's padded rows; only the real rows are copied
-    out, with ``bias`` (if any) added on the way.
+    out, with ``bias`` (if any) added on the way: on the tile's
+    (m, H, W*C_out) rows, tiled W times once per call.
     """
     bsz, h, w, cin = xt.shape
     cout = kt.shape[2]
+    bias_rows = None if bias is None else _tiled(bias, w)
     tiles = _ColumnTiles(bsz, h, w, cin, xt.dtype)
     out = np.empty((bsz, h, w, cout), dtype=xt.dtype)
     prod = np.empty((tiles.images * tiles.per, cout), dtype=xt.dtype)
@@ -558,12 +638,21 @@ def _conv_channel_last(xt, kt, bias=None):
         np.matmul(taps[0], kt[0], out=prod[:n])
         for tap, k in zip(taps[1:], kt[1:]):
             prod[:n] += np.matmul(tap, k, out=part[:n])
-        real = prod[:(b1 - b0) * tiles.per].reshape(b1 - b0, -1, w, cout)[:, :h]
+        m = b1 - b0
+        real = prod[:m * tiles.per].reshape(m, -1, w * cout)[:, :h]
+        rows = out[b0:b1].reshape(m, h, w * cout)
         if bias is None:
-            out[b0:b1] = real
+            rows[...] = real
         else:
-            np.add(real, bias, out=out[b0:b1])
+            np.add(real, bias_rows, out=rows)
     return out
+
+
+def _tiled(v, reps):
+    """A (C,) vector repeated ``reps`` times end to end, as ``np.tile`` makes it."""
+    out = np.empty((reps, v.shape[0]), dtype=v.dtype)
+    out[...] = v
+    return out.reshape(-1)
 
 
 def _tap_kernels(k):
@@ -667,11 +756,7 @@ class _Channels:
         self.rows = t.reshape(t.shape[0] * t.shape[1], t.shape[2] * t.shape[3]) if self.flat else a
 
     def vec(self, v):
-        if not self.flat:
-            return v[None, :, None, None]
-        tiled = np.empty(self.shape[2:], dtype=v.dtype)
-        tiled[...] = v
-        return tiled.reshape(-1)
+        return _tiled(v, self.shape[2]) if self.flat else v[None, :, None, None]
 
     def nchw(self, r):
         """A result in the form of ``rows`` as a (B, C, H, W) array."""

@@ -63,10 +63,15 @@ class Adam:
     """Adam with bias correction and weight decay as an L2 term on the gradient.
 
     The moment decays are 0.9 and 0.999 and eps is 1e-8.  Only tensors handed
-    in are updated, so frozen tensors are excluded by construction.  Moments
-    and parameters are updated in place, chunk by chunk through two scratch
-    buffers per dtype; each operation is the one of the textbook formula, in
-    the same order, so the result is bit for bit the same.
+    in are updated, so frozen tensors are excluded by construction.  They are
+    packed into one flat arena per dtype (``tensor.pack``; a model's already
+    are), and Adam owns three more arenas of that layout: the gradients and
+    the two moments, whose per-parameter views ``grads``, ``m`` and ``v``
+    list.  Each parameter's ``grad_slice`` is its view of the gradient arena,
+    which the backward pass writes.  A step runs one loop per dtype, in
+    place, chunk by chunk through two scratch buffers; each operation is the
+    one of the textbook formula, in the same order, so the result is bit for
+    bit the same.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -79,23 +84,36 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = {dt: (np.empty(ADAM_CHUNK, dtype=dt), np.empty(ADAM_CHUNK, dtype=dt))
-                         for dt in {p.data.dtype for p in self.params}}
+        self.arenas = []        # (data, grad, m, v) per dtype
+        slices = {}
+        for dtype, data in T.pack(self.params).items():
+            group = [p for p in self.params if p.data.dtype == dtype]
+            shapes = [p.data.shape for p in group]
+            arenas = (data, np.zeros_like(data), np.zeros_like(data), np.zeros_like(data))
+            self.arenas.append(arenas)
+            for p, *views in zip(group, *(T.arena_views(a, shapes) for a in arenas[1:])):
+                slices[id(p)] = views
+        self.grads, self.m, self.v = ([slices[id(p)][k] for p in self.params] for k in range(3))
+        for p, g in zip(self.params, self.grads):
+            p.grad_slice = g
+        self._scratch = {data.dtype: (np.empty(ADAM_CHUNK, dtype=data.dtype),
+                                      np.empty(ADAM_CHUNK, dtype=data.dtype))
+                         for data, *_ in self.arenas}
 
     def step(self):
+        for p, g in zip(self.params, self.grads):
+            if p.grad is None:
+                raise UsageError("adam step: a trainable parameter has no gradient")
+            if p.grad is not g:
+                np.copyto(g, p.grad)    # set by hand, or written for another optimizer
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                raise UsageError("adam step: a trainable parameter has no gradient")
-            flat = [arr.reshape(-1) for arr in (p.data, p.grad, m, v)]
-            s1, s2 = self._scratch[p.data.dtype]
-            for lo in range(0, p.data.size, ADAM_CHUNK):
-                hi = min(lo + ADAM_CHUNK, p.data.size)
-                self._update(*(arr[lo:hi] for arr in flat), s1[:hi - lo], s2[:hi - lo], bc1, bc2)
+        for arenas in self.arenas:
+            s1, s2 = self._scratch[arenas[0].dtype]
+            for lo in range(0, arenas[0].size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, arenas[0].size)
+                self._update(*(a[lo:hi] for a in arenas), s1[:hi - lo], s2[:hi - lo], bc1, bc2)
 
     def _update(self, p, g, m, v, a, b, bc1, bc2):
         if self.weight_decay:
@@ -114,6 +132,7 @@ class Adam:
         p -= np.multiply(b, self.lr, out=b)             # p -= lr * update
 
     def zero_grad(self):
+        """Mark every gradient unwritten; the gradient arena stays for the next step."""
         for p in self.params:
             p.grad = None
 
@@ -228,7 +247,7 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 step_times.append(time.perf_counter() - step_start)
             train_s = time.perf_counter() - epoch_start
             # The loss alone can miss NaN weights: a ReLU maps NaN to zero.
-            if not all(np.isfinite(p.data).all() for p in adam.params):
+            if not all(np.isfinite(data).all() for data, *_ in adam.arenas):
                 raise DivergenceError(f"non-finite parameter after epoch {epoch + 1}")
 
             with tape.paused():

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,25 @@ class TestAdam:
         adam = Adam([p], lr=1e-3)
         with pytest.raises(UsageError, match="no gradient"):
             adam.step()
+
+    def test_gradient_missing_on_a_later_step_fatal(self):
+        """After zero_grad, a parameter the tape gave nothing has no gradient,
+        though its arena slice still holds the last step's: the step is
+        refused before any parameter moves."""
+        a, b = (Tensor(np.linspace(0.5, 1.5, 3), requires_grad=True) for _ in range(2))
+        adam = Adam([a, b], lr=1e-3)
+        with Tape() as tape:
+            tape.backward(sum_all(hadamard(a, b)))
+            adam.step()
+            adam.zero_grad()
+            tape.backward(sum_all(tanh(a)))
+        assert b.grad is None and np.any(b.grad_slice != 0)
+        before = [a.data.copy(), b.data.copy()]
+        with pytest.raises(UsageError, match="a trainable parameter has no gradient"):
+            adam.step()
+        assert adam.step_count == 1
+        for p, was in zip((a, b), before):
+            np.testing.assert_array_equal(p.data, was)
 
     @staticmethod
     def reference_step(adam, params, ms, vs, step_count):
@@ -386,3 +406,80 @@ class TestGradientHandOff:
             Adam(model.parameters(), lr=1e-2, weight_decay=1e-3).step()
         for (name, a), (_, b) in zip(ours.named_tensors(), copied.named_tensors()):
             assert a.data.tobytes() == b.data.tobytes(), name
+
+
+class TestGradientArena:
+    """Adam's gradient arena: the backward pass writes each parameter's slice."""
+
+    def test_a_models_parameters_are_packed_once(self):
+        """The model packs its parameters when built; Adam rebinds none."""
+        model = build_model("STDI", TOY_DIMS, seed=12)
+        arrays = [p.data for p in model.parameters()]
+        adam = Adam(model.parameters(), lr=1e-3)
+        (data_arena, _, _, _), = adam.arenas
+        assert all(p.data is a and a.base is data_arena for p, a in zip(model.parameters(), arrays))
+        assert data_arena.size == model.parameter_count()
+
+    def test_grads_are_arena_slices_reused_across_steps(self):
+        model = build_model("STDI", TOY_DIMS, seed=12)
+        inputs, hours, targets = copy_task_windows(n=6, seed=12)
+        adam = Adam(model.parameters(), lr=1e-3)
+        (_, grad_arena, _, _), = adam.arenas
+        w_in_grads = []
+        with Tape() as tape:
+            for _ in range(2):
+                tape.backward(mse_loss(model.forward_batch(Tensor(inputs), hours, mode="train"),
+                                       Tensor(targets)))
+                for p in model.parameters():
+                    assert p.grad is p.grad_slice and p.grad.base is grad_arena
+                w_in_grads.append(model.lstm.w_in.grad)
+                adam.step()
+                adam.zero_grad()
+        assert w_in_grads[0] is w_in_grads[1]
+
+    def test_parameter_read_twice_by_one_op_gets_both_gradients(self):
+        """affine(p, p): the rule may not write p's weight gradient into the
+        slice that p's input gradient is then copied over."""
+        rng = np.random.default_rng(14)
+        p = Tensor(rng.normal(size=(3, 3)), dtype=F64, requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 3)), dtype=F64)     # so the two gradients differ
+        grads = []
+        for optimizer in (None, Adam):
+            if optimizer:
+                optimizer([p])
+            p.grad = None
+            with Tape() as tape:
+                tape.backward(sum_all(hadamard(T.affine(p, p), c)))
+            grads.append(p.grad)
+        assert grads[1] is p.grad_slice
+        assert grads[1].tobytes() == grads[0].tobytes()
+
+    def test_shared_block_accumulates_as_out_of_place_sum(self):
+        """UnifiedSpatial's one conv block reads every frame, so each of its
+        parameters gets one gradient per frame; the in-place sum in its slice
+        is bit for bit the out-of-place sum of those contributions."""
+        dims = replace(TOY_DIMS, seq_len=2)
+        model = build_model("UnifiedSpatial", dims, seed=13)
+        inputs, hours, targets = copy_task_windows(n=6, dims=dims, seed=13)
+        Adam(model.parameters(), lr=1e-3)
+        kernels = model.spatial.blocks[0].entry.kernels
+        parts = []
+
+        def recording(rule, i):
+            def backward(g):
+                grads = rule(g)
+                parts.append(grads[i].copy())
+                return grads
+            return backward
+
+        with Tape() as tape:
+            loss = mse_loss(model.forward_batch(Tensor(inputs), hours, mode="train"),
+                            Tensor(targets))
+            for node in tape.nodes:
+                for i, t in enumerate(node.inputs):
+                    if t is kernels:
+                        node.backward = recording(node.backward, i)
+            tape.backward(loss)
+        assert len(parts) == 2
+        assert kernels.grad is kernels.grad_slice
+        assert kernels.grad.tobytes() == (parts[0] + parts[1]).tobytes()
