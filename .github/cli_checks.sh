@@ -47,8 +47,9 @@ for kind in STDI STDIFusion UnifiedSpatial; do
     "$@" eval --ckpt "$tmp/$kind.1.ckpt" --data "$tmp/toy.stdm"
 done
 
-# The same round trip in float64 (precision=verification), whose parameters,
-# gradients and moments lie in arenas of their own dtype.
+# The same round trip in float64 (precision=verification): Adam copies the
+# float64 parameters into its one data arena, and its gradient and moment
+# arenas are float64 too.
 for run in 1 2; do
     "$@" train --model STDI --data "$tmp/toy.stdm" --out "$tmp/STDI-f64.$run.ckpt" --seed 5 \
         --config "channels=4,lstm_hidden=8,rank=4,embed_dim=6,epochs=1,patience=1,batch_size=32,test_days=2,precision=verification"

@@ -6,8 +6,12 @@
 # Outputs go to $RUNNER_TEMP, or to a new temporary directory.
 set -eu
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
-for w in ingest train_paper predict_paper baselines; do
-    python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 --trace 0 > "$tmp/$w.out"
-    tail -n 1 "$tmp/$w.out" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
-        || { echo "perfbench $w: checks failed"; tail -n 1 "$tmp/$w.out"; exit 1; }
+# train_paper and baselines run once more with --trace 1: the tracer wraps
+# Adam.step, zero_grad and DemandModel.snapshot/restore, and its rounds must
+# pass the same checks.
+for run in ingest:0 train_paper:0 predict_paper:0 baselines:0 train_paper:1 baselines:1; do
+    w=${run%:*} trace=${run#*:}
+    python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 --trace "$trace" > "$tmp/$w.$trace.out"
+    tail -n 1 "$tmp/$w.$trace.out" | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+        || { echo "perfbench $w (trace $trace): checks failed"; tail -n 1 "$tmp/$w.$trace.out"; exit 1; }
 done

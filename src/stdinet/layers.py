@@ -166,10 +166,10 @@ class LstmParams(Layer):
     ``w_rec`` (4d, d) and ``b_rec`` (4d,); they are what the tape, the
     optimizer and gradcheck see.  The per-gate Tensors ``w_ix[g]``,
     ``b_ix[g]``, ``w_hx[g]`` and ``b_hx[g]`` are their row blocks, made on
-    each read from the stacked Tensors' current arrays, so they follow a
-    rebind (``tensor.pack``).  They serve only as checkpoint names:
-    ``named_parts()`` lists them, so a checkpoint holds one entry per kind
-    and gate.
+    each read from the stacked Tensors' current arrays, so they follow
+    ``training.Adam``'s rebind into its arena.  They serve only as
+    checkpoint names: ``named_parts()`` lists them, so a checkpoint holds
+    one entry per kind and gate.
     """
 
     w_ix = property(lambda self: self._gates(self.w_in))

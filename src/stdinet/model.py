@@ -254,13 +254,10 @@ class DemandModel(Layer):
     predict_windows and checkpoints.
 
     The weights are drawn from ``rng`` in a fixed order: spatial blocks,
-    LSTM, head.  Then the trainable tensors are packed into one arena
-    (``tensor.pack``), in ``parameters()`` order, so an optimizer built on
-    them packs nothing.  With ``rng=None`` nothing is drawn, and the
-    weights, packed without their values, and the hour table are
-    ``np.empty``: the skeleton that load_checkpoint reads a checkpoint
-    into.  ``named_tensors()`` walks ``named_parts()``, so it lists the
-    LSTM's per-gate views where ``params()`` lists its 4 tensors.
+    LSTM, head.  With ``rng=None`` nothing is drawn and the weights and hour
+    table are ``np.empty``: the skeleton that load_checkpoint reads a
+    checkpoint into.  ``named_tensors()`` walks ``named_parts()``, so it
+    lists the LSTM's per-gate views where ``params()`` lists its 4 tensors.
     """
 
     def __init__(self, kind, dims, rng, embedding=None, dtype=T.STANDARD):
@@ -273,7 +270,6 @@ class DemandModel(Layer):
         self.lstm = LstmParams(step_dim, dims.lstm_hidden, rng, dtype) if has_lstm else None
         feat_dim = dims.lstm_hidden if has_lstm else dims.seq_len * step_dim
         self.head = head(feat_dim, dims, rng, embedding, dtype=dtype)
-        T.pack(self.parameters(), copy=rng is not None)
 
     # -- forward ---------------------------------------------------------
 

@@ -52,12 +52,14 @@ class Tensor:
     open tape when some input requires grad.  ``grad`` (same shape as
     ``data``) is populated on leaves, the tensors no recorded op produced,
     once a backward pass has run through them; an op's output keeps none.
-    A leaf given a slice of an optimizer's gradient arena (``grad_slice``,
-    set by ``training.Adam``) has that slice as its grad, which the backward
-    pass writes and adds into in place.  Any other leaf's grad is the array
-    the backward rule returned, not a copy, so such grads may share memory
-    with one another (the LSTM's two bias grads are one array).  No grad
-    shares memory with any tensor's ``data``.
+    ``training.Adam`` rebinds each parameter's ``data`` to its slice of
+    Adam's data arena and sets ``grad_slice`` to the same slice of its
+    gradient arena; ``fit`` clears ``grad_slice`` when it ends.  A leaf with
+    a ``grad_slice`` has it as its grad, which the backward pass writes and
+    adds into in place.  Any other leaf's grad is the array the backward
+    rule returned, not a copy, so such grads may share memory with one
+    another (the LSTM's two bias grads are one array).  No grad shares
+    memory with any tensor's ``data``.
     """
 
     grad_slice = None
@@ -206,57 +208,6 @@ def _grad_out(t, inputs):
     gradient yet and is no other input, else None (a new array)."""
     alone = sum(u is t for u in inputs) == 1
     return t.grad_slice if t.grad is None and alone else None
-
-
-def pack(tensors, copy=True):
-    """Lay ``tensors`` out as C-contiguous slices of one flat arena per dtype.
-
-    The tensors of a dtype lie end to end in the order given, and each
-    ``data`` is rebound to its slice, shaped as before.  ``copy=False``
-    leaves the values behind, and drops the old arrays before the arena is
-    allocated: for arrays that are read in after.  Tensors already laid out
-    so keep their arena, so packing twice packs once.  Returns {dtype: arena}.
-    """
-    groups = {}
-    for t in tensors:
-        groups.setdefault(t.data.dtype, []).append(t)
-    arenas = {}
-    for dtype, group in groups.items():
-        arena = _packed(group)
-        if arena is None:
-            shapes = [t.data.shape for t in group]
-            if not copy:
-                for t in group:
-                    t.data = None
-            arena = np.empty(sum(math.prod(s) for s in shapes), dtype)
-            for t, view in zip(group, arena_views(arena, shapes)):
-                if copy:
-                    view[...] = t.data
-                t.data = view
-        arenas[dtype] = arena
-    return arenas
-
-
-def _packed(group):
-    """The flat arena ``group`` fills end to end, in order, or None."""
-    arena = group[0].data.base
-    if not isinstance(arena, np.ndarray) or arena.ndim != 1 or arena.dtype != group[0].data.dtype:
-        return None
-    at = arena.ctypes.data
-    for t in group:
-        if t.data.base is not arena or t.data.ctypes.data != at or not t.data.flags.c_contiguous:
-            return None
-        at += t.data.nbytes
-    return arena if at == arena.ctypes.data + arena.nbytes else None
-
-
-def arena_views(arena, shapes):
-    """Slices of a flat ``arena`` of the given shapes, end to end in order."""
-    views, lo = [], 0
-    for shape in shapes:
-        views.append(arena[lo:lo + math.prod(shape)].reshape(shape))
-        lo += math.prod(shape)
-    return views
 
 
 def _common_dtype(tensors, op):

@@ -59,46 +59,50 @@ def mse_loss(pred, target):
 ADAM_CHUNK = 32768
 
 
+def arena_views(arena, shapes):
+    """Slices of a flat ``arena`` of the given shapes, end to end in order."""
+    views, lo = [], 0
+    for shape in shapes:
+        views.append(arena[lo:lo + math.prod(shape)].reshape(shape))
+        lo += math.prod(shape)
+    return views
+
+
 class Adam:
     """Adam with bias correction and weight decay as an L2 term on the gradient.
 
     The moment decays are 0.9 and 0.999 and eps is 1e-8.  Only tensors handed
-    in are updated, so frozen tensors are excluded by construction.  They are
-    packed into one flat arena per dtype (``tensor.pack``; a model's already
-    are), and Adam owns three more arenas of that layout: the gradients and
-    the two moments, whose per-parameter views ``grads``, ``m`` and ``v``
-    list.  Each parameter's ``grad_slice`` is its view of the gradient arena,
-    which the backward pass writes.  A step runs one loop per dtype, in
-    place, chunk by chunk through two scratch buffers; each operation is the
-    one of the textbook formula, in the same order, so the result is bit for
-    bit the same.
+    in are updated, so frozen tensors are excluded by construction.  They
+    must share one precision.  Adam copies them, in order, into one flat data
+    arena and rebinds each ``data`` to its slice.  ``arenas`` is (data, grad,
+    m, v), all of that layout; ``grads``, ``m`` and ``v`` list the
+    per-parameter views.  Each parameter's ``grad_slice`` is its gradient
+    view, which the backward pass writes, until ``close``.  A step is one
+    chunked loop over the four arenas, in place, through two scratch
+    buffers; each operation is the one of the textbook formula, in the same
+    order, so the result is bit for bit the same.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr=1e-3, weight_decay=0.0):
         self.params = list(params)
-        for p in self.params:
-            if not p.data.flags.c_contiguous:
-                raise UsageError("adam: parameters must be C-contiguous to be updated in place")
+        if not self.params:
+            raise UsageError("adam: no parameters to update")
+        dtype = self.params[0].data.dtype
+        if any(p.data.dtype != dtype for p in self.params):
+            raise UsageError("adam: parameters of mixed precisions")
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.arenas = []        # (data, grad, m, v) per dtype
-        slices = {}
-        for dtype, data in T.pack(self.params).items():
-            group = [p for p in self.params if p.data.dtype == dtype]
-            shapes = [p.data.shape for p in group]
-            arenas = (data, np.zeros_like(data), np.zeros_like(data), np.zeros_like(data))
-            self.arenas.append(arenas)
-            for p, *views in zip(group, *(T.arena_views(a, shapes) for a in arenas[1:])):
-                slices[id(p)] = views
-        self.grads, self.m, self.v = ([slices[id(p)][k] for p in self.params] for k in range(3))
-        for p, g in zip(self.params, self.grads):
-            p.grad_slice = g
-        self._scratch = {data.dtype: (np.empty(ADAM_CHUNK, dtype=data.dtype),
-                                      np.empty(ADAM_CHUNK, dtype=data.dtype))
-                         for data, *_ in self.arenas}
+        shapes = [p.data.shape for p in self.params]
+        size = sum(math.prod(s) for s in shapes)
+        self.arenas = (np.empty(size, dtype), *(np.zeros(size, dtype) for _ in range(3)))
+        data, self.grads, self.m, self.v = (arena_views(a, shapes) for a in self.arenas)
+        for p, view, g in zip(self.params, data, self.grads):
+            view[...] = p.data
+            p.data, p.grad_slice = view, g
+        self._scratch = (np.empty(ADAM_CHUNK, dtype), np.empty(ADAM_CHUNK, dtype))
 
     def step(self):
         for p, g in zip(self.params, self.grads):
@@ -109,11 +113,11 @@ class Adam:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for arenas in self.arenas:
-            s1, s2 = self._scratch[arenas[0].dtype]
-            for lo in range(0, arenas[0].size, ADAM_CHUNK):
-                hi = min(lo + ADAM_CHUNK, arenas[0].size)
-                self._update(*(a[lo:hi] for a in arenas), s1[:hi - lo], s2[:hi - lo], bc1, bc2)
+        s1, s2 = self._scratch
+        size = self.arenas[0].size
+        for lo in range(0, size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, size)
+            self._update(*(a[lo:hi] for a in self.arenas), s1[:hi - lo], s2[:hi - lo], bc1, bc2)
 
     def _update(self, p, g, m, v, a, b, bc1, bc2):
         if self.weight_decay:
@@ -135,6 +139,12 @@ class Adam:
         """Mark every gradient unwritten; the gradient arena stays for the next step."""
         for p in self.params:
             p.grad = None
+
+    def close(self):
+        """Take back every gradient and ``grad_slice``, so that the gradient
+        and moment arenas go with this optimizer; the data arena stays."""
+        for p in self.params:
+            p.grad = p.grad_slice = None
 
 
 @dataclass
@@ -218,8 +228,9 @@ def fit(model, train_windows, val_windows, config, log_path=None):
     since_best = 0
     log = open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext()
 
-    # The tape is fit's alone: every exit closes it and frees what it holds.
-    with Tape() as tape, log as log_fh:
+    # The tape and the optimizer are fit's alone: every exit closes both, so
+    # neither the graph nor the gradient arena outlives fit.
+    with Tape() as tape, log as log_fh, contextlib.closing(adam):
         for epoch in range(config.epochs):
             perm = rng.permutation(len(train_windows))
             losses = []
@@ -247,7 +258,7 @@ def fit(model, train_windows, val_windows, config, log_path=None):
                 step_times.append(time.perf_counter() - step_start)
             train_s = time.perf_counter() - epoch_start
             # The loss alone can miss NaN weights: a ReLU maps NaN to zero.
-            if not all(np.isfinite(data).all() for data, *_ in adam.arenas):
+            if not np.isfinite(adam.arenas[0]).all():
                 raise DivergenceError(f"non-finite parameter after epoch {epoch + 1}")
 
             with tape.paused():

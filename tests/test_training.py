@@ -135,10 +135,32 @@ class TestAdam:
                 np.testing.assert_array_equal(am, m)
                 np.testing.assert_array_equal(av, v)
 
-    def test_non_contiguous_parameter_refused(self):
-        p = Tensor(np.ones((3, 4)).T, requires_grad=True)
-        with pytest.raises(UsageError, match="contiguous"):
-            Adam([p])
+    def test_transposed_parameter_is_packed_and_stepped_like_the_reference(self):
+        """A non-contiguous parameter is copied into its arena slice and
+        updated bit for bit as the allocating reference updates it."""
+        rng = np.random.default_rng(10)
+        p = Tensor(rng.normal(size=(4, 3)).T, requires_grad=True)
+        ref = Tensor(p.data.copy(), requires_grad=True)
+        assert not p.data.flags.c_contiguous
+        adam = Adam([p], lr=3e-3, weight_decay=0.01)
+        assert p.data.flags.c_contiguous and p.data.base is adam.arenas[0]
+        np.testing.assert_array_equal(p.data, ref.data)
+        m, v = np.zeros_like(ref.data), np.zeros_like(ref.data)
+        for step in range(1, 4):
+            p.grad = rng.normal(size=(4, 3)).T
+            ref.grad = p.grad.copy()
+            adam.step()
+            self.reference_step(adam, [ref], [m], [v], step)
+            assert p.data.tobytes() == ref.data.tobytes()
+
+    def test_no_parameters_refused(self):
+        with pytest.raises(UsageError, match="no parameters"):
+            Adam([])
+
+    def test_mixed_precisions_refused(self):
+        params = [Tensor(np.zeros(2, dtype=dt), requires_grad=True) for dt in (np.float32, F64)]
+        with pytest.raises(UsageError, match="mixed precisions"):
+            Adam(params)
 
     def test_no_nan_after_steps(self):
         rng = np.random.default_rng(1)
@@ -151,7 +173,8 @@ class TestAdam:
 
 
 class TestFit:
-    def small_dataset(self, seed=0):
+    @staticmethod
+    def small_dataset(seed=0):
         series = random_demand_series(250, seed=seed)
         windows = make_windows(series, seq_len=3)
         return split_dataset(windows, test_days=2, val_frac=0.1)
@@ -411,20 +434,50 @@ class TestGradientHandOff:
 class TestGradientArena:
     """Adam's gradient arena: the backward pass writes each parameter's slice."""
 
-    def test_a_models_parameters_are_packed_once(self):
-        """The model packs its parameters when built; Adam rebinds none."""
+    def test_fit_after_restore_repeats_the_first_fit(self):
+        """Each fit packs the model into a new arena: restoring the initial
+        weights and fitting again gives the first fit's bytes."""
+        train, val, _ = TestFit.small_dataset(seed=12)
         model = build_model("STDI", TOY_DIMS, seed=12)
-        arrays = [p.data for p in model.parameters()]
-        adam = Adam(model.parameters(), lr=1e-3)
-        (data_arena, _, _, _), = adam.arenas
-        assert all(p.data is a and a.base is data_arena for p, a in zip(model.parameters(), arrays))
-        assert data_arena.size == model.parameter_count()
+        initial = model.snapshot()
+        config = TrainConfig(epochs=2, batch_size=32, patience=2, seed=1)
+        fitted = []
+        for _ in range(2):
+            model.restore(initial)
+            _, history = fit(model, train, val, config)
+            fitted.append((history.val_rmse, [a.tobytes() for _, a in model.named_arrays()]))
+        assert fitted[0] == fitted[1]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e-3, 1e30], ids=["returns", "diverges"])
+    def test_fit_hands_back_the_gradient_arena(self, monkeypatch, lr):
+        """Whether fit returns or raises, no parameter keeps a gradient or a
+        grad_slice, so the gradient arena goes with fit's optimizer."""
+        arenas = []
+
+        class Recorded(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                arenas.append(weakref.ref(self.grads[0].base))
+        monkeypatch.setattr(training, "Adam", Recorded)
+        train, val, _ = TestFit.small_dataset(seed=7)
+        model = build_model("TemporalFC", TOY_DIMS, seed=7)
+        config = TrainConfig(lr=lr, epochs=2, batch_size=32, patience=2, seed=3)
+        if lr > 1:
+            with pytest.raises(DivergenceError):
+                fit(model, train, val, config)
+        else:
+            fit(model, train, val, config)
+        assert all(p.grad is None and p.grad_slice is None for p in model.parameters())
+        gc.collect()
+        assert len(arenas) == 1 and arenas[0]() is None
 
     def test_grads_are_arena_slices_reused_across_steps(self):
         model = build_model("STDI", TOY_DIMS, seed=12)
         inputs, hours, targets = copy_task_windows(n=6, seed=12)
         adam = Adam(model.parameters(), lr=1e-3)
-        (_, grad_arena, _, _), = adam.arenas
+        _, grad_arena, _, _ = adam.arenas
         w_in_grads = []
         with Tape() as tape:
             for _ in range(2):
