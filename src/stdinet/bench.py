@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -25,6 +26,8 @@ from .errors import DataError, UsageError
 from .model import MODEL_KINDS, ModelDims, build_model
 from .tensor import resolve_dtype
 from .training import FIELD_TYPES, MetricPair, TrainConfig, compute_metrics, fit, predict_windows
+
+log = logging.getLogger(__name__)
 
 # RMSE/MAE reported for each method on the 2014 NYC Citi Bike benchmark,
 # shown beside reproduced numbers.  The exact station selection and grid
@@ -116,55 +119,106 @@ def ridge_closed_form(x, y, lam):
     return weights, intercept
 
 
+def _fista(gram, cty, thresh, slack, max_iter):
+    """Accelerated proximal gradient for every column of the lasso at once.
+
+    Minimizes (1/2) b'Gb - c'b + thresh |b|_1 column by column (FISTA, Beck
+    & Teboulle, SIAM J. Imaging Sci. 2009), each column restarting its
+    momentum when the step turns against it (gradient restart, O'Donoghue &
+    Candès, Found. Comput. Math. 2015).  A column retires once every
+    coordinate's KKT residual is at most ``slack``; restart and retirement
+    look at that column alone.  Returns the (f, m) point reached.
+    """
+    f, m = cty.shape
+    step = 1.0 / np.linalg.eigvalsh(gram)[-1]
+    out = np.zeros((f, m))
+    live = np.arange(m)
+    c, th = cty, thresh
+    # b and gb = G b; z is the extrapolated point and gz = G z.
+    b, gb = np.zeros((f, m)), np.zeros((f, m))
+    z, gz = b, gb
+    t = np.ones(m)
+    for _ in range(max_iter):
+        r = c - gb
+        kkt = np.where(b != 0.0, np.abs(r - th * np.sign(b)), np.abs(r) - th)
+        done = (kkt <= slack[:, None]).all(axis=0)
+        if done.any():
+            out[:, live[done]] = b[:, done]
+            keep = ~done
+            live, c, th, t = live[keep], c[:, keep], th[keep], t[keep]
+            b, gb, z, gz = b[:, keep], gb[:, keep], z[:, keep], gz[:, keep]
+            if not len(live):
+                return out
+        v = z + step * (c - gz)
+        # The soft threshold of v; a coefficient inside the band is +0.0.
+        b_new = v - np.clip(v, -step * th, step * th)
+        gb_new = gram @ b_new
+        restart = np.einsum("ij,ij->j", z - b_new, b_new - b) > 0.0
+        t_new = np.where(restart, 1.0, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)))
+        momentum = np.where(restart, 0.0, (t - 1.0) / t_new)
+        z = b_new + momentum * (b_new - b)
+        gz = gb_new + momentum * (gb_new - gb)
+        b, gb, t = b_new, gb_new, t_new
+    out[:, live] = b
+    return out
+
+
 def lasso_coordinate_descent(x, y, alpha, tol=1e-6, max_sweeps=1000):
     """Cyclic coordinate descent for (1/2n)||y - Xb||^2 + alpha*||b||_1.
 
     ``y`` is one output (n,) or m outputs (n, m) of the same design; the
     result is ``beta`` (f,) and a scalar intercept, or (f, m) and (m,).
-    Every output is solved as if alone, but in the covariance-update form
-    (Friedman, Hastie & Tibshirani, J. Stat. Softw. 33(1), 2010): the Gram
-    matrix is shared, so one coordinate step moves all outputs at once.  The
-    intercept is unpenalized (handled by centering).  An output stops when
-    none of its coefficients moved more than ``tol`` in a sweep.
+    ``alpha`` is one penalty or one per output, so a grid of penalties is
+    one call on tiled outputs.  Every output is solved as if alone, but in
+    the covariance-update form (Friedman, Hastie & Tibshirani, J. Stat.
+    Softw. 33(1), 2010): the Gram matrix is shared, so one coordinate step
+    moves all outputs at once.  The intercept is unpenalized (handled by
+    centering).
+
+    The sweeps start from the point ``_fista`` reaches within
+    ``max_sweeps`` steps, where every coordinate's KKT residual is at most
+    ``diag(G) * tol``, so they are few; a design whose every feature has
+    zero variance starts them from zero.  An output stops when none of its
+    coefficients moved more than ``tol`` in a sweep.
     """
     n, f = x.shape
     ys = y.reshape(n, -1)
     m = ys.shape[1]
+    thresh = n * np.broadcast_to(alpha, (m,))
     x_mean = x.mean(axis=0)
     xc = x - x_mean
     gram = xc.T @ xc
-    # One mean and one GEMV per output: a single (f, n) @ (n, m) GEMM rounds
-    # differently from the per-output solve.
-    y_mean = [ys[:, k].mean() for k in range(m)]
-    cty = np.stack([xc.T @ (ys[:, k] - y_mean[k]) for k in range(m)], axis=1)
+    y_mean = ys.mean(axis=0)
+    cty = xc.T @ (ys - y_mean)
     diag = np.diag(gram)
+    # One FISTA step costs a (f, f) @ (f, m) GEMM, the flops of one sweep,
+    # so the warm start may take as many steps as the sweeps may take sweeps.
+    beta = _fista(gram, cty, thresh, diag * tol, max_sweeps) if diag.any() else np.zeros((f, m))
     steps = [(j, diag[j], gram[:, j, None].copy()) for j in range(f) if diag[j] != 0.0]
-    thresh = n * alpha
-    beta = np.zeros((f, m))
-    # The outputs still moving, and their beta, q = gram @ beta and cty.
+    # The outputs still moving, and their beta, q = gram @ beta, cty and
+    # n * alpha.
     live = np.arange(m)
-    b, q, c = beta.copy(), np.zeros((f, m)), cty
+    b, q, c, th = beta.copy(), gram @ beta, cty, thresh
     for _ in range(max_sweeps):
         moved = np.zeros(len(live))
         for j, d, g in steps:
             rho = c[j] - q[j] + d * b[j]
-            new = np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0) / d
+            new = np.sign(rho) * np.maximum(np.abs(rho) - th, 0.0) / d
             delta = new - b[j]
             q += g * delta
-            # A nil step keeps the old coefficient, as the one-output solve
-            # did; writing ``new`` would flip the sign of some zeros.
+            # A nil step keeps the old coefficient: writing ``new`` would
+            # flip the sign of some zeros.
             np.copyto(b[j], new, where=delta != 0.0)
             np.maximum(moved, np.abs(delta), out=moved)
         done = moved < tol
         if done.any():
             beta[:, live[done]] = b[:, done]
             keep = ~done
-            live, b, q, c = live[keep], b[:, keep], q[:, keep], c[:, keep]
+            live, b, q, c, th = live[keep], b[:, keep], q[:, keep], c[:, keep], th[keep]
             if not len(live):
                 break
     beta[:, live] = b
-    intercept = np.array([y_mean[k] - x_mean @ np.ascontiguousarray(beta[:, k])
-                          for k in range(m)])
+    intercept = y_mean - x_mean @ beta
     if y.ndim == 1:
         return beta[:, 0], intercept[0]
     return beta, intercept
@@ -187,18 +241,27 @@ LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
 def baseline_linear(train_windows, val_windows, kind):
-    """Per-output ridge or lasso with the penalty chosen on validation RMSE."""
+    """Per-output ridge or lasso with the penalty chosen on validation RMSE.
+
+    Ridge solves each penalty of ``LAMBDA_GRID`` in closed form.  The lasso
+    solves them all in one ``lasso_coordinate_descent`` call: the outputs
+    tiled once per penalty, each copy with its own penalty.
+    """
     if kind not in ("ridge", "lasso"):
         raise UsageError(f"linear baseline kind must be ridge or lasso, got {kind!r}")
     x_train, y_train = _design(train_windows)
     x_val, y_val = _design(val_windows)
 
+    if kind == "ridge":
+        fits = [ridge_closed_form(x_train, y_train, lam) for lam in LAMBDA_GRID]
+    else:
+        m = y_train.shape[1]
+        weights, intercept = lasso_coordinate_descent(
+            x_train, np.tile(y_train, len(LAMBDA_GRID)), np.repeat(LAMBDA_GRID, m))
+        fits = [(np.ascontiguousarray(weights[:, i:i + m]), intercept[i:i + m])
+                for i in range(0, weights.shape[1], m)]
     best = None
-    for lam in LAMBDA_GRID:
-        if kind == "ridge":
-            weights, intercept = ridge_closed_form(x_train, y_train, lam)
-        else:
-            weights, intercept = lasso_coordinate_descent(x_train, y_train, lam)
+    for lam, (weights, intercept) in zip(LAMBDA_GRID, fits):
         val_pred = x_val @ weights + intercept
         rmse = float(np.sqrt(np.mean((val_pred - y_val) ** 2)))
         if best is None or rmse < best[0]:
@@ -311,9 +374,12 @@ def run_benchmark(series, methods, config=None):
     digest = config.digest()
     rows = []
     for method in methods:
+        log.info("bench %s: started", method)
         started = time.perf_counter()
         preds, detail = _method_predictions(method, series, splits, config, table)
         runtime = time.perf_counter() - started
+        epochs = f" epochs_run={detail['epochs_run']}" if "epochs_run" in detail else ""
+        log.info("bench %s: done runtime_s=%.3f%s", method, runtime, epochs)
         metrics = compute_metrics(preds, test_targets)
         rows.append(BenchRow(
             method=method,

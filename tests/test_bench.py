@@ -1,13 +1,16 @@
 """Benchmark tests: metrics, baselines, and the report runner."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from helpers import copy_task_windows, manual_steps, memorize_windows
 
 from stdinet import DataError, UsageError
-from stdinet.data import (DemandSeries, Windows, make_windows, random_demand_series, split_dataset,
-                          windows_to_arrays)
+from stdinet.data import (DemandSeries, Windows, make_windows, random_demand_series,
+                          regime_demand_series, split_dataset, windows_to_arrays)
 from stdinet.model import ModelDims, TOY_DIMS
 from stdinet.training import TrainConfig
 from stdinet.bench import (
@@ -235,8 +238,8 @@ class TestLinearBaselines:
 def lasso_scalar_reference(x, y, alpha, tol=1e-6, max_sweeps=1000):
     """One output at a time, one scalar coordinate step at a time.
 
-    The per-column solve that ``lasso_coordinate_descent`` ran before it
-    took every output in one sweep; kept as the bitwise reference.
+    Cyclic coordinate descent from zero, one output column alone: the
+    reference the batched, warm-started solve must agree with.
     """
     n, f = x.shape
     x_mean = x.mean(axis=0)
@@ -270,71 +273,154 @@ def lasso_per_column(x, y, alpha, **kwargs):
     return np.stack([b for b, _ in fits], axis=1), np.array([b0 for _, b0 in fits])
 
 
-def assert_same_bits(got, want):
-    # tobytes also tells -0.0 from 0.0, which array_equal does not.
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+def kkt_violations(x, y, weights, intercept, alpha, tol=1e-6):
+    """Coefficients that break the lasso's KKT conditions, and a bad intercept.
+
+    A solve stops once no coefficient moved more than ``tol`` in a sweep;
+    the later moves of the other coordinates shift coordinate j's gradient
+    by at most sum_k |G_jk| tol / n, which is the slack allowed.
+    """
+    n = x.shape[0]
+    xm, ym = x.mean(axis=0), y.mean(axis=0)
+    xc, yc = x - xm, y - ym
+    gram = xc.T @ xc
+    slack = (np.abs(gram).sum(axis=1) * tol / n + 1e-9 * (1.0 + alpha))[:, None]
+    grad = xc.T @ (yc - xc @ weights) / n
+    active = weights != 0
+    bad = np.where(active, np.abs(grad - alpha * np.sign(weights)) > slack,
+                   np.abs(grad) > alpha + slack)
+    intercept_ok = np.allclose(intercept, ym - xm @ weights, rtol=0.0,
+                               atol=1e-9 * max(1.0, np.abs(ym).max()))
+    return int(bad.sum()), intercept_ok
+
+
+def agreement_bound(x, tol=1e-6):
+    """How far apart two coefficient columns within the KKT slack may be.
+
+    The objective is strongly convex with modulus mu = lambda_min(G) / n, so
+    a point whose subgradient residual has 2-norm r lies within r / mu of
+    the optimum.  Each of two solves is within the slack, so their columns
+    differ by at most twice that in the 2-norm.
+    """
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    gram = xc.T @ xc
+    slack = np.abs(gram).sum(axis=1) * tol / n
+    return 2.0 * np.linalg.norm(slack) * n / np.linalg.eigvalsh(gram)[0]
+
+
+def assert_agree(got, want, bound):
+    (w_got, b_got), (w_want, b_want) = got, want
+    assert w_got.shape == w_want.shape and np.shape(b_got) == np.shape(b_want)
+    gap = np.linalg.norm(np.reshape(w_got - w_want, (len(w_got), -1)), axis=0)
+    assert gap.max() <= bound
 
 
 def demand_design(length, seed):
-    inputs, _, targets = windows_to_arrays(
-        make_windows(random_demand_series(length, rows=4, cols=4, seed=seed), 3))
-    n = len(inputs)
+    """The lagged design and targets of a 4x4 regime series: at every
+    penalty of the grid some coefficients are nonzero."""
+    series = regime_demand_series(length, rows=4, cols=4, seed=seed, noise=4.0)
+    return design_of(make_windows(series, 3))
+
+
+def design_of(windows):
+    inputs, _, targets = windows_to_arrays(windows)
+    n = len(windows)
     return inputs.reshape(n, -1).astype(np.float64), targets.reshape(n, -1).astype(np.float64)
 
 
 class TestLassoAllOutputs:
-    """The 2-d solve is bit-equal to solving each output column alone."""
+    """The batched, warm-started solve keeps the lasso's contract: KKT within
+    the slack a ``tol`` sweep leaves, and agreement with the zero-start
+    per-column reference within the bound that slack implies."""
 
     @pytest.mark.parametrize("alpha", LAMBDA_GRID)
     def test_demand_design_matches_per_column(self, alpha):
         x, y = demand_design(160, seed=12)
         assert x.shape == (157, 96) and y.shape == (157, 32)
-        assert_same_bits(lasso_coordinate_descent(x, y, alpha), lasso_per_column(x, y, alpha))
+        fit = lasso_coordinate_descent(x, y, alpha)
+        assert kkt_violations(x, y, *fit, alpha) == (0, True)
+        assert_agree(fit, lasso_per_column(x, y, alpha), agreement_bound(x))
 
     @pytest.mark.parametrize("alpha", LAMBDA_GRID)
     def test_zero_variance_feature_is_skipped(self, alpha):
+        # An all-zero output stays exactly zero too.
         x, y = demand_design(240, seed=13)
         x[:, 7] = 2.0
-        fit = lasso_coordinate_descent(x, y, alpha)
-        assert not fit[0][7].any()
-        assert_same_bits(fit, lasso_per_column(x, y, alpha))
+        y[:, 0] = 0.0
+        weights, intercept = lasso_coordinate_descent(x, y, alpha)
+        # tobytes also tells -0.0 from 0.0, which array_equal does not.
+        assert weights[7].tobytes() == np.zeros(32).tobytes()
+        assert weights[:, 0].tobytes() == np.zeros(96).tobytes()
+        assert intercept[0] == 0.0
+        assert kkt_violations(x, y, weights, intercept, alpha) == (0, True)
+
+    def test_all_zero_variance_design(self):
+        x = np.full((30, 4), 3.0)
+        y = np.random.default_rng(18).normal(size=(30, 2))
+        weights, intercept = lasso_coordinate_descent(x, y, 0.1)
+        assert weights.tobytes() == np.zeros((4, 2)).tobytes()
+        np.testing.assert_array_equal(intercept, y.mean(axis=0))
 
     @pytest.mark.parametrize("alpha", LAMBDA_GRID)
     def test_outputs_stop_at_their_own_sweep(self, alpha):
         # Correlated features make the large second output take 300-400
-        # sweeps and the noise output about 200 (at 0.01); the all-zero first
-        # output is done after one.
+        # zero-start sweeps and the noise output about 200 (at 0.01); the
+        # all-zero first output is done at once.  Each output of the joint
+        # solve agrees with that output solved alone.
         rng = np.random.default_rng(14)
         x = rng.normal(size=(90, 1)) + 0.3 * rng.normal(size=(90, 6))
         y = np.zeros((90, 3))
         y[:, 1] = 1000.0 * (x @ np.array([3.0, -2.0, 1.0, 0.0, 0.5, -1.0]))
         y[:, 1] += rng.normal(scale=0.1, size=90)
         y[:, 2] = rng.normal(size=90)
-        cut = lasso_per_column(x, y, alpha, max_sweeps=50)
-        full = lasso_per_column(x, y, alpha)
-        assert not np.array_equal(cut[0][:, 1], full[0][:, 1])
-        assert not full[0][:, 0].any()
-        assert_same_bits(lasso_coordinate_descent(x, y, alpha), full)
-        # Cut off before the slow outputs converge: each keeps its last sweep.
-        assert_same_bits(lasso_coordinate_descent(x, y, alpha, max_sweeps=50), cut)
+        weights, intercept = lasso_coordinate_descent(x, y, alpha)
+        assert weights[:, 0].tobytes() == np.zeros(6).tobytes() and intercept[0] == 0.0
+        assert kkt_violations(x, y, weights, intercept, alpha) == (0, True)
+        bound = agreement_bound(x)
+        for k in (1, 2):
+            alone = lasso_coordinate_descent(x, y[:, k], alpha)
+            assert_agree((weights[:, k], intercept[k]), alone, bound)
+            assert_agree(alone, lasso_scalar_reference(x, y[:, k], alpha), bound)
+
+    def test_per_column_penalties_match_each_penalty_alone(self):
+        x, y = demand_design(160, seed=17)
+        m = y.shape[1]
+        weights, intercept = lasso_coordinate_descent(
+            x, np.tile(y, len(LAMBDA_GRID)), np.repeat(LAMBDA_GRID, m))
+        assert weights.shape == (96, m * len(LAMBDA_GRID))
+        bound = agreement_bound(x)
+        for i, alpha in enumerate(LAMBDA_GRID):
+            part = (weights[:, i * m:(i + 1) * m], intercept[i * m:(i + 1) * m])
+            assert kkt_violations(x, y, *part, alpha) == (0, True)
+            assert_agree(part, lasso_coordinate_descent(x, y, alpha), bound)
 
     def test_one_output_returns_vector_and_scalar(self):
         x, y = demand_design(120, seed=15)
         beta, b0 = lasso_coordinate_descent(x, y[:, 3], 0.1)
         ref_beta, ref_b0 = lasso_scalar_reference(x, y[:, 3], 0.1)
         assert beta.shape == (96,) and np.ndim(b0) == 0
-        assert beta.tobytes() == ref_beta.tobytes() and b0 == ref_b0
+        assert np.linalg.norm(beta - ref_beta) <= agreement_bound(x)
+        assert kkt_violations(x, y[:, 3], beta, b0, 0.1) == (0, True)
 
     def test_baseline_linear_matches_per_column(self):
-        series = random_demand_series(200, rows=4, cols=4, seed=16)
+        series = regime_demand_series(300, rows=4, cols=4, seed=16, noise=4.0)
         train, val, _ = split_dataset(make_windows(series, 3), test_days=2, val_frac=0.2)
         model = baseline_linear(train, val, "lasso")
-        inputs, _, targets = windows_to_arrays(train)
-        x = inputs.reshape(len(train), -1).astype(np.float64)
-        y = targets.reshape(len(train), -1).astype(np.float64)
-        assert_same_bits((model.weights, model.intercept), lasso_per_column(x, y, model.lam))
+        (x, y), (x_val, y_val) = design_of(train), design_of(val)
+        rmse = {}
+        for alpha in LAMBDA_GRID:
+            weights, intercept = lasso_per_column(x, y, alpha)
+            rmse[alpha] = float(np.sqrt(np.mean((x_val @ weights + intercept - y_val) ** 2)))
+        assert model.lam == min(LAMBDA_GRID, key=rmse.get)
+        assert kkt_violations(x, y, model.weights, model.intercept, model.lam) == (0, True)
+        bound = agreement_bound(x)
+        assert_agree((model.weights, model.intercept), lasso_per_column(x, y, model.lam), bound)
+        # A prediction is ybar + (x - xbar) W, so the validation RMSE moves by
+        # at most the RMS of (X_val - xbar) times the gap in W.
+        got = float(np.sqrt(np.mean((model.predict(val).reshape(len(val), -1) - y_val) ** 2)))
+        spread = np.linalg.norm(x_val - x.mean(axis=0), 2) / np.sqrt(len(x_val))
+        assert abs(got - rmse[model.lam]) <= spread * bound
 
 
 class TestMlpBaseline:
@@ -414,6 +500,17 @@ class TestRunBenchmark:
         series = random_demand_series(250, seed=16)
         report = run_benchmark(series, ["HA"], self.config())
         assert report.rows[0].metrics.z == report.n_test * 2 * 2 * 2
+
+    def test_logs_each_method_as_it_starts_and_ends(self, caplog):
+        series = random_demand_series(250, seed=18)
+        with caplog.at_level(logging.INFO, logger="stdinet.bench"):
+            report = run_benchmark(series, ["HA", "MLP"], self.config())
+        lines = [r.getMessage() for r in caplog.records if r.name == "stdinet.bench"]
+        assert len(lines) == 4
+        assert lines[0] == "bench HA: started" and lines[2] == "bench MLP: started"
+        assert re.fullmatch(r"bench HA: done runtime_s=\d+\.\d{3}", lines[1])
+        assert re.fullmatch(r"bench MLP: done runtime_s=\d+\.\d{3} epochs_run=1", lines[3])
+        assert report.rows[1].detail == {"epochs_run": 1}
 
     def test_duplicate_methods_rejected(self):
         series = random_demand_series(250, seed=17)
