@@ -276,15 +276,17 @@ def lasso_per_column(x, y, alpha, **kwargs):
 def kkt_violations(x, y, weights, intercept, alpha, tol=1e-6):
     """Coefficients that break the lasso's KKT conditions, and a bad intercept.
 
-    A solve stops once no coefficient moved more than ``tol`` in a sweep;
-    the later moves of the other coordinates shift coordinate j's gradient
-    by at most sum_k |G_jk| tol / n, which is the slack allowed.
+    The solver stops once coordinate j's KKT residual is at most
+    diag(G)_j tol, in units of G; the gradient here is scaled by 1 / n, so
+    the slack is diag(G)_j tol / n, plus room for rounding.
     """
     n = x.shape[0]
+    y = y.reshape(n, -1)
+    weights = weights.reshape(x.shape[1], -1)
     xm, ym = x.mean(axis=0), y.mean(axis=0)
     xc, yc = x - xm, y - ym
     gram = xc.T @ xc
-    slack = (np.abs(gram).sum(axis=1) * tol / n + 1e-9 * (1.0 + alpha))[:, None]
+    slack = (np.diag(gram) * tol / n + 1e-9 * (1.0 + alpha))[:, None]
     grad = xc.T @ (yc - xc @ weights) / n
     active = weights != 0
     bad = np.where(active, np.abs(grad - alpha * np.sign(weights)) > slack,
@@ -299,8 +301,10 @@ def agreement_bound(x, tol=1e-6):
 
     The objective is strongly convex with modulus mu = lambda_min(G) / n, so
     a point whose subgradient residual has 2-norm r lies within r / mu of
-    the optimum.  Each of two solves is within the slack, so their columns
-    differ by at most twice that in the 2-norm.
+    the optimum.  A ``tol`` sweep of the reference leaves coordinate j a
+    residual of at most sum_k |G_jk| tol / n, which also bounds the
+    solver's diag(G)_j tol / n; each of two solves is within it, so their
+    columns differ by at most twice that in the 2-norm.
     """
     n = x.shape[0]
     xc = x - x.mean(axis=0)
@@ -329,10 +333,21 @@ def design_of(windows):
     return inputs.reshape(n, -1).astype(np.float64), targets.reshape(n, -1).astype(np.float64)
 
 
+def correlated_design():
+    """Correlated features and three outputs: all zero, large, and noise."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(90, 1)) + 0.3 * rng.normal(size=(90, 6))
+    y = np.zeros((90, 3))
+    y[:, 1] = 1000.0 * (x @ np.array([3.0, -2.0, 1.0, 0.0, 0.5, -1.0]))
+    y[:, 1] += rng.normal(scale=0.1, size=90)
+    y[:, 2] = rng.normal(size=90)
+    return x, y
+
+
 class TestLassoAllOutputs:
-    """The batched, warm-started solve keeps the lasso's contract: KKT within
-    the slack a ``tol`` sweep leaves, and agreement with the zero-start
-    per-column reference within the bound that slack implies."""
+    """The batched FISTA solve keeps the lasso's contract: KKT within its own
+    stop, and agreement with the zero-start per-column reference within the
+    bound the two stops imply."""
 
     @pytest.mark.parametrize("alpha", LAMBDA_GRID)
     def test_demand_design_matches_per_column(self, alpha):
@@ -365,15 +380,11 @@ class TestLassoAllOutputs:
     @pytest.mark.parametrize("alpha", LAMBDA_GRID)
     def test_outputs_stop_at_their_own_sweep(self, alpha):
         # Correlated features make the large second output take 300-400
-        # zero-start sweeps and the noise output about 200 (at 0.01); the
-        # all-zero first output is done at once.  Each output of the joint
-        # solve agrees with that output solved alone.
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(90, 1)) + 0.3 * rng.normal(size=(90, 6))
-        y = np.zeros((90, 3))
-        y[:, 1] = 1000.0 * (x @ np.array([3.0, -2.0, 1.0, 0.0, 0.5, -1.0]))
-        y[:, 1] += rng.normal(scale=0.1, size=90)
-        y[:, 2] = rng.normal(size=90)
+        # sweeps of the reference and the noise output about 200 (at 0.01);
+        # the all-zero first output retires at once.  Each output stops at
+        # its own step, so each output of the joint solve agrees with that
+        # output solved alone.
+        x, y = correlated_design()
         weights, intercept = lasso_coordinate_descent(x, y, alpha)
         assert weights[:, 0].tobytes() == np.zeros(6).tobytes() and intercept[0] == 0.0
         assert kkt_violations(x, y, weights, intercept, alpha) == (0, True)
@@ -402,6 +413,34 @@ class TestLassoAllOutputs:
         assert beta.shape == (96,) and np.ndim(b0) == 0
         assert np.linalg.norm(beta - ref_beta) <= agreement_bound(x)
         assert kkt_violations(x, y[:, 3], beta, b0, 0.1) == (0, True)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_windows_than_features(self, seed, caplog):
+        # 56 windows and 96 features: G is singular, so no strong convexity
+        # speeds the solve, and no column may stop short of KKT.
+        series = regime_demand_series(120, rows=4, cols=4, seed=seed, noise=4.0)
+        train, _, _ = split_dataset(make_windows(series, 3), test_days=2, val_frac=0.2)
+        x, y = design_of(train)
+        assert x.shape == (56, 96)
+        m = y.shape[1]
+        with caplog.at_level(logging.WARNING, logger="stdinet.bench"):
+            weights, intercept = lasso_coordinate_descent(
+                x, np.tile(y, len(LAMBDA_GRID)), np.repeat(LAMBDA_GRID, m))
+        assert not caplog.records
+        for i, alpha in enumerate(LAMBDA_GRID):
+            part = (weights[:, i * m:(i + 1) * m], intercept[i * m:(i + 1) * m])
+            assert kkt_violations(x, y, *part, alpha) == (0, True)
+
+    def test_warns_when_columns_reach_the_cap(self, monkeypatch, caplog):
+        # At 0.01 the all-zero output retires at once, and the other two
+        # take about 200 and 110 steps.
+        x, y = correlated_design()
+        monkeypatch.setattr("stdinet.bench.LASSO_MAX_STEPS", 5)
+        with caplog.at_level(logging.WARNING, logger="stdinet.bench"):
+            weights, _ = lasso_coordinate_descent(x, y, 0.01)
+        assert [r.getMessage() for r in caplog.records] == [
+            "lasso: 2 of 3 columns reached the 5-step cap short of KKT"]
+        assert weights[:, 0].tobytes() == np.zeros(6).tobytes()
 
     def test_baseline_linear_matches_per_column(self):
         series = regime_demand_series(300, rows=4, cols=4, seed=16, noise=4.0)
